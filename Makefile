@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet fmt-check race bench bench-serve cover check doccheck metriccheck
+.PHONY: all build test vet fmt-check race bench bench-serve bench-compose bench-e2e cover check doccheck metriccheck
 
 all: check
 
@@ -66,5 +66,12 @@ bench-serve:
 # committed baseline comes from the full form (see EXPERIMENTS.md).
 bench-compose:
 	$(GO) run ./cmd/cornet-bench -exp bench-compose -quick
+
+# The end-to-end benchmark of cornetd over real HTTP: all four workloads,
+# untraced and traced (~3 min, needs 2 CPUs). Appends to
+# bench/out/results.json; compare two such files with
+# `go run ./bench -compare A.json B.json` (see bench/README.md).
+bench-e2e:
+	$(GO) run ./bench
 
 check: build vet fmt-check test race doccheck metriccheck

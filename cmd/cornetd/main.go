@@ -21,6 +21,7 @@ import (
 	"os"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"cornet/internal/catalog"
@@ -48,6 +49,9 @@ type server struct {
 	// planSrv is the multi-tenant serving layer behind /api/plan: plan
 	// cache, singleflight, warm-start re-planning, and admission control.
 	planSrv *planserve.Server
+	// edge memoises the subset of net.Inv that /api/plan plans over (see
+	// planTargets); nil until the first plan request.
+	edge atomic.Pointer[edgeSubset]
 
 	// fleetInv mirrors the testbed into an inventory the declarative
 	// reconciler diffs against and writes applied changes back to.
@@ -117,7 +121,7 @@ func newServer(f *core.Framework, tb *testbed.Testbed, net *netgen.Network,
 		MaxBatch: compCfg.MaxBatch,
 		Solve:    s.composeSolve,
 	})
-	s.slo, s.sloStop = newSLOTracker()
+	s.slo, _, s.sloStop = newSLOTracker()
 	registerBuildInfo()
 	s.fleetInv = testbed.MirrorInventory(tb, assignMarket)
 	rec, err := reconcile.New(reconcile.Config{
@@ -434,6 +438,33 @@ func planTenant(r *http.Request) (string, error) {
 	return t, nil
 }
 
+// edgeSubset is the edge-layer subset of net.Inv as of one version of it.
+type edgeSubset struct {
+	version uint64
+	inv     *inventory.Inventory
+}
+
+// planTargets returns the edge-layer subset of the server's inventory that
+// /api/plan plans over. The subset is built on first use and again only
+// after net.Inv's version moved, so consecutive requests hand the serving
+// layer the same *Inventory with the same stamp — which is what lets its
+// request key recognise them. The version is read before the subset is
+// built: a mutation racing the build leaves a subset newer than its label,
+// which costs one extra rebuild and never serves stale elements.
+func (s *server) planTargets() *inventory.Inventory {
+	_, version := s.net.Inv.Stamp()
+	if m := s.edge.Load(); m != nil && m.version == version {
+		return m.inv
+	}
+	targets := s.net.Inv.Filter(func(e *inventory.Element) bool {
+		layer, _ := e.Attr(inventory.AttrLayer)
+		return layer == "edge"
+	})
+	m := &edgeSubset{version: version, inv: s.net.Inv.Subset(targets)}
+	s.edge.Store(m)
+	return m.inv
+}
+
 // handlePlan accepts the Listing 1 intent document and plans over the
 // server's synthetic RAN inventory through the serving layer: canonical
 // plan cache, singleflight, warm-start re-planning, and tenant-fair
@@ -505,10 +536,6 @@ func (s *server) handlePlan(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusUnprocessableEntity)
 		return
 	}
-	targets := s.net.Inv.Filter(func(e *inventory.Element) bool {
-		layer, _ := e.Attr(inventory.AttrLayer)
-		return layer == "edge"
-	})
 	changeID := changeIDFromRequest(r)
 	ctx := obs.WithChangeID(r.Context(), changeID)
 	if timeout > 0 {
@@ -520,7 +547,7 @@ func (s *server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	if r.URL.Query().Get("trace") == "1" {
 		ctx, root = obs.StartTrace(ctx, "http.plan")
 	}
-	served, err := s.planSrv.Plan(ctx, tenant, req, s.net.Inv.Subset(targets), core.PlanOptions{
+	served, err := s.planSrv.Plan(ctx, tenant, req, s.planTargets(), core.PlanOptions{
 		Topology:    s.net.Topo,
 		Policy:      policy,
 		Parallelism: parallelism,

@@ -267,18 +267,19 @@ func TestPlanEndpointValidation(t *testing.T) {
 	  ]
 	}`
 	cases := []struct {
-		name, query string
-		status      int
+		name, query, body string
+		status            int
 	}{
-		{"unknown param", "?parallellism=8", http.StatusBadRequest},
-		{"duplicated param", "?backend=auto&backend=solver", http.StatusBadRequest},
-		{"zero timeout", "?timeout=0s", http.StatusBadRequest},
-		{"negative timeout", "?timeout=-1s", http.StatusBadRequest},
-		{"parallelism over cap", "?parallelism=300", http.StatusBadRequest},
-		{"bad tenant", "?tenant=no/slash", http.StatusBadRequest},
+		{"unknown param", "?parallellism=8", doc, http.StatusBadRequest},
+		{"duplicated param", "?backend=auto&backend=solver", doc, http.StatusBadRequest},
+		{"zero timeout", "?timeout=0s", doc, http.StatusBadRequest},
+		{"negative timeout", "?timeout=-1s", doc, http.StatusBadRequest},
+		{"parallelism over cap", "?parallelism=300", doc, http.StatusBadRequest},
+		{"bad tenant", "?tenant=no/slash", doc, http.StatusBadRequest},
+		{"data after the document", "", doc + " trailing {", http.StatusUnprocessableEntity},
 	}
 	for _, tc := range cases {
-		resp, err := http.Post(srv.URL+"/api/plan"+tc.query, "application/json", strings.NewReader(doc))
+		resp, err := http.Post(srv.URL+"/api/plan"+tc.query, "application/json", strings.NewReader(tc.body))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -116,9 +116,12 @@ func (s *server) handleTimeline(w http.ResponseWriter, r *http.Request) {
 }
 
 // newSLOTracker builds the server's SLO tracker over the default
-// objectives and feeds it from the event journal; the returned stop
-// function detaches the feed.
-func newSLOTracker() (*slo.Tracker, func()) {
+// objectives and feeds it from the event journal, subscribed to the types
+// the tracker reads only: the plan path alone publishes thousands of other
+// events a second, and a feed that takes them all overflows its buffer
+// and drops the few it wanted. The returned stop function detaches the
+// feed (the subscription is returned for its Dropped count).
+func newSLOTracker() (*slo.Tracker, *events.Subscription, func()) {
 	tr := slo.New()
 	for _, o := range slo.DefaultObjectives() {
 		// The objective set is static and validated by its own tests.
@@ -126,13 +129,13 @@ func newSLOTracker() (*slo.Tracker, func()) {
 			panic(err)
 		}
 	}
-	sub := events.Default.Subscribe(events.Filter{}, 256)
+	sub := events.Default.Subscribe(events.Filter{Types: slo.ConsumedTypes()}, 256)
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
 		tr.Feed(sub)
 	}()
-	return tr, func() {
+	return tr, sub, func() {
 		sub.Close()
 		<-done
 	}

@@ -295,6 +295,41 @@ func TestSLOEndpointReportsBurn(t *testing.T) {
 	}
 }
 
+// The SLO feed must not drink from the firehose: a burst of events the
+// tracker does not read may not cost it one it does.
+func TestSLOFeedSubscribesToWhatItReads(t *testing.T) {
+	tr, sub, stop := newSLOTracker()
+	defer stop()
+	const hits, served = 10000, 100 // served fits the feed's 256-slot buffer
+	for i := 0; i < hits; i++ {
+		events.Default.Publish(events.Event{Type: events.TypeCacheHit, Source: "test",
+			Fields: map[string]any{"key": "k"}})
+		if i%(hits/served) == 0 {
+			events.Default.Publish(events.Event{Type: events.TypePlanServed, Source: "test",
+				Fields: map[string]any{"wall_ns": int64(time.Millisecond)}})
+		}
+	}
+	if got := sub.Dropped(); got != 0 {
+		t.Fatalf("feed dropped %d events", got)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		var adm slo.Status
+		for _, st := range tr.Status() {
+			if st.Name == slo.ObjAdmission {
+				adm = st
+			}
+		}
+		if adm.Good == served {
+			return
+		}
+		if adm.Good > served || time.Now().After(deadline) {
+			t.Fatalf("admission objective saw %d plan.served events, want %d", adm.Good, served)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
 func TestTenantsEndpointAttribution(t *testing.T) {
 	_, srv := testServer(t)
 	// alpha pays for the solve; beta rides the plan cache for free.

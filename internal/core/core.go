@@ -257,12 +257,14 @@ func (f *Framework) planner() *engine.Engine {
 	return engine.New()
 }
 
-// resolvePolicy folds the deprecated Force booleans into a Policy and
+// ResolvePolicy folds the deprecated Force booleans into a Policy and
 // settles the Threshold choice up front, so representation construction
 // below can skip the side the policy will not run: translating a 100K-node
 // inventory into a constraint model just to discard it would dominate
-// discovery time.
-func (f *Framework) resolvePolicy(opt PlanOptions, size int) engine.Policy {
+// discovery time. It is everything BuildPlanRequest reads of the policy
+// fields, the inventory size and ScaleThreshold, which is why the serving
+// layer's request key carries its result in their place.
+func (f *Framework) ResolvePolicy(opt PlanOptions, size int) engine.Policy {
 	policy := opt.Policy
 	if policy == "" {
 		switch {
@@ -308,7 +310,7 @@ type PlanBuild struct {
 // portfolio paths. The result feeds RunPlan, possibly after the serving
 // layer consulted its plan cache using the model's fingerprint.
 func (f *Framework) BuildPlanRequest(ctx context.Context, req *intent.Request, inv *inventory.Inventory, opt PlanOptions) (*PlanBuild, error) {
-	policy := f.resolvePolicy(opt, inv.Len())
+	policy := f.ResolvePolicy(opt, inv.Len())
 	b := &PlanBuild{Req: &engine.Request{Size: inv.Len()}, Policy: policy}
 	if policy == engine.ForceSolver || policy == engine.Portfolio {
 		_, tsp := obs.StartSpan(ctx, "plan.translate")

@@ -15,6 +15,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 )
 
 // Attr names the attributes used by the paper's evaluation. Attributes are
@@ -91,19 +92,38 @@ func (e *Element) Clone() *Element {
 // Inventory is a concurrency-safe collection of elements with secondary
 // indexes per attribute value. The zero value is not usable; call New.
 type Inventory struct {
-	mu       sync.RWMutex
+	mu sync.RWMutex
+	// id and version are the inventory's stamp (see Stamp).
+	id       uint64
+	version  uint64
 	elements map[string]*Element
 	order    []string // insertion order, for deterministic iteration
 	// index[attr][value] -> sorted element ids
 	index map[string]map[string][]string
 }
 
+// lastID hands out the process-unique inventory ids.
+var lastID atomic.Uint64
+
 // New returns an empty inventory.
 func New() *Inventory {
 	return &Inventory{
+		id:       lastID.Add(1),
 		elements: make(map[string]*Element),
 		index:    make(map[string]map[string][]string),
 	}
+}
+
+// Stamp identifies the inventory's current content without reading it: a
+// process-unique id assigned in New plus a version counter bumped by every
+// effective Add and SetAttr. Two equal stamps mean the same inventory in
+// the same state, which lets callers memoise anything derived from it (the
+// serving layer's request key, cornetd's edge subset) and invalidate on
+// the next mutation.
+func (inv *Inventory) Stamp() (id, version uint64) {
+	inv.mu.RLock()
+	defer inv.mu.RUnlock()
+	return inv.id, inv.version
 }
 
 // Add inserts an element. It returns an error if the id is empty or already
@@ -118,6 +138,7 @@ func (inv *Inventory) Add(e *Element) error {
 	if _, dup := inv.elements[e.ID]; dup {
 		return fmt.Errorf("inventory: duplicate element id %q", e.ID)
 	}
+	inv.version++
 	inv.elements[e.ID] = e
 	inv.order = append(inv.order, e.ID)
 	for attr, val := range e.Attributes {
@@ -183,6 +204,7 @@ func (inv *Inventory) SetAttr(id, attr, value string) error {
 		next.Attributes = make(map[string]string, 1)
 	}
 	next.Attributes[attr] = value
+	inv.version++
 	inv.elements[id] = next
 	if had {
 		inv.indexRemove(attr, old, id)

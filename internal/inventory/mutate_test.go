@@ -147,3 +147,56 @@ func TestInventoryConcurrentReadersAndWriters(t *testing.T) {
 		}
 	}
 }
+
+// TestStampMovesWithEffectiveMutationsOnly pins what memoisation over an
+// inventory relies on: equal stamps mean equal content, so every mutation
+// that changes content moves the version, and a refused or no-op one (which
+// would needlessly invalidate every memo) does not.
+func TestStampMovesWithEffectiveMutationsOnly(t *testing.T) {
+	inv := New()
+	id, v0 := inv.Stamp()
+	if otherID, _ := New().Stamp(); otherID == id {
+		t.Fatalf("two inventories share id %d", id)
+	}
+	version := func() uint64 {
+		gotID, v := inv.Stamp()
+		if gotID != id {
+			t.Fatalf("id moved from %d to %d", id, gotID)
+		}
+		return v
+	}
+	inv.MustAdd(el("n1", AttrSWVersion, "1.0"))
+	v1 := version()
+	if v1 == v0 {
+		t.Fatal("Add did not move the version")
+	}
+	if err := inv.Add(el("n1")); err == nil {
+		t.Fatal("duplicate Add accepted")
+	}
+	if err := inv.SetAttr("n1", AttrSWVersion, "1.0"); err != nil {
+		t.Fatal(err)
+	}
+	if err := inv.SetAttr("ghost", AttrSWVersion, "2.0"); err == nil {
+		t.Fatal("SetAttr on unknown element accepted")
+	}
+	if v := version(); v != v1 {
+		t.Fatalf("refused and no-op mutations moved the version %d -> %d", v1, v)
+	}
+	if err := inv.SetAttr("n1", AttrSWVersion, "2.0"); err != nil {
+		t.Fatal(err)
+	}
+	v2 := version()
+	if v2 == v1 {
+		t.Fatal("SetAttr to a new value did not move the version")
+	}
+	if err := inv.SetAttr("n1", AttrVendor, ""); err != nil { // absent -> present-but-empty
+		t.Fatal(err)
+	}
+	if version() == v2 {
+		t.Fatal("SetAttr adding an empty-valued attribute did not move the version")
+	}
+	// A subset is a new inventory: its own id, whatever the parent's state.
+	if subID, _ := inv.Subset([]string{"n1"}).Stamp(); subID == id {
+		t.Fatal("Subset shares its parent's id")
+	}
+}

@@ -44,27 +44,50 @@ func DefaultObjectives() []Objective {
 	}
 }
 
-// Consume maps one journal event onto the default objectives: plan.served
-// feeds latency and admission, admission.shed feeds admission, wf.end and
-// the reconciler's repair/failure events feed change success. Events that
-// map to no registered objective are ignored, so a tracker with a custom
-// objective set can share the same feed.
-func (t *Tracker) Consume(e events.Event) {
-	switch e.Type {
-	case events.TypePlanServed:
+// consumers maps each journal event type the tracker reads onto the
+// default objectives: plan.served feeds latency and admission,
+// admission.shed feeds admission, wf.end and the reconciler's
+// repair/failure events feed change success.
+var consumers = map[events.Type]func(*Tracker, events.Event){
+	events.TypePlanServed: func(t *Tracker, e events.Event) {
 		if ns, ok := asInt64(e.Fields["wall_ns"]); ok {
 			t.ObserveLatency(ObjPlanLatency, time.Duration(ns))
 		}
 		t.Observe(ObjAdmission, true)
-	case events.TypeShed:
+	},
+	events.TypeShed: func(t *Tracker, _ events.Event) {
 		t.Observe(ObjAdmission, false)
-	case events.TypeWfEnd:
+	},
+	events.TypeWfEnd: func(t *Tracker, e events.Event) {
 		status, _ := e.Fields["status"].(string)
 		t.Observe(ObjChangeSuccess, status == "success")
-	case events.TypeDriftRepaired:
+	},
+	events.TypeDriftRepaired: func(t *Tracker, _ events.Event) {
 		t.Observe(ObjChangeSuccess, true)
-	case events.TypeChangeFailed:
+	},
+	events.TypeChangeFailed: func(t *Tracker, _ events.Event) {
 		t.Observe(ObjChangeSuccess, false)
+	},
+}
+
+// ConsumedTypes returns the event types Consume reads. A feed subscribes
+// with events.Filter{Types: ConsumedTypes()}, so its buffer is not spent
+// on — and overflowed by — the far more frequent events Consume ignores.
+func ConsumedTypes() []events.Type {
+	types := make([]events.Type, 0, len(consumers))
+	for typ := range consumers {
+		types = append(types, typ)
+	}
+	return types
+}
+
+// Consume maps one journal event onto the default objectives (see
+// ConsumedTypes for the types it reads). Events of any other type, or
+// that map to no registered objective, are ignored, so a tracker with a
+// custom objective set can share the same feed.
+func (t *Tracker) Consume(e events.Event) {
+	if consume := consumers[e.Type]; consume != nil {
+		consume(t, e)
 	}
 }
 

@@ -164,6 +164,39 @@ func TestConsumeMapsEvents(t *testing.T) {
 	}
 }
 
+// Every type ConsumedTypes lists must move an objective, and a type it
+// does not list must not: feeds subscribe with the list.
+func TestConsumedTypesMatchConsume(t *testing.T) {
+	observed := func(typ events.Type) int64 {
+		tr := New()
+		for _, o := range DefaultObjectives() {
+			if err := tr.Register(o); err != nil {
+				t.Fatal(err)
+			}
+		}
+		tr.Consume(events.Event{Type: typ, Fields: map[string]any{"wall_ns": int64(1), "status": "success"}})
+		var n int64
+		for _, s := range tr.Status() {
+			n += s.Good + s.Bad
+		}
+		return n
+	}
+	types := ConsumedTypes()
+	if len(types) != 5 {
+		t.Fatalf("ConsumedTypes() = %v, want the five types Consume documents", types)
+	}
+	for _, typ := range types {
+		if observed(typ) == 0 {
+			t.Errorf("%s is listed but Consume ignores it", typ)
+		}
+	}
+	for _, typ := range []events.Type{events.TypeCacheHit, events.TypeCacheMiss, events.TypeAdmitted, events.TypeWfStart} {
+		if observed(typ) != 0 {
+			t.Errorf("%s is not listed but Consume reads it", typ)
+		}
+	}
+}
+
 func TestFeedConsumesSubscription(t *testing.T) {
 	tr := New()
 	for _, o := range DefaultObjectives() {
@@ -172,7 +205,7 @@ func TestFeedConsumesSubscription(t *testing.T) {
 		}
 	}
 	j := events.NewJournal(64)
-	sub := j.Subscribe(events.Filter{}, 16)
+	sub := j.Subscribe(events.Filter{Types: ConsumedTypes()}, 16)
 	done := make(chan struct{})
 	go func() { defer close(done); tr.Feed(sub) }()
 	j.Publish(events.Event{Type: events.TypeShed})

@@ -16,8 +16,10 @@
 package intent
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"sort"
 	"strings"
 	"time"
@@ -114,8 +116,15 @@ type FrozenElement struct {
 	End       string
 }
 
-// frozenJSON is the on-the-wire shape: attribute name as a dynamic key.
+// MarshalJSON writes the on-the-wire shape: attribute name as a dynamic
+// key. A selector that is empty or named like the period keys has no such
+// shape — it would collide with them and decode as something else — and is
+// an error, so a Request's JSON stays a faithful image of its content (the
+// serving layer keys on it).
 func (f FrozenElement) MarshalJSON() ([]byte, error) {
+	if f.Attribute == "" || f.Attribute == "start" || f.Attribute == "end" {
+		return nil, fmt.Errorf("intent: frozen element selector %q has no JSON form", f.Attribute)
+	}
 	m := map[string]string{f.Attribute: f.Value}
 	if f.Start != "" {
 		m["start"] = f.Start
@@ -258,13 +267,17 @@ type Request struct {
 	ChangeDuration int `json:"change_duration,omitempty"`
 }
 
-// Parse decodes and validates a JSON intent document.
+// Parse decodes and validates a JSON intent document. The document must be
+// the only thing in data: anything but whitespace after it is an error.
 func Parse(data []byte) (*Request, error) {
 	var r Request
-	dec := json.NewDecoder(strings.NewReader(string(data)))
+	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&r); err != nil {
 		return nil, fmt.Errorf("intent: %w", err)
+	}
+	if err := dec.Decode(&struct{}{}); err != io.EOF {
+		return nil, fmt.Errorf("intent: unexpected data after the document")
 	}
 	if err := r.Validate(); err != nil {
 		return nil, err

@@ -163,6 +163,12 @@ func TestFrozenElementJSONRoundTrip(t *testing.T) {
 	if err := json.Unmarshal([]byte(`{"start":"x"}`), &bad); err == nil {
 		t.Fatal("selector-less frozen element accepted")
 	}
+	// Selectors that would collide with the period keys have no JSON form.
+	for _, attr := range []string{"", "start", "end"} {
+		if _, err := json.Marshal(FrozenElement{Attribute: attr, Value: "x"}); err == nil {
+			t.Errorf("selector %q marshalled", attr)
+		}
+	}
 }
 
 func TestValidationErrors(t *testing.T) {
@@ -213,6 +219,17 @@ func TestValidationErrors(t *testing.T) {
 		if err := mutate(tc.edit); err == nil {
 			t.Errorf("%s: validation passed, want error", tc.name)
 		}
+	}
+}
+
+func TestParseRejectsTrailingData(t *testing.T) {
+	for _, tail := range []string{" trailing {", "{}", "]", " 1", listing1} {
+		if _, err := Parse([]byte(listing1 + tail)); err == nil {
+			t.Errorf("document followed by %.12q accepted", tail)
+		}
+	}
+	if _, err := Parse([]byte(listing1 + " \n\t\r\n")); err != nil {
+		t.Errorf("trailing whitespace rejected: %v", err)
 	}
 }
 

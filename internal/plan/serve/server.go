@@ -1,15 +1,21 @@
 // Package serve is the multi-tenant planning service in front of the
 // planning engine: a canonical plan cache keyed by the translated model's
-// order-independent fingerprint, singleflight collapse of concurrent
-// identical requests, warm-start seeding of near-identical re-plans, and
-// tenant-fair admission control with load shedding. It exists because the
-// paper's workload is repetitive — operations teams resubmit the same or
-// slightly-edited change plans many times while iterating — so the
-// serving layer can answer most requests without paying a cold solve.
+// order-independent fingerprint, a request-key memo in front of it so a
+// repeated request finds that fingerprint without translating again,
+// singleflight collapse of concurrent identical requests, warm-start
+// seeding of near-identical re-plans, and tenant-fair admission control
+// with load shedding. It exists because the paper's workload is
+// repetitive — operations teams resubmit the same or slightly-edited
+// change plans many times while iterating — so the serving layer can
+// answer most requests without paying a cold solve.
 package serve
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"encoding/json"
 	"time"
 
 	"cornet/internal/core"
@@ -77,8 +83,13 @@ type Response struct {
 // Server serves plan requests through cache, singleflight, warm-start,
 // and admission. Construct with New; Stop before discarding.
 type Server struct {
-	f         *core.Framework
-	cache     *cache.Cache
+	f     *core.Framework
+	cache *cache.Cache
+	// l1 memoises request key -> plan-cache key (see requestKey), so a
+	// repeated request reaches the plan cache without translating and
+	// fingerprinting again. It holds no plans and has no TTL: an entry
+	// whose plan expired or was evicted just falls through to the build.
+	l1        *cache.Cache
 	flight    cache.Flight
 	adm       *Admitter
 	warmDelta int
@@ -93,6 +104,7 @@ func New(f *core.Framework, cfg Config) *Server {
 	return &Server{
 		f:         f,
 		cache:     c,
+		l1:        cache.New(cfg.CacheSize, 0),
 		adm:       NewAdmitter(cfg.Admission),
 		warmDelta: cfg.WarmDelta,
 		warmScan:  cfg.WarmScan,
@@ -116,16 +128,72 @@ type outcome struct {
 	wait time.Duration
 }
 
+// requestKey hashes everything the plan-cache key is a pure function of:
+// the intent's content (its canonical JSON, so editing a parsed Request
+// changes the key), the inventory's stamp, and every PlanOptions field
+// BuildPlanRequest reads — the policy fields folded with the inventory
+// size into the resolved policy, RequireAll, the topology's stamp, and
+// the heuristic's capacities, seed and parallelism. RenderModel and Warm
+// are read by RunPlan only. It returns "" for a request with no canonical
+// JSON, which then takes the build path every time.
+func (s *Server) requestKey(req *intent.Request, inv *inventory.Inventory, opt core.PlanOptions) string {
+	buf, err := json.Marshal(req)
+	if err != nil {
+		return ""
+	}
+	invID, invVersion := inv.Stamp()
+	var topoID, topoVersion uint64
+	if opt.Topology != nil {
+		topoID, topoVersion = opt.Topology.Stamp()
+	}
+	var requireAll uint64
+	if opt.RequireAll {
+		requireAll = 1
+	}
+	// The document is self-delimiting and the numbers fixed-width, so the
+	// variable-length policy can close the record without a separator.
+	for _, v := range [...]uint64{
+		invID, invVersion, topoID, topoVersion, requireAll,
+		uint64(opt.HeuristicSlotCapacity), uint64(opt.HeuristicEMSCapacity),
+		uint64(opt.Seed), uint64(opt.Parallelism),
+	} {
+		buf = binary.LittleEndian.AppendUint64(buf, v)
+	}
+	buf = append(buf, s.f.ResolvePolicy(opt, inv.Len())...)
+	sum := sha256.Sum256(buf)
+	return hex.EncodeToString(sum[:])
+}
+
 // Plan serves one plan request for a tenant. Identical requests (same
 // canonical model, same policy) hit the cache or share an in-flight
 // solve; near-identical ones seed the solver with the best cached
 // incumbent; everything that actually solves goes through tenant-fair
-// admission. Heuristic-only requests (no constraint model) skip the
+// admission. A request seen before (same intent content, inventory and
+// topology state, and build options) finds its cache key in the L1 and
+// skips translation and fingerprinting; any other pays them once and
+// records the key. Heuristic-only requests (no constraint model) skip the
 // cache — the local search is not canonically keyed — but still queue
 // through admission.
 func (s *Server) Plan(ctx context.Context, tenant string, req *intent.Request, inv *inventory.Inventory, opt core.PlanOptions) (*Response, error) {
 	ctx = obs.WithTenant(ctx, tenant)
 	start := time.Now()
+
+	_, sp := obs.StartSpan(ctx, "plan.lookup")
+	rkey := s.requestKey(req, inv, opt)
+	// l1Key is the cache key the L1 named, which the lookup below tries;
+	// the build path does not try it a second time.
+	l1Key := ""
+	if e, ok := s.l1.Get(rkey); ok {
+		l1Key = e.Value.(string)
+	}
+	sp.SetAttr("l1_hit", l1Key != "")
+	resp := s.lookup(ctx, tenant, l1Key, start)
+	sp.SetAttr("cache_hit", resp != nil)
+	sp.End()
+	if resp != nil {
+		return resp, nil
+	}
+
 	b, err := s.f.BuildPlanRequest(ctx, req, inv, opt)
 	if err != nil {
 		return nil, err
@@ -141,17 +209,13 @@ func (s *Server) Plan(ctx context.Context, tenant string, req *intent.Request, i
 	}
 
 	key := b.Req.Model.Fingerprint() + "|" + string(b.Policy)
-	if e, ok := s.cache.Get(key); ok {
-		metricCacheHits.Inc()
-		metricCacheEntries.Set(float64(s.cache.Len()))
-		events.Default.Publish(events.Event{
-			Type: events.TypeCacheHit, Source: "serve",
-			ChangeID: obs.ChangeID(ctx), Tenant: tenant,
-			Fields: map[string]any{"key": key},
-		})
-		resp := &Response{Result: e.Value.(*core.PlanResult), CacheHit: true, Key: key}
-		s.served(ctx, tenant, resp, time.Since(start), true)
-		return resp, nil
+	if key != l1Key {
+		if rkey != "" {
+			s.l1.Put(cache.Entry{Key: rkey, Value: key})
+		}
+		if resp := s.lookup(ctx, tenant, key, start); resp != nil {
+			return resp, nil
+		}
 	}
 	metricCacheMisses.Inc()
 	events.Default.Publish(events.Event{
@@ -188,11 +252,36 @@ func (s *Server) Plan(ctx context.Context, tenant string, req *intent.Request, i
 		metricShared.Inc()
 	}
 	o := v.(*outcome)
-	resp := &Response{Result: o.res, Shared: shared, Warm: o.warm, Key: key, Wait: o.wait}
+	resp = &Response{Result: o.res, Shared: shared, Warm: o.warm, Key: key, Wait: o.wait}
 	// Solve cost is attributed once, to the singleflight leader; followers
 	// rode the same solve for free.
 	s.served(ctx, tenant, resp, time.Since(start), !shared)
 	return resp, nil
+}
+
+// lookup answers from the plan cache: when key is resident it counts the
+// hit, publishes cache.hit and plan.served, charges the tenant's account
+// and returns the shared plan; otherwise (and for the empty key of an L1
+// miss) it returns nil and emits nothing. Both lookups of Plan — by the
+// memoised key, and by the freshly fingerprinted one — go through here,
+// so a hit is recorded once and identically whichever found it.
+func (s *Server) lookup(ctx context.Context, tenant, key string, start time.Time) *Response {
+	if key == "" {
+		return nil
+	}
+	e, ok := s.cache.Get(key)
+	if !ok {
+		return nil
+	}
+	metricCacheHits.Inc()
+	events.Default.Publish(events.Event{
+		Type: events.TypeCacheHit, Source: "serve",
+		ChangeID: obs.ChangeID(ctx), Tenant: tenant,
+		Fields: map[string]any{"key": key},
+	})
+	resp := &Response{Result: e.Value.(*core.PlanResult), CacheHit: true, Key: key}
+	s.served(ctx, tenant, resp, time.Since(start), true)
+	return resp
 }
 
 // served publishes the plan.served journal event and attributes the

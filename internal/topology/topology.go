@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 )
 
 // EdgeKind distinguishes the dependency classes the paper plans around.
@@ -47,19 +48,37 @@ type Edge struct {
 
 // Graph is a concurrency-safe undirected multigraph over element ids.
 type Graph struct {
-	mu    sync.RWMutex
-	adj   map[string]map[string]EdgeKind // node -> neighbor -> kind (strongest kept)
-	edges int
+	mu sync.RWMutex
+	// id and version are the graph's stamp (see Stamp).
+	id      uint64
+	version uint64
+	adj     map[string]map[string]EdgeKind // node -> neighbor -> kind (strongest kept)
+	edges   int
 	// chains holds explicitly-registered service chains (ordered node lists).
 	chains map[string][]string
 }
 
+// lastID hands out the process-unique graph ids.
+var lastID atomic.Uint64
+
 // New returns an empty graph.
 func New() *Graph {
 	return &Graph{
+		id:     lastID.Add(1),
 		adj:    make(map[string]map[string]EdgeKind),
 		chains: make(map[string][]string),
 	}
+}
+
+// Stamp identifies the graph's current content without reading it: a
+// process-unique id assigned in New plus a version counter bumped by every
+// mutation that changes a node, an edge or a chain. It is the topology's
+// part of the serving layer's request key (inventory.Inventory.Stamp is
+// the inventory's).
+func (g *Graph) Stamp() (id, version uint64) {
+	g.mu.RLock()
+	defer g.mu.RUnlock()
+	return g.id, g.version
 }
 
 // AddNode ensures a node exists even if isolated.
@@ -74,6 +93,7 @@ func (g *Graph) ensure(id string) map[string]EdgeKind {
 	if nbrs == nil {
 		nbrs = make(map[string]EdgeKind)
 		g.adj[id] = nbrs
+		g.version++
 	}
 	return nbrs
 }
@@ -94,10 +114,12 @@ func (g *Graph) AddEdge(a, b string, kind EdgeKind) error {
 	prev, existed := na[b]
 	if !existed {
 		g.edges++
+		g.version++
 		na[b], nb[a] = kind, kind
 		return nil
 	}
 	if kind > prev {
+		g.version++
 		na[b], nb[a] = kind, kind
 	}
 	return nil
@@ -115,6 +137,7 @@ func (g *Graph) RegisterChain(name string, nodes []string) error {
 		}
 	}
 	g.mu.Lock()
+	g.version++
 	g.chains[name] = append([]string(nil), nodes...)
 	g.mu.Unlock()
 	return nil

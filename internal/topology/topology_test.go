@@ -234,3 +234,50 @@ func TestComponentsPartitionProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+func TestStampMovesWithEffectiveMutationsOnly(t *testing.T) {
+	g := New()
+	id, v := g.Stamp()
+	if otherID, _ := New().Stamp(); otherID == id {
+		t.Fatalf("two graphs share id %d", id)
+	}
+	moved := func(what string, want bool) {
+		t.Helper()
+		gotID, next := g.Stamp()
+		if gotID != id {
+			t.Fatalf("id moved from %d to %d", id, gotID)
+		}
+		if (next != v) != want {
+			t.Fatalf("%s: version moved = %t, want %t", what, next != v, want)
+		}
+		v = next
+	}
+	g.AddNode("a")
+	moved("new node", true)
+	g.AddNode("a")
+	moved("existing node", false)
+	if err := g.AddEdge("a", "b", Link); err != nil {
+		t.Fatal(err)
+	}
+	moved("new edge", true)
+	if err := g.AddEdge("b", "a", Link); err != nil {
+		t.Fatal(err)
+	}
+	moved("same edge again", false)
+	if err := g.AddEdge("a", "b", CrossLayer); err != nil {
+		t.Fatal(err)
+	}
+	moved("stronger kind", true)
+	if err := g.AddEdge("a", "b", ServiceChain); err != nil {
+		t.Fatal(err)
+	}
+	moved("weaker kind", false)
+	if err := g.AddEdge("a", "a", Link); err == nil {
+		t.Fatal("self-loop accepted")
+	}
+	moved("refused edge", false)
+	if err := g.RegisterChain("c", []string{"a", "b"}); err != nil {
+		t.Fatal(err)
+	}
+	moved("chain over existing edges", true)
+}
