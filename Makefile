@@ -24,10 +24,12 @@ fmt-check:
 # are the concurrency-heavy core (portfolio racing, component workers,
 # dispatcher, work queues, reconcile loops, copy-on-write inventory, shared
 # metrics registry and span trees): keep them race-clean. cmd/cornetd rides
-# along for the declarative-API end-to-end.
+# along for the declarative-API end-to-end. The composer's seal paths (window
+# timer, batch, cohort, stop) race by design, so its suite runs four times.
 race:
 	$(GO) test -race ./internal/plan/... ./internal/orchestrator/... ./internal/obs/... \
-		./internal/controller/... ./internal/inventory ./internal/compose ./cmd/cornetd
+		./internal/controller/... ./internal/inventory ./cmd/cornetd
+	$(GO) test -race -count=4 ./internal/compose
 
 # Documentation hygiene: formatting, vet, and a go/ast walk asserting that
 # every exported identifier in the execution-facing packages carries a doc

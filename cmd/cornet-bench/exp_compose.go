@@ -16,6 +16,10 @@
 //   - mixed: disjoint and conflicting submissions together; the
 //     conflicting ones queue behind the generation they collided with
 //     and land in the next, so offered = merged + queued-then-merged.
+//   - default_flags: the same K teams through one long-lived composer
+//     with cornetd's defaults (DefaultWindow, no MaxBatch) — the path
+//     the merged phase's MaxBatch = K never measured. Round 1 is cold
+//     and waits out the window; later rounds seal when the cohort is back.
 package main
 
 import (
@@ -23,8 +27,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"os/exec"
 	"runtime"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -42,21 +48,40 @@ func init() {
 	register("bench-compose", "composition: merged single-solve vs serial stacked planning (emits BENCH_compose.json)", runBenchCompose)
 }
 
+// hostHeader is the context a committed number needs to be compared with
+// another: the host facts bench/ stamps on its own runs.
+type hostHeader struct {
+	Revision   string `json:"revision"`
+	GoVersion  string `json:"go_version"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	NumCPU     int    `json:"num_cpu"`
+}
+
+func newHostHeader() hostHeader {
+	rev := "unknown"
+	if out, err := exec.Command("git", "rev-parse", "--short", "HEAD").Output(); err == nil {
+		rev = strings.TrimSpace(string(out))
+	}
+	return hostHeader{Revision: rev, GoVersion: runtime.Version(),
+		GOMAXPROCS: runtime.GOMAXPROCS(0), NumCPU: runtime.NumCPU()}
+}
+
 // composeReport is the BENCH_compose.json schema.
 type composeReport struct {
-	Scenario   string `json:"scenario"`
-	Elements   int    `json:"elements"`
-	Teams      int    `json:"teams"`
-	Rounds     int    `json:"rounds"`
-	GOMAXPROCS int    `json:"gomaxprocs"`
-	Quick      bool   `json:"quick,omitempty"`
+	hostHeader
+	Scenario string `json:"scenario"`
+	Elements int    `json:"elements"`
+	Teams    int    `json:"teams"`
+	Rounds   int    `json:"rounds"`
+	Quick    bool   `json:"quick,omitempty"`
 
 	// UnionMakespan is the reference: the union scope planned directly.
 	UnionMakespan int `json:"union_makespan"`
 
-	Merged composeMergedPhase `json:"merged"`
-	Serial composeSerialPhase `json:"serial"`
-	Mixed  composeMixedPhase  `json:"mixed"`
+	Merged       composeMergedPhase       `json:"merged"`
+	Serial       composeSerialPhase       `json:"serial"`
+	Mixed        composeMixedPhase        `json:"mixed"`
+	DefaultFlags composeDefaultFlagsPhase `json:"default_flags"`
 }
 
 // composeMergedPhase is the composed path: K concurrent submissions per
@@ -96,6 +121,26 @@ type composeMixedPhase struct {
 	Queued     int     `json:"queued"`
 	WallNS     int64   `json:"wall_ns"`
 	PerSecWall float64 `json:"changes_per_sec"`
+}
+
+// composeDefaultFlagsPhase drives the K teams through one composer left at
+// cornetd's defaults for several rounds and reports how long generations
+// stayed open before sealing (compose.Outcome.Waited).
+type composeDefaultFlagsPhase struct {
+	Rounds   int   `json:"rounds"`
+	WindowNS int64 `json:"window_ns"`
+	Solves   int   `json:"solves"`
+	// Seals counts the rounds' generations by what sealed them.
+	Seals map[string]int `json:"seals"`
+	// FirstRoundWaitNS is the cold round: nobody is remembered, so the
+	// generation waits out the window.
+	FirstRoundWaitNS int64 `json:"first_round_wait_ns"`
+	// LaterWaitP50NS is the seal wait of rounds 2+: first join to the join
+	// that brought the last remembered team back.
+	LaterWaitP50NS int64 `json:"later_rounds_wait_p50_ns"`
+	// LaterRoundP50NS is rounds 2+ end to end: wait + merge + union solve.
+	LaterRoundP50NS int64 `json:"later_rounds_p50_ns"`
+	CostEqualsUnion bool  `json:"cost_equals_union"`
 }
 
 // composeScenario is the shared fixture: a vCE fleet split evenly across
@@ -177,12 +222,47 @@ func runBenchCompose(quick bool) error {
 	opt := core.PlanOptions{RequireAll: true, Policy: engine.ForceSolver, Parallelism: 1}
 	ctx := context.Background()
 	report := composeReport{
+		hostHeader: newHostHeader(),
 		Scenario:   "K market-scoped team upgrades of one shared vCE fleet",
 		Elements:   sc.inv.Len(),
 		Teams:      teams,
 		Rounds:     rounds,
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		Quick:      quick,
+	}
+	// planComposed is every phase's solve: plan the composed delta's
+	// element set as one schedule.
+	planComposed := func(ctx context.Context, composed *compose.Delta) (*core.PlanResult, error) {
+		ids := map[string]bool{}
+		for _, op := range composed.Ops {
+			ids[op.Path[len(op.Path)-1]] = true
+		}
+		list := make([]string, 0, len(ids))
+		for id := range ids {
+			list = append(list, id)
+		}
+		sort.Strings(list)
+		return f.PlanScheduleRequestContext(ctx, sc.req, sc.inv.Subset(list), opt)
+	}
+	// submitRound submits every team's delta for the round concurrently
+	// and returns the shared outcome and the round's wall time.
+	submitRound := func(c *compose.Composer, round int) (*compose.Outcome, time.Duration) {
+		outs := make([]*compose.Outcome, len(sc.order))
+		start := time.Now()
+		var wg sync.WaitGroup
+		for n, m := range sc.order {
+			wg.Add(1)
+			go func(n int, m string) {
+				defer wg.Done()
+				d := sc.teamDelta(fmt.Sprintf("chg-r%d-%s", round, m), m, fmt.Sprintf("v%d", round))
+				out, err := c.Submit(ctx, d, compose.Reject)
+				if err != nil {
+					panic(err)
+				}
+				outs[n] = out
+			}(n, m)
+		}
+		wg.Wait()
+		return outs[0], time.Since(start)
 	}
 	fmt.Printf("scenario: %d elements, %d teams x %d elements, %d rounds\n\n",
 		sc.inv.Len(), teams, perMarket, rounds)
@@ -207,34 +287,13 @@ func runBenchCompose(quick bool) error {
 				Window:   time.Second, MaxBatch: teams,
 				Solve: func(ctx context.Context, composed *compose.Delta, members []*compose.Delta) (any, error) {
 					solves.Add(1)
-					ids := map[string]bool{}
-					for _, op := range composed.Ops {
-						ids[op.Path[len(op.Path)-1]] = true
-					}
-					list := make([]string, 0, len(ids))
-					for id := range ids {
-						list = append(list, id)
-					}
-					sort.Strings(list)
-					res, err := f.PlanScheduleRequestContext(ctx, sc.req, sc.inv.Subset(list), opt)
+					res, err := planComposed(ctx, composed)
 					roundRes = res
 					return res, err
 				},
 			})
-			start := time.Now()
-			var wg sync.WaitGroup
-			for n, m := range sc.order {
-				wg.Add(1)
-				go func(n int, m string) {
-					defer wg.Done()
-					d := sc.teamDelta(fmt.Sprintf("chg-r%d-%s", round, m), m, fmt.Sprintf("v%d", round))
-					if _, err := c.Submit(ctx, d, compose.Reject); err != nil {
-						panic(err)
-					}
-				}(n, m)
-			}
-			wg.Wait()
-			lats = append(lats, time.Since(start))
+			_, wall := submitRound(c, round)
+			lats = append(lats, wall)
 			c.Stop()
 			if roundRes == nil || roundRes.Makespan != union.Makespan {
 				equal = false
@@ -290,16 +349,7 @@ func runBenchCompose(quick bool) error {
 			Strategy: compose.SubtreeStrategy{},
 			Window:   100 * time.Millisecond, MaxRequeue: teams,
 			Solve: func(ctx context.Context, composed *compose.Delta, members []*compose.Delta) (any, error) {
-				ids := map[string]bool{}
-				for _, op := range composed.Ops {
-					ids[op.Path[len(op.Path)-1]] = true
-				}
-				list := make([]string, 0, len(ids))
-				for id := range ids {
-					list = append(list, id)
-				}
-				sort.Strings(list)
-				return f.PlanScheduleRequestContext(ctx, sc.req, sc.inv.Subset(list), opt)
+				return planComposed(ctx, composed)
 			},
 		})
 		// Every team submits its scope, plus one rival per team submitting
@@ -341,6 +391,52 @@ func runBenchCompose(quick bool) error {
 		}
 		fmt.Printf("mixed: %d offered (%d disjoint + %d conflicting-queued) all completed in %s (%.1f changes/sec)\n\n",
 			offered, teams, int(queued.Load()), wall.Round(time.Millisecond), report.Mixed.PerSecWall)
+	}
+
+	// --- Phase 4: default flags — one composer, window-or-cohort seals ---
+	{
+		dfRounds := 20
+		if quick {
+			dfRounds = 3
+		}
+		var solves atomic.Int32
+		c := compose.NewComposer(compose.Config{
+			Strategy: compose.SubtreeStrategy{},
+			Solve: func(ctx context.Context, composed *compose.Delta, members []*compose.Delta) (any, error) {
+				solves.Add(1)
+				return planComposed(ctx, composed)
+			},
+		})
+		phase := composeDefaultFlagsPhase{Rounds: dfRounds, WindowNS: compose.DefaultWindow.Nanoseconds(),
+			Seals: map[string]int{}, CostEqualsUnion: true}
+		var waits, walls []time.Duration
+		for round := 0; round < dfRounds; round++ {
+			out, wall := submitRound(c, round)
+			phase.Seals[string(out.Seal)]++
+			if res, _ := out.Result.(*core.PlanResult); res == nil || res.Makespan != union.Makespan || len(out.Members) != teams {
+				phase.CostEqualsUnion = false
+			}
+			if round == 0 {
+				phase.FirstRoundWaitNS = out.Waited.Nanoseconds()
+				continue
+			}
+			waits, walls = append(waits, out.Waited), append(walls, wall)
+		}
+		c.Stop()
+		sort.Slice(waits, func(i, j int) bool { return waits[i] < waits[j] })
+		sort.Slice(walls, func(i, j int) bool { return walls[i] < walls[j] })
+		phase.Solves = int(solves.Load())
+		phase.LaterWaitP50NS = percentile(waits, 0.50).Nanoseconds()
+		phase.LaterRoundP50NS = percentile(walls, 0.50).Nanoseconds()
+		report.DefaultFlags = phase
+		ok := "MET"
+		if !phase.CostEqualsUnion || phase.Solves != dfRounds || phase.Seals["cohort"] != dfRounds-1 {
+			ok = "MISSED"
+		}
+		fmt.Printf("default flags: %d rounds, window %s: round 1 waited %s, rounds 2+ waited p50 %s (round p50 %s), seals %v\n",
+			dfRounds, compose.DefaultWindow, time.Duration(phase.FirstRoundWaitNS).Round(time.Millisecond),
+			percentile(waits, 0.50), percentile(walls, 0.50), phase.Seals)
+		fmt.Printf("        [acceptance: one solve per round of all %d teams at union cost, rounds 2+ sealed by cohort: %s]\n\n", teams, ok)
 	}
 
 	out, err := json.MarshalIndent(report, "", "  ")

@@ -24,10 +24,10 @@ import (
 type composeSettings struct {
 	// Strategy names the composition strategy (subtree | node | attribute).
 	Strategy string
-	// Window is the batching window concurrent submissions merge within.
+	// Window is the longest a submission waits for others to merge with.
 	Window time.Duration
-	// MaxBatch seals a composition generation early at this many members
-	// (0 = window only).
+	// MaxBatch seals a composition generation at this many members even if
+	// the remembered cohort is larger (0 = no cap).
 	MaxBatch int
 	// Conflict is the default on_conflict mode (queue | reject) for
 	// submissions that do not choose one.

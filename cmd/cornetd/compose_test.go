@@ -147,7 +147,11 @@ func directUnionMakespan(t *testing.T, ids []string) int {
 
 // TestComposeDisjointMerge is the acceptance path: two scope-disjoint
 // workflows submitted concurrently, in either order, merge into one
-// composed schedule whose cost equals planning their union directly.
+// composed schedule whose cost equals planning their union directly. The
+// first round is the cold one and waits out the window; the later rounds
+// of the same two scopes, in both submission orders, take the early-seal
+// path (the second join completes the remembered cohort) and must cost
+// the same.
 func TestComposeDisjointMerge(t *testing.T) {
 	s, srv := testServerCompose(t, composeSettings{Window: 250 * time.Millisecond})
 	api := deployWorkflow(t, srv.URL, "software-upgrade", "vCE")
@@ -162,13 +166,17 @@ func TestComposeDisjointMerge(t *testing.T) {
 			})
 		}
 	}
-	for round, order := range [][2]string{{"vce-000", "vce-001"}, {"vce-001", "vce-000"}} {
-		ids := []string{"chg-dm-a", "chg-dm-b"}
-		if round == 1 {
-			ids = []string{"chg-dm-c", "chg-dm-d"}
-		}
+	for round, tc := range []struct {
+		order [2]string
+		seal  string
+	}{
+		{[2]string{"vce-000", "vce-001"}, "window"},
+		{[2]string{"vce-001", "vce-000"}, "cohort"},
+		{[2]string{"vce-000", "vce-001"}, "cohort"},
+	} {
+		ids := []string{"chg-dm-a" + strconv.Itoa(round), "chg-dm-b" + strconv.Itoa(round)}
 		ra, rb := submitPair(t, s, srv.URL,
-			submit(ids[0], "team-a", order[0]), submit(ids[1], "team-b", order[1]))
+			submit(ids[0], "team-a", tc.order[0]), submit(ids[1], "team-b", tc.order[1]))
 		a, b := decodeComposed(t, ra), decodeComposed(t, rb)
 		if a.ComposedID != b.ComposedID {
 			t.Fatalf("round %d: different composed ids %q vs %q", round, a.ComposedID, b.ComposedID)
@@ -186,6 +194,15 @@ func TestComposeDisjointMerge(t *testing.T) {
 			if m.Status != "composed" || len(m.Executions) != 1 || m.Executions[0].Status != "success" {
 				t.Fatalf("round %d: member %s = %+v", round, m.ChangeID, m)
 			}
+		}
+		merged := events.Default.Query(events.Filter{
+			ChangeID: a.ComposedID, Types: []events.Type{events.TypeComposeMerged},
+		})
+		if len(merged) != 1 || merged[0].Fields["seal"] != tc.seal {
+			t.Fatalf("round %d: compose.merged events %+v, want one sealed by %q", round, merged, tc.seal)
+		}
+		if _, ok := merged[0].Fields["waited_ms"].(float64); !ok {
+			t.Fatalf("round %d: compose.merged carries no waited_ms: %+v", round, merged[0].Fields)
 		}
 	}
 }

@@ -152,8 +152,8 @@ func main() {
 
 		// Concurrent change composition over /api/wf/execute.
 		composeStrategy = flag.String("compose-strategy", "subtree", "composition conflict granularity (subtree|node|attribute)")
-		composeWindow   = flag.Duration("compose-window", 150*time.Millisecond, "batching window concurrent compose submissions merge within")
-		composeBatch    = flag.Int("compose-batch", 0, "seal a composition generation early at this many members (0 = window only)")
+		composeWindow   = flag.Duration("compose-window", compose.DefaultWindow, "longest a change waits for others to compose with; a generation seals sooner once everyone who composed last time is back")
+		composeBatch    = flag.Int("compose-batch", 0, "seal a composition generation at this many members even if the cohort is larger (0 = no cap)")
 		composeConflict = flag.String("compose-conflict", "reject", "default disposition of conflicting compose submissions (queue|reject)")
 		composeSlots    = flag.Int("compose-slots", 4, "maintenance windows in a composed schedule")
 		composeCapacity = flag.Int("compose-capacity", 2, "per-slot concurrency capacity of composed schedules")

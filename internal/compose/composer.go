@@ -41,19 +41,39 @@ func ParseConflictMode(s string) (ConflictMode, error) {
 var ErrStopped = errors.New("compose: composer stopped")
 
 // DefaultWindow is the composition window used when Config.Window is
-// unset: how long the first submission of a generation waits for others
-// to arrive before the batch seals and solves.
-const DefaultWindow = 200 * time.Millisecond
+// unset (and cornetd's -compose-window default): the longest the first
+// submission of a generation waits for others to arrive before the batch
+// seals and solves.
+const DefaultWindow = 150 * time.Millisecond
+
+// SealReason says what closed a generation.
+type SealReason string
+
+// The seal reasons.
+const (
+	// SealWindow: the window timer fired — nobody the composer expected
+	// completed the batch in time, or it expected nobody.
+	SealWindow SealReason = "window"
+	// SealBatch: the generation reached Config.MaxBatch members.
+	SealBatch SealReason = "batch"
+	// SealCohort: a join made the generation cover every footprint of the
+	// previous non-empty generation, so everyone known to compose is in.
+	SealCohort SealReason = "cohort"
+	// SealStop: Composer.Stop drained the open generation.
+	SealStop SealReason = "stop"
+)
 
 // Config parameterizes a Composer.
 type Config struct {
 	// Strategy validates and merges concurrent deltas (required).
 	Strategy Strategy
-	// Window is how long a generation stays open after its first
-	// submission (<= 0 means DefaultWindow).
+	// Window is the longest a generation stays open after its first
+	// submission (<= 0 means DefaultWindow); a generation that covers the
+	// previous one's cohort seals sooner, at that join.
 	Window time.Duration
 	// MaxBatch seals a generation early once it has gathered this many
-	// member changes (<= 0 means unbounded — the window alone seals).
+	// member changes, even if the remembered cohort is larger (<= 0 means
+	// unbounded — the cohort rule or the window seals).
 	MaxBatch int
 	// MaxRequeue bounds how many times a Queue-mode submission retries
 	// behind conflicting generations before failing (<= 0 means 1).
@@ -81,6 +101,11 @@ type Outcome struct {
 	// Parallelism is the strategy's execution promise for the composed
 	// constituents.
 	Parallelism Parallelism `json:"parallelism"`
+	// Seal says what closed the generation.
+	Seal SealReason `json:"seal"`
+	// Waited is how long the generation stayed open — the wait of its first
+	// member, the longest any member waited for the others.
+	Waited time.Duration `json:"-"`
 	// Delta is the composed delta (the ⊕ of the member deltas).
 	Delta *Delta `json:"-"`
 	// Result is what Config.Solve returned (nil without a Solve).
@@ -92,31 +117,43 @@ type Outcome struct {
 // Submit calls currently waiting per member change id (idempotent
 // resubmissions share one delta but wait separately), so a canceled
 // member can withdraw its delta without evicting a still-waiting twin.
+// footprints counts the member deltas per footprint: what the cohort rule
+// compares against the previous generation's.
 type generation struct {
-	id      string
-	deltas  []*Delta
-	waiters map[string]int
-	timer   *time.Timer
-	sealed  bool
-	done    chan struct{}
-	out     *Outcome
-	err     error
+	id         string
+	opened     time.Time
+	deltas     []*Delta
+	footprints map[uint64]int
+	waiters    map[string]int
+	stopTimer  func() bool
+	sealed     bool
+	done       chan struct{}
+	out        *Outcome
+	err        error
 }
 
 // Composer batches concurrently submitted deltas into composed changes.
 // The first submission opens a generation and starts the window timer;
 // later submissions whose deltas validate against the gathered set join
 // it (greedy validate-on-join, so a generation is conflict-free by
-// construction); when the window elapses — or MaxBatch is reached — the
-// generation seals, merges, and solves once, and every member receives
+// construction); when the window elapses — or MaxBatch is reached, or a
+// join brings in the last footprint of the previous generation's cohort —
+// the generation seals, merges, and solves once, and every member receives
 // the shared Outcome. Conflicting submissions queue behind the
 // generation they collided with or are rejected with the diagnosis,
 // per their ConflictMode.
 type Composer struct {
 	cfg Config
+	// afterFunc arms the window timer and returns its stop function
+	// (time.AfterFunc; tests substitute a fake clock).
+	afterFunc func(d time.Duration, f func()) (stop func() bool)
 
-	mu      sync.Mutex
-	cur     *generation
+	mu  sync.Mutex
+	cur *generation
+	// cohort is the footprint set of the last non-empty sealed generation
+	// (nil until one seals): who composed together last time. It is that
+	// generation's own map, frozen once sealed.
+	cohort  map[uint64]int
 	stopped bool
 }
 
@@ -137,7 +174,9 @@ func NewComposer(cfg Config) *Composer {
 			return "cmp-" + strings.TrimPrefix(obs.NewChangeID(), "chg-")
 		}
 	}
-	return &Composer{cfg: cfg}
+	return &Composer{cfg: cfg, afterFunc: func(d time.Duration, f func()) func() bool {
+		return time.AfterFunc(d, f).Stop
+	}}
 }
 
 // Strategy exposes the composer's configured strategy.
@@ -209,8 +248,10 @@ func (c *Composer) Submit(ctx context.Context, d *Delta, mode ConflictMode) (*Ou
 }
 
 // join adds the delta to the open generation when it validates, returning
-// the generation it joined. On conflict it returns the open generation
-// (the one to queue behind) plus the diagnosis, without joining.
+// the generation it joined, and seals that generation when this join
+// completes it: MaxBatch members, or every footprint of the remembered
+// cohort present. On conflict it returns the open generation (the one to
+// queue behind) plus the diagnosis, without joining.
 func (c *Composer) join(d *Delta) (*generation, *Diagnosis, error) {
 	c.mu.Lock()
 	if c.stopped {
@@ -218,12 +259,17 @@ func (c *Composer) join(d *Delta) (*generation, *Diagnosis, error) {
 		return nil, nil, ErrStopped
 	}
 	if c.cur == nil {
-		g := &generation{id: c.cfg.NewID(), done: make(chan struct{}),
-			waiters: map[string]int{d.ChangeID: 1}}
+		g := &generation{id: c.cfg.NewID(), opened: time.Now(), done: make(chan struct{}),
+			waiters:    map[string]int{d.ChangeID: 1},
+			footprints: map[uint64]int{d.footprint(): 1}}
 		g.deltas = []*Delta{d}
-		g.timer = time.AfterFunc(c.cfg.Window, func() { c.seal(g) })
+		g.stopTimer = c.afterFunc(c.cfg.Window, func() { c.seal(g, SealWindow) })
 		c.cur = g
+		alone := c.covers(g)
 		c.mu.Unlock()
+		if alone {
+			c.seal(g, SealCohort)
+		}
 		return g, nil, nil
 	}
 	g := c.cur
@@ -246,12 +292,36 @@ func (c *Composer) join(d *Delta) (*generation, *Diagnosis, error) {
 	}
 	g.deltas = cand
 	g.waiters[d.ChangeID]++
-	sealNow := c.cfg.MaxBatch > 0 && len(g.deltas) >= c.cfg.MaxBatch
+	g.footprints[d.footprint()]++
+	var reason SealReason
+	switch {
+	case c.cfg.MaxBatch > 0 && len(g.deltas) >= c.cfg.MaxBatch:
+		reason = SealBatch
+	case c.covers(g):
+		reason = SealCohort
+	}
 	c.mu.Unlock()
-	if sealNow {
-		c.seal(g)
+	if reason != "" {
+		c.seal(g, reason)
 	}
 	return g, nil, nil
+}
+
+// covers reports whether the open generation holds every footprint of the
+// remembered cohort — everyone who composed together last time is back, so
+// waiting out the window would be waiting for nobody. A composer that has
+// sealed nothing yet remembers nobody and never covers. Called with c.mu
+// held.
+func (c *Composer) covers(g *generation) bool {
+	if len(c.cohort) == 0 || len(g.footprints) < len(c.cohort) {
+		return false
+	}
+	for fp := range c.cohort {
+		if g.footprints[fp] == 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // withdraw removes a canceled member's delta from its generation while
@@ -273,6 +343,10 @@ func (c *Composer) withdraw(g *generation, changeID string) {
 	for i, m := range g.deltas {
 		if m.ChangeID == changeID {
 			g.deltas = append(g.deltas[:i], g.deltas[i+1:]...)
+			fp := m.footprint()
+			if g.footprints[fp]--; g.footprints[fp] == 0 {
+				delete(g.footprints, fp)
+			}
 			break
 		}
 	}
@@ -280,9 +354,11 @@ func (c *Composer) withdraw(g *generation, changeID string) {
 
 // seal closes a generation exactly once: it composes the member deltas,
 // runs Solve, journals the merge decision, and broadcasts the shared
-// outcome by closing g.done. Idempotent — the window timer, a MaxBatch
-// submitter, and Stop may race to call it.
-func (c *Composer) seal(g *generation) {
+// outcome by closing g.done. Idempotent — the window timer, a submitter
+// whose join completed the batch or the cohort, and Stop may race to call
+// it; the first caller's reason is the one recorded. A non-empty
+// generation becomes the cohort the next one is measured against.
+func (c *Composer) seal(g *generation, reason SealReason) {
 	c.mu.Lock()
 	if g.sealed {
 		c.mu.Unlock()
@@ -292,10 +368,12 @@ func (c *Composer) seal(g *generation) {
 	if c.cur == g {
 		c.cur = nil
 	}
-	if g.timer != nil {
-		g.timer.Stop()
-	}
+	g.stopTimer()
+	waited := time.Since(g.opened)
 	members := append([]*Delta(nil), g.deltas...)
+	if len(members) > 0 {
+		c.cohort = g.footprints
+	}
 	c.mu.Unlock()
 
 	defer close(g.done)
@@ -315,8 +393,11 @@ func (c *Composer) seal(g *generation) {
 		ComposedID:  g.id,
 		Strategy:    c.cfg.Strategy.Name(),
 		Parallelism: c.cfg.Strategy.Parallelism(),
+		Seal:        reason,
+		Waited:      waited,
 		Delta:       composed,
 	}
+	observeSeal(out)
 	for _, m := range members {
 		out.Members = append(out.Members, m.ChangeID)
 	}
@@ -346,7 +427,7 @@ func (c *Composer) Stop() {
 	g := c.cur
 	c.mu.Unlock()
 	if g != nil {
-		c.seal(g)
+		c.seal(g, SealStop)
 		<-g.done
 	}
 }

@@ -149,7 +149,10 @@ func TestComposerQueueRetries(t *testing.T) {
 func TestComposerQueueExhausts(t *testing.T) {
 	// A blocking Solve pins down generation lifetimes: while a sealed
 	// generation solves, the next conflicting generation is opened, so the
-	// queued chg-b deterministically collides on every retry.
+	// queued chg-b deterministically collides on every retry. Each
+	// generation claims a different node under east: a repeat of the last
+	// generation's footprint would cover the cohort and seal at its own
+	// join, leaving nothing open for chg-b to collide with.
 	entered := make(chan struct{})
 	release := make(chan struct{})
 	c := testComposer(t, Config{Window: 300 * time.Millisecond, MaxRequeue: 2,
@@ -159,10 +162,10 @@ func TestComposerQueueExhausts(t *testing.T) {
 			return nil, nil
 		}})
 
-	submitA := func(id string) {
-		go c.Submit(context.Background(), node(id, "t1", Path{"east", "x"}), Reject)
+	submitA := func(id, leaf string) {
+		go c.Submit(context.Background(), node(id, "t1", Path{"east", leaf}), Reject)
 	}
-	submitA("chg-a1")
+	submitA("chg-a1", "x")
 	waitForOpen(t, c)
 
 	bdone := make(chan error, 1)
@@ -171,10 +174,10 @@ func TestComposerQueueExhausts(t *testing.T) {
 		bdone <- err
 	}()
 
-	for _, next := range []string{"chg-a2", "chg-a3"} {
-		<-entered         // previous generation sealed and is solving
-		submitA(next)     // open the next conflicting generation
-		waitForOpen(t, c) // ... and confirm it before chg-b can retry
+	for _, next := range [][2]string{{"chg-a2", "y"}, {"chg-a3", "z"}} {
+		<-entered                 // previous generation sealed and is solving
+		submitA(next[0], next[1]) // open the next conflicting generation
+		waitForOpen(t, c)         // ... and confirm it before chg-b can retry
 		release <- struct{}{}
 	}
 	var cerr *ConflictError

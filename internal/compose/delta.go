@@ -163,6 +163,25 @@ func (d *Delta) Equal(o *Delta) bool {
 	return true
 }
 
+// footprint hashes where a canonical delta acts — its (Path, Attr) set —
+// leaving out what it does there (Sig) and on whose behalf (ChangeID,
+// Tenant): a team's next change to the same scope has the same footprint
+// whatever version it rolls out. The composer's cohort rule recognises
+// returning submitters by it.
+func (d *Delta) footprint() uint64 {
+	h := fnv.New64a()
+	for i, op := range d.Ops {
+		if i > 0 && op.Attr == d.Ops[i-1].Attr && op.Path.compare(d.Ops[i-1].Path) == 0 {
+			continue // same place, another signature
+		}
+		for _, c := range op.Path {
+			fmt.Fprintf(h, "%s\x1f", c)
+		}
+		fmt.Fprintf(h, "\x1e%s\x1d", op.Attr)
+	}
+	return h.Sum64()
+}
+
 // samePathOp compares two ops field-wise; Path is a slice, so the
 // comparison is by contents, not by slice header.
 func samePathOp(a, b Op) bool {

@@ -1,6 +1,8 @@
 package compose
 
 import (
+	"time"
+
 	"cornet/internal/obs"
 	"cornet/internal/obs/events"
 )
@@ -16,7 +18,23 @@ var (
 		"Conflicting submissions rejected with a diagnosis, by strategy.", "strategy")
 	metricFailed = obs.Default.CounterVec("cornet_compose_failed_total",
 		"Sealed generations whose solve failed (no schedule produced), by strategy.", "strategy")
+	metricSeals = obs.Default.CounterVec("cornet_compose_seals_total",
+		"Non-empty generations sealed, by what sealed them (window, batch, cohort, stop).", "reason")
+	metricWindowWait = obs.Default.Histogram("cornet_compose_window_wait_seconds",
+		"How long a non-empty generation stayed open before it sealed.", nil)
 )
+
+// observeSeal counts one non-empty generation's seal by reason and records
+// how long it had been open.
+func observeSeal(out *Outcome) {
+	metricSeals.With(string(out.Seal)).Inc()
+	metricWindowWait.Observe(out.Waited.Seconds())
+}
+
+// waitedMS renders how long a generation stayed open for event fields.
+func waitedMS(out *Outcome) float64 {
+	return float64(out.Waited) / float64(time.Millisecond)
+}
 
 // publishMerged journals a sealed generation's successful merge — it runs
 // only after Solve has produced the composed schedule, so a compose.merged
@@ -32,6 +50,8 @@ func publishMerged(s Strategy, composed *Delta, members []*Delta, out *Outcome) 
 		"strategy":    out.Strategy,
 		"parallelism": string(out.Parallelism),
 		"ops":         len(composed.Ops),
+		"seal":        string(out.Seal),
+		"waited_ms":   waitedMS(out),
 	}
 	events.Default.Publish(events.Event{
 		Type: events.TypeComposeMerged, Source: "compose",
@@ -52,10 +72,12 @@ func publishMerged(s Strategy, composed *Delta, members []*Delta, out *Outcome) 
 func publishSolveFailed(s Strategy, composed *Delta, members []*Delta, out *Outcome, err error) {
 	metricFailed.With(s.Name()).Inc()
 	fields := map[string]any{
-		"composed": out.ComposedID,
-		"members":  out.Members,
-		"strategy": out.Strategy,
-		"error":    err.Error(),
+		"composed":  out.ComposedID,
+		"members":   out.Members,
+		"strategy":  out.Strategy,
+		"error":     err.Error(),
+		"seal":      string(out.Seal),
+		"waited_ms": waitedMS(out),
 	}
 	events.Default.Publish(events.Event{
 		Type: events.TypeComposeFailed, Source: "compose",

@@ -21,6 +21,7 @@ package testbed
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"sync"
@@ -343,7 +344,9 @@ func (tb *Testbed) softwareUpgrade(nf *NF, version string) (map[string]string, e
 	} else {
 		nf.metrics["pkt_discards"] *= 0.6 * tb.noiseFactor()
 	}
-	nf.metrics["mem_util"] *= 1.05 * tb.noiseFactor()
+	// A utilisation in percent saturates: unbounded, the compounding growth
+	// reaches +Inf after ~14,000 upgrades of one long-lived instance.
+	nf.metrics["mem_util"] = math.Min(100, nf.metrics["mem_util"]*1.05*tb.noiseFactor())
 	return map[string]string{"status": "success", "activated": version}, nil
 }
 

@@ -2,7 +2,9 @@ package testbed
 
 import (
 	"context"
+	"math"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -173,6 +175,36 @@ func TestWorkflowAgainstTestbed(t *testing.T) {
 	}
 	if err := tb.InjectDegradation("ghost", 2); err == nil {
 		t.Fatal("unknown instance accepted")
+	}
+}
+
+// TestMemUtilSaturates upgrades one long-lived NF 20,000 times — past the
+// ~14,000 at which 5 % compounding growth used to reach +Inf — and asserts
+// the utilisation stays a finite percentage and the upgrade workflow still
+// succeeds on that instance.
+func TestMemUtilSaturates(t *testing.T) {
+	tb := New(1)
+	tb.MustAdd(NewNF("vce-000", "vCE", "v0"))
+	for i := 1; i <= 20000; i++ {
+		if _, err := tb.Invoke(ctx(), "/api/bb/software-upgrade",
+			map[string]string{"instance": "vce-000", "sw_version": "v" + strconv.Itoa(i%2)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	nf, _ := tb.Get("vce-000")
+	if m := nf.Metric("mem_util"); math.IsInf(m, 0) || math.IsNaN(m) || m <= 0 || m > 100 {
+		t.Fatalf("mem_util = %v after 20000 upgrades, want a percentage", m)
+	}
+	dep, err := workflow.Deploy(workflow.SoftwareUpgrade(), "vCE",
+		func(block, nfType string) (string, error) { return "/api/bb/" + block + "/" + nfType, nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	exec, err := orchestrator.NewEngine(tb).Execute(ctx(), dep, map[string]string{
+		"instance": "vce-000", "sw_version": "v-next", "prior_version": "v0",
+	})
+	if err != nil || exec.Status != orchestrator.StatusSuccess {
+		t.Fatalf("exec after 20000 upgrades: %v %v", exec.Status, err)
 	}
 }
 
