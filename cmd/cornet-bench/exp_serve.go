@@ -11,6 +11,14 @@
 //   - overload: a 2x-capacity burst of distinct intents against a
 //     one-worker admitter must shed with 503-style errors while the
 //     served requests' p99 stays bounded by the queue, not the burst.
+//
+// All three phases need cold solves that spend their node budget: a solve
+// the solver's bounds close in a few hundred nodes never backs admission
+// up and leaves warm and cold node counts nothing to differ by. The
+// intents therefore carry per-EMS capacities only (no set holds every
+// element, so the packing bound of DESIGN §8 has nothing to pack against)
+// plus uniformity, and the run fails if any cold solve comes back under
+// budget.
 package main
 
 import (
@@ -19,7 +27,6 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"runtime"
 	"sort"
 	"sync"
 	"time"
@@ -40,11 +47,13 @@ func init() {
 
 // serveReport is the BENCH_serve.json schema.
 type serveReport struct {
-	Scenario   string `json:"scenario"`
-	Instances  int    `json:"instances"`
-	GOMAXPROCS int    `json:"gomaxprocs"`
-	NumCPU     int    `json:"num_cpu"`
-	Quick      bool   `json:"quick,omitempty"`
+	hostHeader
+	Scenario  string `json:"scenario"`
+	Instances int    `json:"instances"`
+	// NodeBudget is the solver's MaxNodes; every cold solve of the run
+	// spent it (the run fails otherwise).
+	NodeBudget int64 `json:"node_budget"`
+	Quick      bool  `json:"quick,omitempty"`
 
 	Cold latencyPhase `json:"cold"`
 	Hot  latencyPhase `json:"hot"`
@@ -218,13 +227,22 @@ func runBenchServe(quick bool) error {
 		return err
 	}
 	report := serveReport{
-		Scenario:   "serving layer over uniformity+minconf intents (capacity-parameterised family)",
+		hostHeader: newHostHeader(),
+		Scenario:   "serving layer over uniformity+minconf intents, per-EMS capacities only (capacity-parameterised family; no covering set, so every cold solve spends its node budget)",
 		Instances:  sc.inv.Len(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		NumCPU:     runtime.NumCPU(),
+		NodeBudget: budget,
 		Quick:      quick,
 	}
 	ctx := context.Background()
+	// spentBudget guards the scenario against going soft: a cold solve
+	// that stops short of the budget was closed by the solver's bounds,
+	// and the phases below no longer measure what they say.
+	spentBudget := func(phase string, res *core.PlanResult) error {
+		if nodes, _ := winnerStat(res); nodes < budget {
+			return fmt.Errorf("%s: cold solve finished in %d nodes, under the %d-node budget: the scenario no longer holds the solver busy", phase, nodes, budget)
+		}
+		return nil
+	}
 	fmt.Printf("scenario: %d instances, node budget %d, %d distinct intents\n\n",
 		sc.inv.Len(), budget, distinct)
 
@@ -247,6 +265,9 @@ func runBenchServe(quick bool) error {
 			cold = append(cold, time.Since(start))
 			if r.CacheHit {
 				return fmt.Errorf("cold solve %d unexpectedly hit the cache", i)
+			}
+			if err := spentBudget("cold", r.Result); err != nil {
+				return err
 			}
 		}
 		for round := 0; round < hotRounds; round++ {
@@ -303,6 +324,9 @@ func runBenchServe(quick bool) error {
 		if err != nil {
 			return fmt.Errorf("warm-phase cold solve: %w", err)
 		}
+		if err := spentBudget("warm-phase cold solve", coldRes.Result); err != nil {
+			return err
+		}
 		coldNodes, coldObj := winnerStat(coldRes.Result)
 		report.Warm.ColdNodesTotal = coldNodes
 		report.Warm.ColdObjective = coldObj
@@ -343,16 +367,19 @@ func runBenchServe(quick bool) error {
 	// A burst of distinct intents (cache and singleflight defeated) at 2x
 	// the admitter's capacity: one worker plus a bounded queue. The excess
 	// must shed; the served requests' tail must stay bounded by the queue
-	// depth rather than the burst size.
+	// depth rather than the burst size. Each solve runs the whole budget:
+	// the worker has to stay busy while the burst arrives, or the queue
+	// never fills and nothing sheds.
 	{
 		capacity := burst / 2 // workers + queue limit
-		srv := serve.New(serveFramework(budget/4, nil), serve.Config{
+		srv := serve.New(serveFramework(budget, nil), serve.Config{
 			WarmDelta: -1,
 			Admission: serve.AdmitConfig{Workers: 1, QueueLimit: capacity - 1},
 		})
 		var mu sync.Mutex
 		var servedLat []time.Duration
 		var shed int
+		var soft error
 		maxDepth := 0
 		stopSampler := make(chan struct{})
 		var samplerDone sync.WaitGroup
@@ -380,7 +407,7 @@ func runBenchServe(quick bool) error {
 			go func(req *intent.Request) {
 				defer wg.Done()
 				start := time.Now()
-				_, err := srv.Plan(ctx, "burst", req, sc.inv, sc.opt())
+				r, err := srv.Plan(ctx, "burst", req, sc.inv, sc.opt())
 				lat := time.Since(start)
 				mu.Lock()
 				defer mu.Unlock()
@@ -388,6 +415,9 @@ func runBenchServe(quick bool) error {
 				switch {
 				case err == nil:
 					servedLat = append(servedLat, lat)
+					if err := spentBudget("overload", r.Result); err != nil {
+						soft = err
+					}
 				case errors.As(err, &se):
 					shed++
 				}
@@ -397,6 +427,9 @@ func runBenchServe(quick bool) error {
 		close(stopSampler)
 		samplerDone.Wait()
 		srv.Stop()
+		if soft != nil {
+			return soft
+		}
 		stats := latencyStats(servedLat)
 		report.Overload = overloadPhase{
 			Offered: burst, Capacity: capacity,

@@ -227,7 +227,10 @@ func (s *Server) Plan(ctx context.Context, tenant string, req *intent.Request, i
 	v, shared, err := s.flight.Do(ctx, key, func() (any, error) {
 		ropt := opt
 		warm := false
-		if seed := s.warmSeed(b.Req.Model, key); seed != nil {
+		// One signature pass serves both the warm-seed scan and the
+		// entry this solve will cache.
+		sigs := b.Req.Model.ItemSignatures()
+		if seed := s.warmSeed(b.Req.Model, sigs, key); seed != nil {
 			ropt.Warm = seed
 			warm = true
 			metricWarmStarts.Inc()
@@ -241,7 +244,7 @@ func (s *Server) Plan(ctx context.Context, tenant string, req *intent.Request, i
 		if err != nil {
 			return nil, err
 		}
-		s.cache.Put(entryFor(key, b.Req.Model, res))
+		s.cache.Put(entryFor(key, b.Req.Model, sigs, res))
 		metricCacheEntries.Set(float64(s.cache.Len()))
 		return &outcome{res: res, warm: warm && warmApplied(res), wait: wait}, nil
 	})
@@ -333,17 +336,14 @@ func (s *Server) solve(ctx context.Context, tenant string, b *core.PlanBuild, op
 }
 
 // warmSeed scans recent same-family cache entries for the closest model
-// (by per-item signature delta) within WarmDelta and returns its solved
-// assignment as the solver seed, or nil when nothing is close enough.
-func (s *Server) warmSeed(m *model.Model, selfKey string) map[string]int {
+// (by per-item signature delta against sigs) within WarmDelta and returns
+// its solved assignment as the solver seed, or nil when nothing is close
+// enough.
+func (s *Server) warmSeed(m *model.Model, sigs map[string]uint64, selfKey string) map[string]int {
 	if s.warmDelta < 0 {
 		return nil
 	}
 	cands := s.cache.Recent(m.FamilyKey(), s.warmScan)
-	if len(cands) == 0 {
-		return nil
-	}
-	sigs := m.ItemSignatures()
 	var best map[string]int
 	bestDelta := s.warmDelta + 1
 	for _, c := range cands {
@@ -370,9 +370,9 @@ func (s *Server) warmSeed(m *model.Model, selfKey string) map[string]int {
 }
 
 // entryFor converts a solved result into its cache entry, recording the
-// assignment (leftovers as -1) as the warm-start seed for future
-// near-identical models.
-func entryFor(key string, m *model.Model, res *core.PlanResult) cache.Entry {
+// assignment (leftovers as -1) and the model's item signatures as the
+// warm-start seed for future near-identical models.
+func entryFor(key string, m *model.Model, sigs map[string]uint64, res *core.PlanResult) cache.Entry {
 	slots := make(map[string]int, len(res.Assignment)+len(res.Leftovers))
 	for id, t := range res.Assignment {
 		slots[id] = t
@@ -385,7 +385,7 @@ func entryFor(key string, m *model.Model, res *core.PlanResult) cache.Entry {
 		Family:    m.FamilyKey(),
 		Value:     res,
 		ItemSlots: slots,
-		ItemSigs:  m.ItemSignatures(),
+		ItemSigs:  sigs,
 	}
 	for _, st := range res.Stats {
 		if st.Winner {

@@ -96,22 +96,42 @@ func TestSolverParallelSameErrors(t *testing.T) {
 	}
 }
 
-// hardModel is large enough that an unbounded search runs for a long
-// time, so cancellation latency is observable.
+// hardModel is a search that does not finish, so cancellation and budget
+// expiry are observable: the dense template at 30 items, every item
+// conflicting in one slot. It has to be hard for the packing bound too —
+// a model that is only a covering capacity is proved optimal in
+// microseconds — and is: the bound sees the capacity alone, and
+// uniformity x localize hold the optimum far above it (a 4e8-node search
+// is still improving at cost 352 against a root bound of 128).
 func hardModel() *model.Model {
-	n := 28
-	m := &model.Model{
-		Name:       "par-hard",
-		Items:      items(n),
-		NumSlots:   8,
-		RequireAll: true,
-		Capacities: []model.Capacity{{Name: "g", Sets: [][]int{r(n)}, Cap: 4}},
+	return denseTemplate("par-hard", 30, 10, 4, 4, 1)
+}
+
+// TestHardModelStaysHard keeps the fixture the limit, cancellation and
+// deadline tests share from going soft under a stronger bound: the packing
+// bound is live on it (a covering set exists), yet both root bounds sit
+// below the cost a 100k-node search reaches, and that search does not
+// finish.
+func TestHardModelStaysHard(t *testing.T) {
+	m := hardModel()
+	sched, err := Solve(m, Options{Parallelism: 1, MaxNodes: 100_000, TimeLimit: time.Minute})
+	if err != nil {
+		t.Fatal(err)
 	}
-	m.ConflictSlots = make([][]int, n)
-	for i := 0; i < n; i++ {
-		m.ConflictSlots[i] = []int{i % 8}
+	if sched.Optimal {
+		t.Fatalf("hardModel solved to optimality in %d nodes: the fixture went soft", sched.Nodes)
 	}
-	return m
+	s := newState(m, Options{}.withDefaults())
+	if s.packC < 0 {
+		t.Fatal("hardModel has no covering capacity set: the packing bound is not exercised")
+	}
+	pb, ok := s.packBound()
+	if !ok || pb >= sched.Cost {
+		t.Fatalf("root packing bound = %d (ok=%v), not below the best known cost %d", pb, ok, sched.Cost)
+	}
+	if s.lbUnassigned >= sched.Cost {
+		t.Fatalf("root additive bound = %d, not below the best known cost %d", s.lbUnassigned, sched.Cost)
+	}
 }
 
 // TestSolverParallelCancellation shows every worker observes ctx
@@ -179,37 +199,42 @@ func TestSolveOverlappingSameSlotGroups(t *testing.T) {
 	}
 }
 
-// denseModel is the Section-4.2 dense-template scenario: uniformity and
-// localize constraints active over >=200 items, the shape whose discovery
-// time blows up in the paper's Figure 9.
-func denseModel(n int) *model.Model {
-	if n < 200 {
-		n = 200
-	}
-	groups := 8
+// denseTemplate builds the Section-4.2 dense template — the shape whose
+// discovery time blows up in the paper's Figure 9 — at a chosen size: n
+// items dealt round-robin into groups that double as uniformity values
+// (MaxDist 1) and localize groups, one covering per-slot capacity, a
+// conflict at slot i%slots for every conflictStride-th item, leftovers
+// allowed.
+func denseTemplate(name string, n, slots, groups, cap, conflictStride int) *model.Model {
 	m := &model.Model{
-		Name:       "dense",
+		Name:       name,
 		Items:      items(n),
-		NumSlots:   12,
-		RequireAll: false,
-		Capacities: []model.Capacity{{Name: "g", Sets: [][]int{r(n)}, Cap: n/12 + 4}},
+		NumSlots:   slots,
+		Capacities: []model.Capacity{{Name: "g", Sets: [][]int{r(n)}, Cap: cap}},
 	}
 	vals := make([]float64, n)
 	grp := make([][]int, groups)
+	m.ConflictSlots = make([][]int, n)
 	for i := 0; i < n; i++ {
 		g := i % groups
 		vals[i] = float64(g)
 		grp[g] = append(grp[g], i)
+		if i%conflictStride == 0 {
+			m.ConflictSlots[i] = []int{i % slots}
+		}
 	}
 	m.Uniform = []model.Uniform{{Name: "tz", Values: vals, MaxDist: 1}}
 	m.Localized = []model.Localized{{Name: "market", Groups: grp}}
-	m.ConflictSlots = make([][]int, n)
-	for i := 0; i < n; i++ {
-		if i%5 == 0 {
-			m.ConflictSlots[i] = []int{i % 12}
-		}
-	}
 	return m
+}
+
+// denseModel is the dense template at benchmark scale: uniformity and
+// localize constraints active over >=200 items in 12 slots.
+func denseModel(n int) *model.Model {
+	if n < 200 {
+		n = 200
+	}
+	return denseTemplate("dense", n, 12, 8, n/12+4, 5)
 }
 
 // BenchmarkSolverParallel measures root-split scaling on the dense

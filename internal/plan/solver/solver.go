@@ -9,10 +9,13 @@
 // slots in ascending incremental-cost order so good incumbents land early.
 // Capacity, group-count, uniformity, and localize state propagate
 // incrementally through a preallocated undo arena, capacity saturation
-// forward-checks member domains, and an additive per-block lower bound
-// (cheapest live slot or skip, summed over unassigned blocks) prunes. The
-// objective matches Listing 2: BigM * conflicts + weighted completion time
-// + skip penalties, so conflict count is lexicographically minimized first.
+// forward-checks member domains, and two lower bounds prune: an additive
+// per-block one (cheapest live slot or skip, summed over unassigned
+// blocks) and, where a capacity set holds every item, a packing one (the
+// unassigned weight poured into that set's free room, cheapest slot
+// first), which is what proves a capacity-bound optimum. The objective
+// matches Listing 2: BigM * conflicts + weighted completion time + skip
+// penalties, so conflict count is lexicographically minimized first.
 //
 // As in the paper, dense constraint templates (uniformity, localize) make
 // the search work much harder than sparse capacity rows; Section 4.2's
@@ -158,7 +161,9 @@ func SolveContext(ctx context.Context, m *model.Model, opt Options) (model.Sched
 	if opt.FirstSolutionOnly {
 		workers = 1 // keep the greedy incumbent deterministic
 	}
-	if workers > 1 && len(s.order) > 0 {
+	// A root the bound already closes is a one-node search: run it here
+	// instead of cloning a state per worker to prune the same node.
+	if workers > 1 && len(s.order) > 0 && !s.rootClosed() {
 		return solveParallel(ctx, m, opt, s, workers)
 	}
 	s.search(0)
@@ -412,6 +417,16 @@ type state struct {
 	// are allowed). lbUnassigned is its sum over unassigned blocks.
 	contrib      []int64
 	lbUnassigned int64
+	// Packing-bound inputs (see packBound): the covering capacity set the
+	// unassigned weight is poured into (packC < 0 when the model has none
+	// and the bound is off), its Cap, the shortest item duration, the last
+	// start slot worth pouring into, and — maintained by place/unplace and
+	// assignSkip/undoSkip — the summed weight of the unassigned blocks.
+	packC, packSet int
+	packCap        int
+	packMinDur     int
+	packLast       int
+	unWeight       int
 	// deadEnds counts unassigned must-place blocks with empty domains; any
 	// positive value proves the current subtree infeasible.
 	deadEnds int
@@ -837,9 +852,50 @@ func newState(m *model.Model, opt Options) *state {
 	for bi := range blocks {
 		s.contrib[bi] = s.blockContrib(bi)
 		s.lbUnassigned += s.contrib[bi]
+		s.unWeight += blocks[bi].weight
 		if m.RequireAll && s.domCount[bi] == 0 {
 			s.deadEnds++
 		}
+	}
+
+	// Packing bound: pack against the tightest per-slot capacity set that
+	// holds every item (what a global concurrency constraint translates
+	// to). A unit of weight started at t costs at least t + the shortest
+	// duration, so pouring stops at the window's last start slot, or
+	// earlier once skipping a unit is no dearer than starting it.
+	s.packC = -1
+	inSet := make([]int, n) // inSet[i] == stamp: item i is in the set under test
+	stamp := 0
+	for ci, c := range m.Capacities {
+		if c.BucketSlots > 1 {
+			continue
+		}
+		for si, set := range c.Sets {
+			if s.packC >= 0 && c.Cap >= s.packCap {
+				continue
+			}
+			stamp++
+			distinct := 0
+			for _, i := range set {
+				if inSet[i] != stamp {
+					inSet[i] = stamp
+					distinct++
+				}
+			}
+			if distinct == n {
+				s.packC, s.packSet, s.packCap = ci, si, c.Cap
+			}
+		}
+	}
+	s.packMinDur = m.Duration(0)
+	for i := 1; i < n; i++ {
+		if d := m.Duration(i); d < s.packMinDur {
+			s.packMinDur = d
+		}
+	}
+	s.packLast = T - s.packMinDur
+	if !m.RequireAll && m.SkipPenalty-s.packMinDur-1 < s.packLast {
+		s.packLast = max(m.SkipPenalty-s.packMinDur-1, -1)
 	}
 
 	// Undo arenas: uni/loc worst cases are exact (every block placed at
@@ -868,6 +924,8 @@ func (s *state) clone() *state {
 		domWords: s.domWords, posOf: s.posOf,
 		fcMembers: s.fcMembers, fcThr: s.fcThr, fcActive: s.fcActive,
 		lbUnassigned: s.lbUnassigned, deadEnds: s.deadEnds,
+		packC: s.packC, packSet: s.packSet, packCap: s.packCap,
+		packMinDur: s.packMinDur, packLast: s.packLast, unWeight: s.unWeight,
 	}
 	c.usage = make([][][]int, len(s.usage))
 	for i, sets := range s.usage {
@@ -970,6 +1028,53 @@ func (s *state) blockContrib(bi int) int64 {
 	return b.costConst
 }
 
+// packBound is the capacity-packing lower bound on the cost of finishing
+// the unassigned blocks: their summed weight is poured, unit by unit, into
+// the covering set's free room Cap - usage[t] from the cheapest start slot
+// upward at t + packMinDur per unit, and whatever is left past packLast
+// pays SkipPenalty per unit. It relaxes the model in one direction only —
+// blocks split into units, a multi-slot item takes room at its start slot
+// alone, windows, forbidden slots, uniformity, localize, group counts and
+// every other capacity are ignored, conflicts cost nothing — so no
+// completion is cheaper. ok is false when RequireAll leaves weight with
+// no room: the subtree holds no complete schedule.
+func (s *state) packBound() (lb int64, ok bool) {
+	rem := s.unWeight
+	capacity, minDur := s.packCap, s.packMinDur
+	for t, used := range s.usage[s.packC][s.packSet][:s.packLast+1] {
+		room := capacity - used
+		if room <= 0 {
+			continue
+		}
+		if room >= rem {
+			return lb + int64(rem)*int64(t+minDur), true
+		}
+		lb += int64(room) * int64(t+minDur)
+		rem -= room
+	}
+	if rem == 0 {
+		return lb, true
+	}
+	if s.m.RequireAll {
+		return 0, false
+	}
+	return lb + int64(rem)*int64(s.m.SkipPenalty), true
+}
+
+// rootClosed reports whether one of the root bounds already meets the
+// incumbent (a warm seed) or proves the model infeasible: the whole search
+// is the root node.
+func (s *state) rootClosed() bool {
+	if s.deadEnds > 0 || s.lbUnassigned >= s.bestCost {
+		return true
+	}
+	if s.packC < 0 {
+		return false
+	}
+	pb, ok := s.packBound()
+	return !ok || pb >= s.bestCost
+}
+
 // feasible reports whether block b can be placed at start slot t given
 // current propagated state. The caller must have tested t against the
 // block's buildScratch mask first: the window bound, forbidden starts,
@@ -1056,6 +1161,7 @@ func (s *state) place(bi int, b *block, t int) (undoMark, int64) {
 	s.assigned[bi] = t
 	s.listRemove(s.posOf[bi])
 	s.lbUnassigned -= s.contrib[bi]
+	s.unWeight -= b.weight
 	for ci := range b.capUse {
 		cu := &b.capUse[ci]
 		use := s.usage[cu.c][cu.set]
@@ -1069,7 +1175,7 @@ func (s *state) place(bi int, b *block, t int) (undoMark, int64) {
 			use[bk] = old + w
 			if old <= thr && old+w > thr {
 				if mbrs := s.fcMembers[cu.flat]; mbrs != nil {
-					s.pruneBucket(mbrs, bk, cu.bucketSlots)
+					s.pruneBucket(mbrs, cu.flat, bk, cu.bucketSlots)
 				} else if sat := s.satMask[cu.flat]; sat != nil {
 					s.setSat(sat, bk, cu.bucketSlots)
 				}
@@ -1202,6 +1308,7 @@ func (s *state) unplace(bi int, b *block, t int, mark undoMark, added int64) {
 			}
 		}
 	}
+	s.unWeight += b.weight
 	s.lbUnassigned += s.contrib[bi]
 	s.listRestore(s.posOf[bi])
 	s.assigned[bi] = -2
@@ -1213,21 +1320,25 @@ func (s *state) assignSkip(bi int, b *block) {
 	s.assigned[bi] = -1
 	s.listRemove(s.posOf[bi])
 	s.lbUnassigned -= s.contrib[bi]
+	s.unWeight -= b.weight
 	s.cost += b.skipCost
 }
 
 func (s *state) undoSkip(bi int, b *block) {
 	s.cost -= b.skipCost
+	s.unWeight += b.weight
 	s.lbUnassigned += s.contrib[bi]
 	s.listRestore(s.posOf[bi])
 	s.assigned[bi] = -2
 }
 
-// pruneBucket fires when a capacity bucket saturates: any unassigned
-// member block starting where its occupancy touches the bucket would
-// overflow it, so those start slots are cleared from the member domains
-// (restored on backtrack via the dom stack).
-func (s *state) pruneBucket(mbrs []int32, bk, width int) {
+// pruneBucket fires when a bucket of the capacity set at index flat
+// saturates: any unassigned member block starting where its occupancy of
+// that set touches the bucket would overflow it, so those start slots are
+// cleared from the member domains (restored on backtrack via the dom
+// stack). A block occupies the set for as long as its longest member in
+// it runs, which can be shorter than the block itself.
+func (s *state) pruneBucket(mbrs []int32, flat, bk, width int) {
 	if width < 1 {
 		width = 1
 	}
@@ -1237,7 +1348,14 @@ func (s *state) pruneBucket(mbrs []int32, bk, width int) {
 			continue
 		}
 		b := &s.blocks[bi]
-		lo := bk*width - b.duration + 1
+		span := 0
+		for ci := range b.capUse {
+			if b.capUse[ci].flat == flat {
+				span = len(b.capUse[ci].wOff)
+				break
+			}
+		}
+		lo := bk*width - span + 1
 		if lo < 0 {
 			lo = 0
 		}
@@ -1364,7 +1482,7 @@ func (s *state) buildScratch(bi int, b *block, depth int) []uint64 {
 		for ci := range b.capUse {
 			cu := &b.capUse[ci]
 			if sat := s.satMask[cu.flat]; sat != nil {
-				for k := 0; k < b.duration; k++ {
+				for k := range cu.wOff {
 					sc &^= sat[0] >> uint(k)
 				}
 			}
@@ -1409,9 +1527,10 @@ func (s *state) buildScratch(bi int, b *block, depth int) []uint64 {
 		if sat == nil {
 			continue
 		}
-		// Start t is dead when any occupied slot t+k is saturated:
-		// subtract every right-shift of the saturation mask.
-		for k := 0; k < b.duration; k++ {
+		// Start t is dead when any slot t+k the block occupies in this
+		// set is saturated: subtract every right-shift of the saturation
+		// mask over the set's own span.
+		for k := range cu.wOff {
 			wo, bo := k>>6, uint(k)&63
 			for w := 0; w+wo < W; w++ {
 				v := sat[w+wo] >> bo
@@ -1593,7 +1712,21 @@ func (s *state) search(depth int) {
 	if s.deadEnds > 0 {
 		return
 	}
-	if lb := s.cost + s.lbUnassigned; lb >= s.bound() {
+	bound := s.bound()
+	lb := s.cost + s.lbUnassigned
+	if lb < bound && s.packC >= 0 {
+		// The additive bound lets every block pretend its cheapest slot is
+		// still free; only where it fails to prune is the packing bound
+		// worth its slot scan.
+		pb, ok := s.packBound()
+		if !ok {
+			return
+		}
+		if pb += s.cost; pb > lb {
+			lb = pb
+		}
+	}
+	if lb >= bound {
 		// Parallel slow path: an equal-cost subtree whose path prefix
 		// still precedes (or contains) the incumbent's rank stays open.
 		if s.shared == nil || s.pruneSubtree(depth, lb) {

@@ -292,13 +292,7 @@ func TestSolvePerAggregateCapacity(t *testing.T) {
 }
 
 func TestSolveRespectsLimits(t *testing.T) {
-	m := &model.Model{
-		Name:       "limits",
-		Items:      items(30),
-		NumSlots:   10,
-		RequireAll: true,
-		Capacities: []model.Capacity{{Name: "g", Sets: [][]int{r(30)}, Cap: 3}},
-	}
+	m := hardModel() // 30 items; TestHardModelStaysHard keeps it unfinishable
 	s, err := Solve(m, Options{MaxNodes: 500})
 	if err != nil {
 		t.Fatal(err)
@@ -600,5 +594,30 @@ func TestSolveSkipLeftoverOrdering(t *testing.T) {
 		if par.Slots[i] != seq.Slots[i] {
 			t.Fatalf("parallel slots %v != sequential %v", par.Slots, seq.Slots)
 		}
+	}
+}
+
+// TestForwardCheckUsesSetSpan pins capacity forward-checking to the span a
+// block occupies in the saturated set, not the block's own: b and c share
+// a slot, c runs three slots, but only the one-slot b sits in the pair
+// capacity. With a placed at slot 1 the block can still start at 0 — b is
+// gone before slot 1 — and pruning by the block's duration called that a
+// dead end.
+func TestForwardCheckUsesSetSpan(t *testing.T) {
+	m := &model.Model{
+		Name:       "set-span",
+		Items:      []model.Item{{ID: "a", Weight: 3}, {ID: "b", Weight: 3}, {ID: "c", Weight: 2, Duration: 3}},
+		NumSlots:   4,
+		RequireAll: true,
+		SameSlot:   [][]int{{1, 2}},
+		Capacities: []model.Capacity{{Name: "pair", Sets: [][]int{{0, 1}}, Cap: 4}},
+	}
+	m.Normalize()
+	s := newState(m, Options{}.withDefaults())
+	a, bc := 0, 1 // blocks in item order: {a}, {b, c}
+	s.place(a, &s.blocks[a], 1)
+	if s.deadEnds != 0 || s.domCount[bc] != 1 || s.dom[bc*s.domWords]&1 == 0 {
+		t.Fatalf("block {b,c}: %d live starts (mask %b), dead ends %d; want start 0 alone to survive",
+			s.domCount[bc], s.dom[bc*s.domWords], s.deadEnds)
 	}
 }

@@ -13,33 +13,12 @@ import (
 // denseMiniModel shrinks the Section-4.2 dense template (uniformity +
 // localize + conflicts, leftovers allowed) to a size a complete search
 // finishes in milliseconds, so parallel-vs-sequential slot equality is
-// provable rather than sampled.
+// provable rather than sampled. 20 items in 4 groups make that search
+// some 56k nodes, enough for thieves to steal below the root every run
+// (at 11k nodes TestSolverStealCounters saw root-only steals one run in
+// seven).
 func denseMiniModel() *model.Model {
-	n := 16
-	groups := 3
-	m := &model.Model{
-		Name:       "dense-mini",
-		Items:      items(n),
-		NumSlots:   5,
-		RequireAll: false,
-		Capacities: []model.Capacity{{Name: "g", Sets: [][]int{r(n)}, Cap: n/5 + 2}},
-	}
-	vals := make([]float64, n)
-	grp := make([][]int, groups)
-	for i := 0; i < n; i++ {
-		g := i % groups
-		vals[i] = float64(g)
-		grp[g] = append(grp[g], i)
-	}
-	m.Uniform = []model.Uniform{{Name: "tz", Values: vals, MaxDist: 1}}
-	m.Localized = []model.Localized{{Name: "market", Groups: grp}}
-	m.ConflictSlots = make([][]int, n)
-	for i := 0; i < n; i++ {
-		if i%4 == 0 {
-			m.ConflictSlots[i] = []int{i % 5}
-		}
-	}
-	return m
+	return denseTemplate("dense-mini", 20, 5, 4, 6, 4)
 }
 
 // forceStealing makes every search node publish a stealable descriptor
