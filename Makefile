@@ -25,11 +25,13 @@ fmt-check:
 # dispatcher, work queues, reconcile loops, copy-on-write inventory, shared
 # metrics registry and span trees): keep them race-clean. cmd/cornetd rides
 # along for the declarative-API end-to-end. The composer's seal paths (window
-# timer, batch, cohort, stop) race by design, so its suite runs four times.
+# timer, batch, cohort, stop) race by design, so its suite — and that of
+# internal/compose/serve, which drives those seals through Submit — runs
+# four times.
 race:
 	$(GO) test -race ./internal/plan/... ./internal/orchestrator/... ./internal/obs/... \
 		./internal/controller/... ./internal/inventory ./cmd/cornetd
-	$(GO) test -race -count=4 ./internal/compose
+	$(GO) test -race -count=4 ./internal/compose/...
 
 # Documentation hygiene: formatting, vet, and a go/ast walk asserting that
 # every exported identifier in the execution-facing packages carries a doc
@@ -38,7 +40,7 @@ doccheck: vet fmt-check
 	$(GO) run ./tools/doccheck ./internal/orchestrator ./internal/orchestrator/resilience \
 		./internal/workflow ./internal/testbed \
 		./internal/controller ./internal/controller/reconcile ./internal/changelog \
-		./internal/plan/serve ./internal/plan/cache ./internal/compose \
+		./internal/plan/serve ./internal/plan/cache ./internal/compose ./internal/compose/serve \
 		./internal/obs/events ./internal/obs/slo ./internal/obs/tenants
 
 # Metrics-naming hygiene: a go/ast walk asserting that every cornet_*

@@ -148,7 +148,7 @@ func benchPlanner(b *testing.B, n int, constraints string) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := decompose.Solve(tr.Model, decompose.SolveOptions{
+		if _, err := decompose.SolveContext(context.Background(), tr.Model, decompose.SolveOptions{
 			Solver:   solver.Options{TimeLimit: 5 * time.Second, MaxNodes: 300_000},
 			Contract: true, Split: true,
 		}); err != nil {
@@ -199,10 +199,13 @@ func BenchmarkPlannerScaleHeuristic10K(b *testing.B) {
 	sub := net.Inv.Subset(bases)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := heuristic.Solve(heuristic.Instance{
+		res, err := heuristic.SolveContext(context.Background(), heuristic.Instance{
 			Inv: sub, MaxTimeslots: 90, SlotCapacity: len(bases) / 37,
 			EMSCapacity: len(bases) / 74, Restarts: 2, Seed: 12,
 		})
+		if err != nil {
+			b.Fatal(err)
+		}
 		if len(res.Slots) == 0 {
 			b.Fatal("empty schedule")
 		}
@@ -244,7 +247,7 @@ func BenchmarkPlannerScaleSolver10K(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := decompose.Solve(tr.Model, decompose.SolveOptions{
+		if _, err := decompose.SolveContext(context.Background(), tr.Model, decompose.SolveOptions{
 			Solver:   solver.Options{FirstSolutionOnly: true},
 			Contract: true, Split: true, Parallelism: 8,
 		}); err != nil {
@@ -339,7 +342,7 @@ func BenchmarkVerifierAccuracyScorecard(b *testing.B) {
 		Timescales: []int{48, 96}, PreWindow: 96}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := v.Verify(rule, study, changeAt, control); err != nil {
+		if _, err := v.VerifyContext(context.Background(), rule, study, changeAt, control); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -355,7 +358,7 @@ func BenchmarkVerifyComposition(b *testing.B) {
 				Attributes: attrs, Timescales: []int{48, 96}, PreWindow: 96}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := v.Verify(rule, study, changeAt, control); err != nil {
+				if _, err := v.VerifyContext(context.Background(), rule, study, changeAt, control); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -371,7 +374,7 @@ func BenchmarkVerifyNodes(b *testing.B) {
 				Timescales: []int{48, 96}, PreWindow: 96}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := v.Verify(rule, study, changeAt, control); err != nil {
+				if _, err := v.VerifyContext(context.Background(), rule, study, changeAt, control); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -462,7 +465,7 @@ func BenchmarkAblationConsistency(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := solver.Solve(m, solver.Options{MaxNodes: 200_000}); err != nil {
+				if _, err := solver.SolveContext(context.Background(), m, solver.Options{MaxNodes: 200_000}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -496,7 +499,7 @@ func BenchmarkAblationDecompose(b *testing.B) {
 			m := build()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := decompose.Solve(m, decompose.SolveOptions{
+				if _, err := decompose.SolveContext(context.Background(), m, decompose.SolveOptions{
 					Split: split, Parallelism: 8,
 					Solver: solver.Options{MaxNodes: 500_000},
 				}); err != nil {
@@ -532,10 +535,13 @@ func BenchmarkAblationRestarts(b *testing.B) {
 		b.Run(fmt.Sprintf("restarts-%d", restarts), func(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res := heuristic.Solve(heuristic.Instance{
+				res, err := heuristic.SolveContext(context.Background(), heuristic.Instance{
 					Inv: sub, MaxTimeslots: 30, SlotCapacity: 60,
 					Conflicts: conflicts, Restarts: restarts, Seed: 14,
 				})
+				if err != nil {
+					b.Fatal(err)
+				}
 				b.ReportMetric(float64(res.Conflicts), "conflicts")
 			}
 		})

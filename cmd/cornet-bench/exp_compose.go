@@ -37,6 +37,7 @@ import (
 
 	"cornet/internal/catalog"
 	"cornet/internal/compose"
+	composeserve "cornet/internal/compose/serve"
 	"cornet/internal/core"
 	"cornet/internal/inventory"
 	"cornet/internal/plan/engine"
@@ -146,10 +147,9 @@ type composeDefaultFlagsPhase struct {
 // composeScenario is the shared fixture: a vCE fleet split evenly across
 // team-owned markets, one delta per team scoped to its market.
 type composeScenario struct {
-	inv    *inventory.Inventory
-	req    *intent.Request
-	scopes map[string][]string // market -> element ids
-	order  []string            // markets, sorted
+	inv   *inventory.Inventory
+	req   *intent.Request
+	order []string // markets, sorted
 }
 
 func newComposeScenario(teams, perMarket int) *composeScenario {
@@ -163,19 +163,6 @@ func newComposeScenario(teams, perMarket int) *composeScenario {
 		n++
 		return map[string]string{inventory.AttrMarket: fmt.Sprintf("m%02d", n%teams)}
 	})
-	scopes := map[string][]string{}
-	for _, id := range inv.IDs() {
-		e, _ := inv.Get(id)
-		m, _ := e.Attr(inventory.AttrMarket)
-		scopes[m] = append(scopes[m], id)
-	}
-	order := make([]string, 0, len(scopes))
-	for m := range scopes {
-		sort.Strings(scopes[m])
-		order = append(order, m)
-	}
-	sort.Strings(order)
-
 	// Capacity is per market (2 concurrent upgrades per market per
 	// window), so disjoint-market changes can share windows: that sharing
 	// is exactly what composition exploits and serial stacking wastes.
@@ -198,18 +185,19 @@ func newComposeScenario(teams, perMarket int) *composeScenario {
 	if err := req.Validate(); err != nil {
 		panic(err)
 	}
-	return &composeScenario{inv: inv, req: req, scopes: scopes, order: order}
+	return &composeScenario{inv: inv, req: req, order: inv.AttrValues(inventory.AttrMarket)}
 }
 
-// teamDelta is one team's footprint: node ops over its market, signed
-// with the team's payload.
-func (sc *composeScenario) teamDelta(changeID, market, payload string) *compose.Delta {
-	d := compose.NewDelta(changeID, "team-"+market)
-	paySig := compose.Sig("software-upgrade", payload)
-	for _, id := range sc.scopes[market] {
-		d.AddNode(compose.Path{market, id}, compose.Sig("node", id)^paySig)
+// teamDelta is one team's footprint, derived the way cornetd derives a
+// submission's: node ops over its market, signed with the team's payload.
+func (sc *composeScenario) teamDelta(changeID, market, version string) *compose.Delta {
+	d, err := composeserve.Delta(changeID, "team-"+market, sc.req, sc.inv,
+		composeserve.Scope{Markets: []string{market}},
+		composeserve.PayloadSig("software-upgrade", map[string]string{"sw_version": version}))
+	if err != nil {
+		panic(err)
 	}
-	return d.Canon()
+	return d
 }
 
 func runBenchCompose(quick bool) error {
@@ -232,34 +220,31 @@ func runBenchCompose(quick bool) error {
 	// planComposed is every phase's solve: plan the composed delta's
 	// element set as one schedule.
 	planComposed := func(ctx context.Context, composed *compose.Delta) (*core.PlanResult, error) {
-		ids := map[string]bool{}
-		for _, op := range composed.Ops {
-			ids[op.Path[len(op.Path)-1]] = true
-		}
-		list := make([]string, 0, len(ids))
-		for id := range ids {
-			list = append(list, id)
-		}
-		sort.Strings(list)
-		return f.PlanScheduleRequestContext(ctx, sc.req, sc.inv.Subset(list), opt)
+		_, ids := composeserve.Owners([]*compose.Delta{composed})
+		return f.PlanScheduleRequestContext(ctx, sc.req, sc.inv.Subset(ids), opt)
 	}
 	// submitRound submits every team's delta for the round concurrently
 	// and returns the shared outcome and the round's wall time.
 	submitRound := func(c *compose.Composer, round int) (*compose.Outcome, time.Duration) {
 		outs := make([]*compose.Outcome, len(sc.order))
+		// Derived before the clock starts: a round times the composer and
+		// its one solve, not the per-team translate behind each delta.
+		deltas := make([]*compose.Delta, len(sc.order))
+		for n, m := range sc.order {
+			deltas[n] = sc.teamDelta(fmt.Sprintf("chg-r%d-%s", round, m), m, fmt.Sprintf("v%d", round))
+		}
 		start := time.Now()
 		var wg sync.WaitGroup
-		for n, m := range sc.order {
+		for n := range sc.order {
 			wg.Add(1)
-			go func(n int, m string) {
+			go func(n int) {
 				defer wg.Done()
-				d := sc.teamDelta(fmt.Sprintf("chg-r%d-%s", round, m), m, fmt.Sprintf("v%d", round))
-				out, err := c.Submit(ctx, d, compose.Reject)
+				out, err := c.Submit(ctx, deltas[n], compose.Reject)
 				if err != nil {
 					panic(err)
 				}
 				outs[n] = out
-			}(n, m)
+			}(n)
 		}
 		wg.Wait()
 		return outs[0], time.Since(start)
@@ -323,7 +308,7 @@ func runBenchCompose(quick bool) error {
 		stacked := 0
 		for _, m := range sc.order {
 			start := time.Now()
-			res, err := f.PlanScheduleRequestContext(ctx, sc.req, sc.inv.Subset(sc.scopes[m]), opt)
+			res, err := f.PlanScheduleRequestContext(ctx, sc.req, sc.inv.Subset(sc.inv.ByAttr(inventory.AttrMarket, m)), opt)
 			if err != nil {
 				return fmt.Errorf("serial plan %s: %w", m, err)
 			}

@@ -205,7 +205,7 @@ func runEvalPlanner(quick bool) error {
 			if err != nil {
 				return err
 			}
-			sched, err := decompose.Solve(tr.Model, decompose.SolveOptions{
+			sched, err := decompose.SolveContext(context.Background(), tr.Model, decompose.SolveOptions{
 				Solver:   solver.Options{TimeLimit: 3 * time.Second, MaxNodes: 300_000},
 				Contract: true, Split: true,
 			})
@@ -308,7 +308,7 @@ func runEvalScale(quick bool) error {
 		if err != nil {
 			return err
 		}
-		sched, err := decompose.Solve(tr.Model, decompose.SolveOptions{
+		sched, err := decompose.SolveContext(context.Background(), tr.Model, decompose.SolveOptions{
 			Solver:   solver.Options{FirstSolutionOnly: true, TimeLimit: 60 * time.Second, MaxNodes: 50_000_000},
 			Contract: true, Split: true, Parallelism: 8,
 		})
@@ -319,11 +319,14 @@ func runEvalScale(quick bool) error {
 
 		// Custom heuristic on the same instance.
 		startH := time.Now()
-		h := heuristic.Solve(heuristic.Instance{
+		h, err := heuristic.SolveContext(context.Background(), heuristic.Instance{
 			Inv: sub, MaxTimeslots: tr.Model.NumSlots,
 			SlotCapacity: slotCap, EMSCapacity: emsCap,
 			Restarts: 2, Seed: 12,
 		})
+		if err != nil {
+			return err
+		}
 		heurTime := time.Since(startH)
 
 		delta := 100 * (float64(sched.Makespan) - float64(h.Makespan)) / float64(h.Makespan)
@@ -401,7 +404,7 @@ func runEvalVerifier(quick bool) error {
 		// series are autocorrelated, so the operational configuration uses
 		// a strict threshold (the paper's halts target subtle-but-real
 		// shifts, not noise).
-		report, err := v.Verify(verifier.Rule{
+		report, err := v.VerifyContext(context.Background(), verifier.Rule{
 			Name: "labels", KPIs: []string{"kpi-under-test"},
 			Timescales: []int{48, 120}, PreWindow: 120, Alpha: 0.001,
 			MinShift: 0.03, // act on material shifts only

@@ -6,6 +6,7 @@ package main
 // (location-attribute compositions), Fig. 14 (control-group compositions).
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -100,10 +101,13 @@ func runTimeSavings(quick bool) error {
 	})
 	sub := net.Inv.Subset(bases)
 	start := time.Now()
-	res := heuristic.Solve(heuristic.Instance{
+	res, err := heuristic.SolveContext(context.Background(), heuristic.Instance{
 		Inv: sub, MaxTimeslots: 60, SlotCapacity: len(bases)/50 + 1,
 		EMSCapacity: len(bases)/400 + 1, Restarts: 2, Seed: 42,
 	})
+	if err != nil {
+		return err
+	}
 	discovery := time.Since(start)
 	fmt.Printf("network size: %d nodes; schedule discovered in %v (%d scheduled, %d leftover)\n",
 		sub.Len(), discovery.Round(time.Millisecond), len(res.Slots), len(res.Leftovers))
@@ -251,7 +255,7 @@ func ffaTrialVerdict(reg *kpi.Registry, seed int64, factor float64) (verifier.Ve
 		return "", err
 	}
 	v := &verifier.Verifier{Registry: reg, Data: ds}
-	rep, err := v.Verify(verifier.Rule{
+	rep, err := v.VerifyContext(context.Background(), verifier.Rule{
 		Name: "ffa", KPIs: []string{"ffa-kpi"},
 		Timescales: []int{96}, PreWindow: 96, Alpha: 0.001, MinShift: 0.03,
 	}, study, changeAt, control)
@@ -383,7 +387,7 @@ func runVerifySavings(quick bool) error {
 	}
 	v := &verifier.Verifier{Registry: reg, Data: ds, Inv: inv, Workers: 8}
 	start := time.Now()
-	repS, err := v.Verify(verifier.Rule{
+	repS, err := v.VerifyContext(context.Background(), verifier.Rule{
 		Name: "scorecard", Group: kpi.Scorecard,
 		Attributes: []string{inventory.AttrMarket, inventory.AttrHWVersion},
 		Timescales: []int{48, 96}, PreWindow: 96,
@@ -391,7 +395,7 @@ func runVerifySavings(quick bool) error {
 	if err != nil {
 		return err
 	}
-	repL1, err := v.Verify(verifier.Rule{
+	repL1, err := v.VerifyContext(context.Background(), verifier.Rule{
 		Name: "level-1", Group: kpi.Level1,
 		Attributes: []string{inventory.AttrMarket},
 		Timescales: []int{48, 96}, PreWindow: 96,

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -135,7 +136,7 @@ func runBenchParallel(quick bool) error {
 		var nodes, prunes, steals, splits, replay, objective int64
 		for rep := 0; rep < reps; rep++ {
 			start := time.Now()
-			sched, err := solver.Solve(tr.Model, solver.Options{
+			sched, err := solver.SolveContext(context.Background(), tr.Model, solver.Options{
 				Parallelism: w, MaxNodes: nodeBudget, TimeLimit: time.Hour,
 			})
 			elapsed += time.Since(start)
@@ -188,7 +189,10 @@ func runBenchParallel(quick bool) error {
 			in := inst
 			in.Parallelism = w
 			start := time.Now()
-			res := heuristic.Solve(in)
+			res, err := heuristic.SolveContext(context.Background(), in)
+			if err != nil {
+				return err
+			}
 			elapsed += time.Since(start)
 			objective = res.WTCT
 		}

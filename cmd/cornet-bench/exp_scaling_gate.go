@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"time"
@@ -50,7 +51,7 @@ func runScalingGate(quick bool) error {
 		var nodes int64
 		for rep := 0; rep < reps; rep++ {
 			start := time.Now()
-			sched, err := solver.Solve(tr.Model, solver.Options{
+			sched, err := solver.SolveContext(context.Background(), tr.Model, solver.Options{
 				Parallelism: workers, MaxNodes: nodeBudget, TimeLimit: time.Hour,
 			})
 			elapsed += time.Since(start)

@@ -6,6 +6,7 @@ package main
 // (verification time vs node count).
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -172,7 +173,7 @@ func runFig10(quick bool) error {
 				rule.KPIs = nil
 			}
 			start := time.Now()
-			if _, err := v.Verify(rule, study, changeAt, control); err != nil {
+			if _, err := v.VerifyContext(context.Background(), rule, study, changeAt, control); err != nil {
 				return err
 			}
 			fmt.Printf(" %10s", time.Since(start).Round(time.Millisecond))
@@ -204,7 +205,7 @@ func runFig11(quick bool) error {
 		fmt.Printf("%-10d", n)
 		for _, na := range attrCounts {
 			start := time.Now()
-			if _, err := v.Verify(verifier.Rule{
+			if _, err := v.VerifyContext(context.Background(), verifier.Rule{
 				Name: "fig11", Group: kpi.Scorecard,
 				Attributes: allAttrs[:na],
 				Timescales: []int{48, 96}, PreWindow: 96,

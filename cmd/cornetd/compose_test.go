@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	composeserve "cornet/internal/compose/serve"
 	"cornet/internal/core"
 	"cornet/internal/obs/events"
 	"cornet/internal/workflow"
@@ -123,7 +124,7 @@ func waitPending(t *testing.T, s *server, n int) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
-		if s.composer.Pending() >= n {
+		if s.comp.Pending() >= n {
 			return
 		}
 		time.Sleep(time.Millisecond)
@@ -136,8 +137,8 @@ func waitPending(t *testing.T, s *server, n int) {
 // match.
 func directUnionMakespan(t *testing.T, ids []string) int {
 	t.Helper()
-	ref, _ := testServerCompose(t, composeSettings{})
-	served, err := ref.planSrv.Plan(context.Background(), "direct", ref.compIntent,
+	ref, _ := testServerCompose(t, composeserve.Settings{})
+	served, err := ref.planSrv.Plan(context.Background(), "direct", ref.comp.Intent(),
 		ref.fleetInv.Subset(ids), core.PlanOptions{RequireAll: true})
 	if err != nil {
 		t.Fatal(err)
@@ -153,7 +154,7 @@ func directUnionMakespan(t *testing.T, ids []string) int {
 // path (the second join completes the remembered cohort) and must cost
 // the same.
 func TestComposeDisjointMerge(t *testing.T) {
-	s, srv := testServerCompose(t, composeSettings{Window: 250 * time.Millisecond})
+	s, srv := testServerCompose(t, composeserve.Settings{Window: 250 * time.Millisecond})
 	api := deployWorkflow(t, srv.URL, "software-upgrade", "vCE")
 	want := directUnionMakespan(t, []string{"vce-000", "vce-001"})
 
@@ -211,7 +212,7 @@ func TestComposeDisjointMerge(t *testing.T) {
 // naming the colliding node and the refusing strategy, while the first
 // change still completes.
 func TestComposeConflictRejected(t *testing.T) {
-	s, srv := testServerCompose(t, composeSettings{Window: 250 * time.Millisecond})
+	s, srv := testServerCompose(t, composeserve.Settings{Window: 250 * time.Millisecond})
 	api := deployWorkflow(t, srv.URL, "software-upgrade", "vCE")
 
 	ra, rb := submitPair(t, s, srv.URL,
@@ -262,7 +263,7 @@ func TestComposeConflictRejected(t *testing.T) {
 // TestComposeQueueMode asserts a conflicting queue-mode submission parks
 // behind the open generation and completes in the next one.
 func TestComposeQueueMode(t *testing.T) {
-	s, srv := testServerCompose(t, composeSettings{Window: 250 * time.Millisecond})
+	s, srv := testServerCompose(t, composeserve.Settings{Window: 250 * time.Millisecond})
 	api := deployWorkflow(t, srv.URL, "software-upgrade", "vCE")
 
 	ra, rb := submitPair(t, s, srv.URL,
@@ -299,7 +300,7 @@ func TestComposeQueueMode(t *testing.T) {
 // writing different attributes compose under the attribute strategy, and
 // the same attribute written differently is refused naming the attribute.
 func TestComposeAttributeGranularity(t *testing.T) {
-	s, srv := testServerCompose(t, composeSettings{
+	s, srv := testServerCompose(t, composeserve.Settings{
 		Strategy: "attribute", Window: 250 * time.Millisecond,
 	})
 	api := deployWorkflow(t, srv.URL, "software-upgrade", "vCE")
@@ -363,7 +364,7 @@ func TestComposeAttributeGranularity(t *testing.T) {
 // inputs execute — one dispatch per distinct payload, not one per node —
 // and each member's timeline carries its own execution.
 func TestComposeAttributeDistinctPayloads(t *testing.T) {
-	s, srv := testServerCompose(t, composeSettings{
+	s, srv := testServerCompose(t, composeserve.Settings{
 		Strategy: "attribute", Window: 250 * time.Millisecond,
 	})
 	api := deployWorkflow(t, srv.URL, "software-upgrade", "vCE")
@@ -411,7 +412,7 @@ func TestComposeAttributeDistinctPayloads(t *testing.T) {
 // cross-link through compose.merged events and that member executions
 // journal under their own change ids.
 func TestComposeTimelineLinks(t *testing.T) {
-	s, srv := testServerCompose(t, composeSettings{Window: 250 * time.Millisecond})
+	s, srv := testServerCompose(t, composeserve.Settings{Window: 250 * time.Millisecond})
 	api := deployWorkflow(t, srv.URL, "software-upgrade", "vCE")
 
 	// The event journal is process-global; unique ids keep a -count=N rerun
@@ -475,29 +476,52 @@ func TestComposeTimelineLinks(t *testing.T) {
 }
 
 // TestComposeScopeValidation covers the 4xx paths of the compose branch.
+// One attribute-level change stays pending for the whole table (a window
+// nobody else ends) so the last row can resubmit its id with other inputs.
 func TestComposeScopeValidation(t *testing.T) {
-	_, srv := testServer(t)
+	s, srv := testServerCompose(t, composeserve.Settings{Window: time.Minute})
 	api := deployWorkflow(t, srv.URL, "software-upgrade", "vCE")
+	mtu := map[string]any{
+		"scope": []string{"vce-000"},
+		"attrs": map[string]map[string]string{"vce-000": {"cfg_mtu": "1400"}},
+	}
+	body, _ := json.Marshal(map[string]any{
+		"api": api, "inputs": map[string]string{"sw_version": "v6", "prior_version": "v1"}, "compose": mtu,
+	})
+	ctx, cancel := context.WithCancel(context.Background())
+	withdrawn := make(chan struct{})
+	go func() {
+		defer close(withdrawn)
+		req, _ := http.NewRequestWithContext(ctx, http.MethodPost, srv.URL+"/api/wf/execute", bytes.NewReader(body))
+		req.Header.Set("X-Change-ID", "chg-sv-pending")
+		if resp, err := http.DefaultClient.Do(req); err == nil {
+			resp.Body.Close()
+		}
+	}()
+	defer func() { cancel(); <-withdrawn }()
+	waitPending(t, s, 1)
 
 	cases := []struct {
-		name    string
-		compose map[string]any
-		status  int
+		name     string
+		changeID string
+		compose  map[string]any
+		status   int
 	}{
-		{"unknown element", map[string]any{"scope": []string{"ghost-999"}}, http.StatusUnprocessableEntity},
-		{"empty scope", map[string]any{}, http.StatusUnprocessableEntity},
-		{"unknown market", map[string]any{"markets": []string{"mars"}}, http.StatusUnprocessableEntity},
-		{"attrs outside scope", map[string]any{
+		{"unknown element", "", map[string]any{"scope": []string{"ghost-999"}}, http.StatusUnprocessableEntity},
+		{"empty scope", "", map[string]any{}, http.StatusUnprocessableEntity},
+		{"unknown market", "", map[string]any{"markets": []string{"mars"}}, http.StatusUnprocessableEntity},
+		{"attrs outside scope", "", map[string]any{
 			"scope": []string{"vce-000"},
 			"attrs": map[string]map[string]string{"vce-001": {"cfg_mtu": "1"}},
 		}, http.StatusUnprocessableEntity},
-		{"bad conflict mode", map[string]any{
+		{"bad conflict mode", "", map[string]any{
 			"scope": []string{"vce-000"}, "on_conflict": "explode",
 		}, http.StatusBadRequest},
+		{"pending id with a different payload", "chg-sv-pending", mtu, http.StatusUnprocessableEntity},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			resp := postJSON(t, srv.URL+"/api/wf/execute", map[string]any{
+			resp := composePost(t, srv.URL, c.changeID, "", map[string]any{
 				"api": api, "inputs": map[string]string{"sw_version": "v7", "prior_version": "v1"},
 				"compose": c.compose,
 			})

@@ -26,6 +26,7 @@ import (
 
 	"cornet/internal/catalog"
 	"cornet/internal/compose"
+	composeserve "cornet/internal/compose/serve"
 	"cornet/internal/controller/reconcile"
 	"cornet/internal/core"
 	"cornet/internal/inventory"
@@ -65,12 +66,9 @@ type server struct {
 	slo     *slo.Tracker
 	sloStop func()
 
-	// composer merges concurrently submitted /api/wf/execute changes with
-	// compose scopes into single composed schedules; compIntent is the
-	// fixed intent composed scopes translate and plan under.
-	composer   *compose.Composer
-	compCfg    composeSettings
-	compIntent *intent.Request
+	// comp merges concurrently submitted /api/wf/execute changes with
+	// compose scopes into single composed schedules.
+	comp *composeserve.Service
 
 	log     *slog.Logger
 	httpm   *obs.HTTPMetrics
@@ -78,18 +76,12 @@ type server struct {
 
 	mu          sync.RWMutex
 	deployments map[string]*workflow.Deployment
-
-	// cmu guards pending: the payloads (deployment + inputs) of composed
-	// submissions currently waiting inside the composer, keyed by change
-	// id, which composeSolve reads at dispatch time.
-	cmu     sync.Mutex
-	pending map[string]*composePayload
 }
 
 // newServer assembles a server around a framework; the orchestrator engine
 // inherits the server logger so workflow executions emit per-block records.
 func newServer(f *core.Framework, tb *testbed.Testbed, net *netgen.Network,
-	planTimeout time.Duration, planCfg planserve.Config, compCfg composeSettings,
+	planTimeout time.Duration, planCfg planserve.Config, compCfg composeserve.Settings,
 	log *slog.Logger) *server {
 	if log == nil {
 		log = obs.NopLogger()
@@ -100,30 +92,24 @@ func newServer(f *core.Framework, tb *testbed.Testbed, net *netgen.Network,
 	if planCfg.Admission.Log == nil {
 		planCfg.Admission.Log = log
 	}
-	if err := compCfg.normalize(); err != nil {
-		panic(err) // flag values are validated in main before reaching here
-	}
 	s := &server{
 		f: f, tb: tb, net: net, planTimeout: planTimeout,
 		planSrv:     planserve.New(f, planCfg),
-		compCfg:     compCfg,
-		compIntent:  newComposeIntent(compCfg.Slots, compCfg.Capacity),
 		log:         log,
 		httpm:       obs.NewHTTPMetrics(obs.Default),
 		started:     time.Now(),
 		deployments: map[string]*workflow.Deployment{},
-		pending:     map[string]*composePayload{},
+		fleetInv:    testbed.MirrorInventory(tb, assignMarket),
 	}
-	strategy, _ := compose.ForName(compCfg.Strategy)
-	s.composer = compose.NewComposer(compose.Config{
-		Strategy: strategy,
-		Window:   compCfg.Window,
-		MaxBatch: compCfg.MaxBatch,
-		Solve:    s.composeSolve,
+	comp, err := composeserve.New(composeserve.Config{
+		Settings: compCfg, Inventory: s.fleetInv, Plan: s.planSrv.Plan, Engine: f.Engine,
 	})
+	if err != nil {
+		panic(err) // flag values are validated in main before reaching here
+	}
+	s.comp = comp
 	s.slo, _, s.sloStop = newSLOTracker()
 	registerBuildInfo()
-	s.fleetInv = testbed.MirrorInventory(tb, assignMarket)
 	rec, err := reconcile.New(reconcile.Config{
 		Framework: f, Inventory: s.fleetInv, Log: log,
 	})
@@ -226,7 +212,7 @@ func main() {
 		"eNodeB": catalog.ImplVendorCLI, "gNodeB": catalog.ImplVendorCLI,
 	}, opts...)
 
-	compCfg := composeSettings{
+	compCfg := composeserve.Settings{
 		Strategy: *composeStrategy,
 		Window:   *composeWindow,
 		MaxBatch: *composeBatch,
@@ -234,7 +220,7 @@ func main() {
 		Slots:    *composeSlots,
 		Capacity: *composeCapacity,
 	}
-	if err := compCfg.normalize(); err != nil {
+	if err := compCfg.Normalize(); err != nil {
 		logger.Error("bad compose flags", "err", err)
 		os.Exit(1)
 	}
@@ -356,7 +342,7 @@ func (s *server) handleExecute(w http.ResponseWriter, r *http.Request) {
 	}
 	changeID := changeIDFromRequest(r)
 	if req.Compose != nil {
-		s.executeComposed(w, r, dep, req.API, req.Inputs, req.Compose, tenant, changeID)
+		s.executeComposed(w, r, dep, req.Inputs, req.Compose, tenant, changeID)
 		return
 	}
 	ctx := obs.WithTenant(obs.WithChangeID(r.Context(), changeID), tenant)

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"cornet/internal/catalog"
+	composeserve "cornet/internal/compose/serve"
 	"cornet/internal/core"
 	"cornet/internal/inventory"
 	"cornet/internal/netgen"
@@ -20,12 +21,12 @@ import (
 )
 
 func testServer(t *testing.T) (*server, *httptest.Server) {
-	return testServerCompose(t, composeSettings{Window: 40 * time.Millisecond})
+	return testServerCompose(t, composeserve.Settings{Window: 40 * time.Millisecond})
 }
 
 // testServerCompose builds a test server with explicit composition
 // settings (the compose e2e tests need tailored windows and strategies).
-func testServerCompose(t *testing.T, compCfg composeSettings) (*server, *httptest.Server) {
+func testServerCompose(t *testing.T, compCfg composeserve.Settings) (*server, *httptest.Server) {
 	t.Helper()
 	tb := testbed.New(1)
 	testbed.PopulateVNFs(tb, 2)
@@ -41,7 +42,7 @@ func testServerCompose(t *testing.T, compCfg composeSettings) (*server, *httptes
 	srv := httptest.NewServer(newMux(s))
 	t.Cleanup(srv.Close)
 	t.Cleanup(s.planSrv.Stop)
-	t.Cleanup(s.composer.Stop)
+	t.Cleanup(s.comp.Stop)
 	t.Cleanup(s.sloStop)
 	return s, srv
 }
@@ -378,7 +379,7 @@ func TestPlanEndpointShedsWithRetryAfter(t *testing.T) {
 	f := core.New(map[string]catalog.ImplKind{"vCE": catalog.ImplScript}, core.WithInvoker(tb))
 	s := newServer(f, tb, net, 0, planserve.Config{
 		Admission: planserve.AdmitConfig{Workers: 1, QueueLimit: 1},
-	}, composeSettings{}, nil)
+	}, composeserve.Settings{}, nil)
 	srv := httptest.NewServer(newMux(s))
 	t.Cleanup(srv.Close)
 	t.Cleanup(s.planSrv.Stop)

@@ -112,7 +112,7 @@ func serve(s *server, addr string, drain time.Duration) error {
 	defer s.planSrv.Stop()
 	// Seal and drain any open composition generation; its members get
 	// their outcome before the listener finishes draining.
-	defer s.composer.Stop()
+	defer s.comp.Stop()
 	// Detach the SLO tracker's event-journal feed.
 	defer s.sloStop()
 

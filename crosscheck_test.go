@@ -7,6 +7,7 @@ package main
 // heuristic on the shared objective.
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -62,7 +63,7 @@ func TestSolverHeuristicCrossValidation(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		sched, err := decompose.Solve(tr.Model, decompose.SolveOptions{
+		sched, err := decompose.SolveContext(context.Background(), tr.Model, decompose.SolveOptions{
 			Solver:   solver.Options{MaxNodes: 300_000, TimeLimit: 5 * time.Second},
 			Contract: true, Split: true,
 		})
@@ -74,10 +75,14 @@ func TestSolverHeuristicCrossValidation(t *testing.T) {
 			return false
 		}
 
-		h := heuristic.Solve(heuristic.Instance{
+		h, err := heuristic.SolveContext(context.Background(), heuristic.Instance{
 			Inv: sub, MaxTimeslots: slots, SlotCapacity: cap,
 			Restarts: 4, Seed: seed,
 		})
+		if err != nil {
+			t.Log("heuristic:", err)
+			return false
+		}
 		// Heuristic feasibility: per-slot load within capacity, USIDs whole.
 		load := map[int]int{}
 		byUSID := map[string]int{}

@@ -142,7 +142,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	rep, err := f.VerifyImpact(ds, net.Inv, verifier.Rule{
+	rep, err := f.VerifyImpactContext(context.Background(), ds, net.Inv, verifier.Rule{
 		Name:       "sw-5.1-ffa",
 		KPIs:       []string{"rrc-success-rate", "dl-throughput"},
 		Attributes: []string{inventory.AttrHWVersion},

@@ -15,6 +15,10 @@
 //  4. the attribute strategy lets two changes share a node when they
 //     write different attributes — finer granularity buys merge
 //     opportunity at the price of serialized execution.
+//
+// Everything between a scoped submission and its share of the composed run
+// — scope -> delta, the union solve, one dispatch per distinct payload — is
+// internal/compose/serve, the same Service cornetd maps onto HTTP.
 package main
 
 import (
@@ -23,83 +27,33 @@ import (
 	"errors"
 	"fmt"
 	"log"
-	"sort"
 	"sync"
 	"time"
 
 	"cornet/internal/catalog"
 	"cornet/internal/compose"
+	composeserve "cornet/internal/compose/serve"
 	"cornet/internal/core"
 	"cornet/internal/inventory"
-	"cornet/internal/orchestrator"
-	"cornet/internal/plan/intent"
+	planserve "cornet/internal/plan/serve"
 	"cornet/internal/testbed"
 	"cornet/internal/workflow"
 )
 
-// upgradeIntent is the fixed scheduling document composed schedules are
-// planned under: four hourly maintenance windows, elements scheduled
-// individually, two concurrent upgrades per NF type per window.
-func upgradeIntent() *intent.Request {
-	req := &intent.Request{
-		SchedulingWindow: intent.Window{
-			Start: "2026-01-01 00:00:00", End: "2026-01-01 04:00:00",
-			Granularity: intent.Granularity{Metric: "hour", Value: 1},
-		},
-		SchedulableAttribute: inventory.AttrCommonID,
-		Constraints: []intent.Constraint{{
-			Name:               intent.Concurrency,
-			BaseAttribute:      inventory.AttrCommonID,
-			AggregateAttribute: inventory.AttrNFType,
-			DefaultCapacity:    2,
-		}},
-	}
-	if err := req.Validate(); err != nil {
-		log.Fatal(err)
-	}
-	return req
-}
-
-// change is one team's submission: a scope over the fleet plus the
-// upgrade payload the workflow runs with.
-type change struct {
-	id     string
-	tenant string
-	scope  []string
-	inputs map[string]string
-	// attrs switches listed elements to attribute-level ops (phase 4).
-	attrs map[string]map[string]string
-}
-
-// delta derives the change's footprint the same way cornetd does: path
-// {market, id}, node signature = element identity XOR payload signature,
-// so identical mutations of the same element produce the identical op.
-func (c change) delta(inv *inventory.Inventory) *compose.Delta {
-	pay := []string{"software-upgrade"}
-	keys := make([]string, 0, len(c.inputs))
-	for k := range c.inputs {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		pay = append(pay, k, c.inputs[k])
-	}
-	paySig := compose.Sig(pay...)
-
-	d := compose.NewDelta(c.id, c.tenant)
-	for _, id := range c.scope {
-		e, _ := inv.Get(id)
-		market, _ := e.Attr(inventory.AttrMarket)
-		p := compose.Path{market, id}
-		if attrs := c.attrs[id]; len(attrs) > 0 {
-			for k, v := range attrs {
-				d.AddAttr(p, k, compose.Sig(k, v))
-			}
-			continue
+// printRun shows one generation's shared result: the single union plan and
+// every dispatch with the member change that owned it.
+func printRun(m *composeserve.Member) {
+	res := m.Run.Plan.Result
+	fmt.Printf("  solved once: %d elements, makespan %d window(s), method %s\n",
+		len(m.Run.Owners), res.Makespan, res.Method)
+	for _, r := range m.Run.Results {
+		status := "ok"
+		if r.Err != nil {
+			status = r.Err.Error()
 		}
-		d.AddNode(p, compose.Sig("node", id)^paySig)
+		fmt.Printf("    window %d  %-8s owner %-12s %s\n",
+			r.Timeslot, r.Instance, r.ChangeID, status)
 	}
-	return d.Canon()
 }
 
 func main() {
@@ -122,132 +76,66 @@ func main() {
 	east := []string{"vce-000", "vce-002", "vce-004"}
 	west := []string{"vce-001", "vce-003", "vce-005"}
 
-	// The composer's Solve runs once per sealed generation: plan the
-	// union scope as a single schedule, then dispatch every instance with
-	// its owning member's change id and inputs.
-	var mu sync.Mutex
-	payloads := map[string]map[string]string{}
-	planReq := upgradeIntent()
-	newComposer := func(strategy compose.Strategy) *compose.Composer {
-		return compose.NewComposer(compose.Config{
-			Strategy: strategy,
-			Window:   200 * time.Millisecond,
-			Solve: func(ctx context.Context, composed *compose.Delta, members []*compose.Delta) (any, error) {
-				owners := map[string][]string{}
-				for _, m := range members {
-					for _, op := range m.Ops {
-						id := op.Path[len(op.Path)-1]
-						if list := owners[id]; len(list) == 0 || list[len(list)-1] != m.ChangeID {
-							owners[id] = append(list, m.ChangeID)
-						}
-					}
-				}
-				ids := make([]string, 0, len(owners))
-				for id := range owners {
-					ids = append(ids, id)
-				}
-				sort.Strings(ids)
-				res, err := f.PlanScheduleRequestContext(ctx, planReq, inv.Subset(ids),
-					core.PlanOptions{RequireAll: true})
-				if err != nil {
-					return nil, err
-				}
-				// Dispatch per distinct payload, the same rule cornetd
-				// applies: co-claimants with identical inputs share one
-				// execution; attribute-granularity members whose payloads
-				// differ each run their own, serially.
-				var changes []orchestrator.ScheduledChange
-				for _, id := range ids {
-					seen := map[string]bool{}
-					for _, ch := range owners[id] {
-						mu.Lock()
-						inputs := payloads[ch]
-						mu.Unlock()
-						key := fmt.Sprint(inputs)
-						if seen[key] {
-							continue
-						}
-						seen[key] = true
-						changes = append(changes, orchestrator.ScheduledChange{
-							Instance: id, Timeslot: res.Assignment[id],
-							Inputs: inputs, ChangeID: ch,
-						})
-					}
-				}
-				conc := 1
-				if strategy.Parallelism() == compose.Full {
-					conc = len(changes)
-				}
-				results, err := f.Dispatch(ctx, dep, changes, conc)
-				if err != nil {
-					return nil, err
-				}
-				fmt.Printf("  solved once: %d elements, makespan %d window(s), method %s\n",
-					len(ids), res.Makespan, res.Method)
-				for _, r := range results {
-					status := "ok"
-					if r.Err != nil {
-						status = r.Err.Error()
-					}
-					fmt.Printf("    window %d  %-8s owner %-12s %s\n",
-						r.Timeslot, r.Instance, r.ChangeID, status)
-				}
-				return res, nil
-			},
+	// One composition service per strategy: four hourly maintenance windows,
+	// two concurrent upgrades per NF type per window, union scopes planned
+	// through the plan-serving layer and dispatched on the framework's engine.
+	plans := planserve.New(f, planserve.Config{})
+	defer plans.Stop()
+	newService := func(strategy string) *composeserve.Service {
+		svc, err := composeserve.New(composeserve.Config{
+			Settings:  composeserve.Settings{Strategy: strategy},
+			Inventory: inv, Plan: plans.Plan, Engine: f.Engine,
 		})
+		if err != nil {
+			log.Fatal(err)
+		}
+		return svc
 	}
-	c := newComposer(compose.SubtreeStrategy{})
+	c := newService("subtree")
 	defer c.Stop()
 
-	submit := func(ch change, mode compose.ConflictMode) (*compose.Outcome, error) {
-		mu.Lock()
-		payloads[ch.id] = ch.inputs
-		mu.Unlock()
-		return c.Submit(context.Background(), ch.delta(inv), mode)
+	change := func(id, tenant, version, prior string, scope composeserve.Scope) composeserve.Change {
+		return composeserve.Change{ID: id, Tenant: tenant, Deployment: dep, Scope: scope,
+			Inputs: map[string]string{"sw_version": version, "prior_version": prior}}
+	}
+
+	// pair submits two changes into one window and returns both answers.
+	pair := func(svc *composeserve.Service, first, second composeserve.Change, secondMode compose.ConflictMode) (a, b *composeserve.Member, errB error) {
+		var wg sync.WaitGroup
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			var err error
+			if a, err = svc.Submit(context.Background(), first, compose.Reject); err != nil {
+				log.Fatal(err)
+			}
+		}()
+		time.Sleep(30 * time.Millisecond) // land inside one window
+		go func() {
+			defer wg.Done()
+			b, errB = svc.Submit(context.Background(), second, secondMode)
+		}()
+		wg.Wait()
+		return a, b, errB
 	}
 
 	// --- Phase 1: disjoint markets merge into one schedule ------------
 	fmt.Println("--- phase 1: two tenants, disjoint markets, one composed schedule ---")
-	teamA := change{id: "chg-east", tenant: "team-a", scope: east,
-		inputs: map[string]string{"sw_version": "v7", "prior_version": "v1"}}
-	teamB := change{id: "chg-west", tenant: "team-b", scope: west,
-		inputs: map[string]string{"sw_version": "v8", "prior_version": "v1"}}
-	var wg sync.WaitGroup
-	outs := make([]*compose.Outcome, 2)
-	for n, ch := range []change{teamA, teamB} {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			out, err := submit(ch, compose.Reject)
-			if err != nil {
-				log.Fatal(err)
-			}
-			outs[n] = out
-		}()
-		time.Sleep(30 * time.Millisecond) // land inside one window
+	teamA := change("chg-east", "team-a", "v7", "v1", composeserve.Scope{Scope: east})
+	teamB := change("chg-west", "team-b", "v8", "v1", composeserve.Scope{Scope: west})
+	a, _, err := pair(c, teamA, teamB, compose.Reject)
+	if err != nil {
+		log.Fatal(err)
 	}
-	wg.Wait()
+	printRun(a)
 	fmt.Printf("  both submissions received composed change %s (members %v, strategy %s, parallelism %s)\n\n",
-		outs[0].ComposedID, outs[0].Members, outs[0].Strategy, outs[0].Parallelism)
+		a.Outcome.ComposedID, a.Outcome.Members, a.Outcome.Strategy, a.Outcome.Parallelism)
 
 	// --- Phase 2: a colliding change is rejected with a diagnosis -----
 	fmt.Println("--- phase 2: conflicting scope, rejected with a diagnosis ---")
-	late := change{id: "chg-late", tenant: "team-c", scope: []string{"vce-000", "vce-002"},
-		inputs: map[string]string{"sw_version": "v9", "prior_version": "v7"}}
-	var rejected error
-	wg.Add(2)
-	go func() {
-		defer wg.Done()
-		if _, err := submit(teamA, compose.Reject); err != nil {
-			log.Fatal(err)
-		}
-	}()
-	time.Sleep(30 * time.Millisecond)
-	go func() {
-		defer wg.Done()
-		_, rejected = submit(late, compose.Reject)
-	}()
-	wg.Wait()
+	late := change("chg-late", "team-c", "v9", "v7", composeserve.Scope{Scope: []string{"vce-000", "vce-002"}})
+	a, _, rejected := pair(c, teamA, late, compose.Reject)
+	printRun(a)
 	var cerr *compose.ConflictError
 	if !errors.As(rejected, &cerr) {
 		log.Fatalf("expected a conflict, got %v", rejected)
@@ -257,56 +145,28 @@ func main() {
 
 	// --- Phase 3: queue disposition parks and retries -----------------
 	fmt.Println("--- phase 3: same change with on_conflict=queue lands in the next generation ---")
-	wg.Add(2)
-	go func() {
-		defer wg.Done()
-		if _, err := submit(teamA, compose.Reject); err != nil {
-			log.Fatal(err)
-		}
-	}()
-	time.Sleep(30 * time.Millisecond)
-	var queued *compose.Outcome
-	go func() {
-		defer wg.Done()
-		out, err := submit(late, compose.Queue)
-		if err != nil {
-			log.Fatal(err)
-		}
-		queued = out
-	}()
-	wg.Wait()
-	fmt.Printf("  queued change completed as %s (members %v)\n\n", queued.ComposedID, queued.Members)
+	a, queued, err := pair(c, teamA, late, compose.Queue)
+	if err != nil {
+		log.Fatal(err)
+	}
+	printRun(a)
+	printRun(queued)
+	fmt.Printf("  queued change completed as %s (members %v)\n\n", queued.Outcome.ComposedID, queued.Outcome.Members)
 
 	// --- Phase 4: attribute granularity shares a node -----------------
 	fmt.Println("--- phase 4: attribute strategy merges different attributes of one node ---")
-	ca := newComposer(compose.AttributeStrategy{})
+	ca := newService("attribute")
 	defer ca.Stop()
-	attrSubmit := func(ch change) (*compose.Outcome, error) {
-		mu.Lock()
-		payloads[ch.id] = ch.inputs
-		mu.Unlock()
-		return ca.Submit(context.Background(), ch.delta(inv), compose.Reject)
+	node := []string{"vce-000"}
+	dns := change("chg-dns", "team-a", "v7", "v1", composeserve.Scope{Scope: node,
+		Attrs: map[string]map[string]string{"vce-000": {"cfg_dns": "10.0.0.1"}}})
+	mtu := change("chg-mtu", "team-b", "v7", "v1", composeserve.Scope{Scope: node,
+		Attrs: map[string]map[string]string{"vce-000": {"cfg_mtu": "1400"}}})
+	a, _, err = pair(ca, dns, mtu, compose.Reject)
+	if err != nil {
+		log.Fatal(err)
 	}
-	dns := change{id: "chg-dns", tenant: "team-a", scope: []string{"vce-000"},
-		inputs: map[string]string{"sw_version": "v7", "prior_version": "v1"},
-		attrs:  map[string]map[string]string{"vce-000": {"cfg_dns": "10.0.0.1"}}}
-	mtu := change{id: "chg-mtu", tenant: "team-b", scope: []string{"vce-000"},
-		inputs: map[string]string{"sw_version": "v7", "prior_version": "v1"},
-		attrs:  map[string]map[string]string{"vce-000": {"cfg_mtu": "1400"}}}
-	attrOuts := make([]*compose.Outcome, 2)
-	for n, ch := range []change{dns, mtu} {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			out, err := attrSubmit(ch)
-			if err != nil {
-				log.Fatal(err)
-			}
-			attrOuts[n] = out
-		}()
-		time.Sleep(30 * time.Millisecond)
-	}
-	wg.Wait()
+	printRun(a)
 	fmt.Printf("  merged as %s (members %v, parallelism %s: shared-node changes execute serially)\n",
-		attrOuts[0].ComposedID, attrOuts[0].Members, attrOuts[0].Parallelism)
+		a.Outcome.ComposedID, a.Outcome.Members, a.Outcome.Parallelism)
 }

@@ -67,7 +67,7 @@ func main() {
 	  ]
 	}`
 	sub := net.Inv.Subset(targets)
-	plan, err := f.PlanSchedule([]byte(intentDoc), sub, core.PlanOptions{
+	plan, err := f.PlanScheduleContext(context.Background(), []byte(intentDoc), sub, core.PlanOptions{
 		Topology: net.Topo, RequireAll: true,
 	})
 	if err != nil {

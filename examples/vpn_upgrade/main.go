@@ -83,7 +83,7 @@ func main() {
 	  ]
 	}`
 	sub := net.Inv.Subset(vces)
-	plan, err := f.PlanSchedule([]byte(intentDoc), sub, core.PlanOptions{
+	plan, err := f.PlanScheduleContext(context.Background(), []byte(intentDoc), sub, core.PlanOptions{
 		Topology: net.Topo, RequireAll: true,
 	})
 	if err != nil {
@@ -147,7 +147,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	rep, err := f.VerifyImpact(ds, net.Inv, verifier.Rule{
+	rep, err := f.VerifyImpactContext(context.Background(), ds, net.Inv, verifier.Rule{
 		Name: "vce-16.4-upgrade",
 		KPIs: []string{"pkt-discard-rate", "cpu-util", "mem-util"},
 		Expect: map[string]verifier.Verdict{

@@ -59,7 +59,7 @@ func TestEndToEndChangeManagement(t *testing.T) {
 	  ]
 	}`
 	sub := net.Inv.Subset(bases)
-	plan, err := f.PlanSchedule([]byte(intentDoc), sub, core.PlanOptions{
+	plan, err := f.PlanScheduleContext(context.Background(), []byte(intentDoc), sub, core.PlanOptions{
 		Topology: net.Topo, RequireAll: true,
 	})
 	if err != nil {
@@ -71,7 +71,7 @@ func TestEndToEndChangeManagement(t *testing.T) {
 
 	// The proposed plan also passes the manual-schedule checker.
 	req, _ := core.ParseIntent([]byte(intentDoc))
-	problems, err := f.CheckSchedule(req, sub, plan.Assignment, core.PlanOptions{})
+	problems, err := f.CheckScheduleContext(context.Background(), req, sub, plan.Assignment, core.PlanOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func TestEndToEndChangeManagement(t *testing.T) {
 		t.Fatal(err)
 	}
 	v := &verifier.Verifier{Registry: f.Registry, Data: ds, Inv: net.Inv}
-	decisions, err := v.MonitorRollout(verifier.Rule{
+	decisions, err := v.MonitorRollout(context.Background(), verifier.Rule{
 		Name: "sw-new-rollout", KPIs: []string{"accessibility"},
 		Attributes: []string{inventory.AttrHWVersion},
 		Timescales: []int{48, 96}, PreWindow: 96,

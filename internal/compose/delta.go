@@ -26,8 +26,6 @@ import (
 	"hash/fnv"
 	"sort"
 	"strings"
-
-	"cornet/internal/plan/model"
 )
 
 // Path is a hierarchical network scope, root first — e.g.
@@ -102,8 +100,8 @@ func (o Op) less(p Op) bool {
 }
 
 // Delta is one change's network footprint: the canonical op set that the
-// composition strategies validate and merge. Construct with NewDelta /
-// DeltaFromModel and the Add helpers, or fill the fields and call Canon.
+// composition strategies validate and merge. Construct with NewDelta and
+// the Add helpers, or fill the fields and call Canon.
 type Delta struct {
 	// ChangeID identifies the change this delta belongs to (the same id
 	// that keys the change's event-journal timeline).
@@ -201,31 +199,6 @@ func Merge(changeID string, deltas ...*Delta) *Delta {
 		out.Ops = append(out.Ops, d.Ops...)
 	}
 	return out.Canon()
-}
-
-// DeltaFromModel derives a change's delta from its translated constraint
-// model: one whole-node op per model item, signed with the item's semantic
-// signature (model.ItemSignatures — the same per-item signatures the plan
-// cache uses to size warm-start deltas), so two changes that schedule the
-// same element under the same intent produce the identical op and compose
-// idempotently. scopeOf maps an item id to its hierarchical path (nil, or
-// a nil result, places the item at the root as a single-component path).
-// mix is folded into every signature to bind the delta to the change's
-// payload — e.g. the workflow and inputs it deploys — so that two changes
-// scheduling the same element count as the same mutation only when they
-// would do the same thing to it.
-func DeltaFromModel(changeID, tenant string, m *model.Model, scopeOf func(itemID string) Path, mix uint64) *Delta {
-	d := NewDelta(changeID, tenant)
-	for id, sig := range m.ItemSignatures() {
-		p := Path{id}
-		if scopeOf != nil {
-			if sp := scopeOf(id); len(sp) > 0 {
-				p = sp
-			}
-		}
-		d.AddNode(p, sig^mix)
-	}
-	return d.Canon()
 }
 
 // Sig hashes the given strings into an op signature (FNV-1a with field

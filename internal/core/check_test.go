@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -54,7 +55,7 @@ func TestCheckScheduleConformant(t *testing.T) {
 		"c": 2, "d": 2, // u1
 		"e": 3, "f": 3, // u2
 	}
-	problems, err := f.CheckSchedule(checkRequest(t), inv, assignment, PlanOptions{})
+	problems, err := f.CheckScheduleContext(context.Background(), checkRequest(t), inv, assignment, PlanOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +71,7 @@ func TestCheckScheduleViolations(t *testing.T) {
 	// Capacity violation (4 nodes in one slot, cap 3) plus a consistency
 	// break (c and d are co-USID but split across slots).
 	assignment := map[string]int{"a": 1, "b": 1, "c": 1, "d": 2, "e": 1}
-	problems, err := f.CheckSchedule(checkRequest(t), inv, assignment, PlanOptions{})
+	problems, err := f.CheckScheduleContext(context.Background(), checkRequest(t), inv, assignment, PlanOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +82,7 @@ func TestCheckScheduleViolations(t *testing.T) {
 
 	// Zero-tolerance conflict: a conflicts on slot 0 (Jan 1).
 	assignment2 := map[string]int{"a": 0, "b": 0, "c": 0, "d": 0, "e": 0}
-	problems, err = f.CheckSchedule(checkRequest(t), inv, assignment2, PlanOptions{})
+	problems, err = f.CheckScheduleContext(context.Background(), checkRequest(t), inv, assignment2, PlanOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,10 +92,10 @@ func TestCheckScheduleViolations(t *testing.T) {
 	}
 
 	// Unknown element and out-of-range slot are errors, not violations.
-	if _, err := f.CheckSchedule(checkRequest(t), inv, map[string]int{"zz": 0}, PlanOptions{}); err == nil {
+	if _, err := f.CheckScheduleContext(context.Background(), checkRequest(t), inv, map[string]int{"zz": 0}, PlanOptions{}); err == nil {
 		t.Fatal("unknown element accepted")
 	}
-	if _, err := f.CheckSchedule(checkRequest(t), inv, map[string]int{"a": 99}, PlanOptions{}); err == nil {
+	if _, err := f.CheckScheduleContext(context.Background(), checkRequest(t), inv, map[string]int{"a": 99}, PlanOptions{}); err == nil {
 		t.Fatal("out-of-range slot accepted")
 	}
 }

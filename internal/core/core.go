@@ -194,12 +194,6 @@ type PlanOptions struct {
 	// (default), engine.ForceSolver, engine.ForceHeuristic, or
 	// engine.Portfolio (race both, cancel the loser).
 	Policy engine.Policy
-	// ForceSolver / ForceHeuristic override the scale-based selection.
-	//
-	// Deprecated: set Policy instead; these remain for existing callers
-	// and are ignored when Policy is non-empty.
-	ForceSolver    bool
-	ForceHeuristic bool
 	// RenderModel includes the MiniZinc-style model text in the result.
 	RenderModel bool
 	// HeuristicSlotCapacity / EMSCapacity configure the heuristic path
@@ -218,14 +212,6 @@ type PlanOptions struct {
 	Warm map[string]int
 }
 
-// PlanSchedule runs the full planning pipeline over a background context.
-//
-// Deprecated: use PlanScheduleContext, which supports cancellation and
-// deadlines.
-func (f *Framework) PlanSchedule(intentJSON []byte, inv *inventory.Inventory, opt PlanOptions) (*PlanResult, error) {
-	return f.PlanScheduleContext(context.Background(), intentJSON, inv, opt)
-}
-
 // PlanScheduleContext runs the full planning pipeline: parse intent, build
 // the backend representations the policy needs, and solve on the planning
 // engine. A ctx deadline becomes the backends' soft search budget (best
@@ -239,15 +225,6 @@ func (f *Framework) PlanScheduleContext(ctx context.Context, intentJSON []byte, 
 	return f.PlanScheduleRequestContext(ctx, req, inv, opt)
 }
 
-// PlanScheduleRequest is PlanScheduleRequestContext over a background
-// context.
-//
-// Deprecated: use PlanScheduleRequestContext, which supports cancellation
-// and deadlines.
-func (f *Framework) PlanScheduleRequest(req *intent.Request, inv *inventory.Inventory, opt PlanOptions) (*PlanResult, error) {
-	return f.PlanScheduleRequestContext(context.Background(), req, inv, opt)
-}
-
 // planner returns the configured planning engine, defaulting lazily so a
 // zero-value Framework still plans.
 func (f *Framework) planner() *engine.Engine {
@@ -257,32 +234,21 @@ func (f *Framework) planner() *engine.Engine {
 	return engine.New()
 }
 
-// ResolvePolicy folds the deprecated Force booleans into a Policy and
-// settles the Threshold choice up front, so representation construction
-// below can skip the side the policy will not run: translating a 100K-node
-// inventory into a constraint model just to discard it would dominate
-// discovery time. It is everything BuildPlanRequest reads of the policy
-// fields, the inventory size and ScaleThreshold, which is why the serving
-// layer's request key carries its result in their place.
+// ResolvePolicy settles the Threshold choice (the default policy) up
+// front, so representation construction below can skip the side the policy
+// will not run: translating a 100K-node inventory into a constraint model
+// just to discard it would dominate discovery time. It is everything
+// BuildPlanRequest reads of the policy field, the inventory size and
+// ScaleThreshold, which is why the serving layer's request key carries its
+// result in their place.
 func (f *Framework) ResolvePolicy(opt PlanOptions, size int) engine.Policy {
-	policy := opt.Policy
-	if policy == "" {
-		switch {
-		case opt.ForceHeuristic:
-			policy = engine.ForceHeuristic
-		case opt.ForceSolver:
-			policy = engine.ForceSolver
-		default:
-			policy = engine.Threshold
-		}
+	if opt.Policy != "" && opt.Policy != engine.Threshold {
+		return opt.Policy
 	}
-	if policy == engine.Threshold {
-		if size > f.ScaleThreshold {
-			return engine.ForceHeuristic
-		}
-		return engine.ForceSolver
+	if size > f.ScaleThreshold {
+		return engine.ForceHeuristic
 	}
-	return policy
+	return engine.ForceSolver
 }
 
 // PlanBuild bundles the backend representations of one planning request:
@@ -459,29 +425,12 @@ func (f *Framework) ControlGroup(topo *topology.Graph, inv *inventory.Inventory,
 	return sel.Control(study, criterion, opt)
 }
 
-// VerifyImpact runs the impact verifier over a background context.
-//
-// Deprecated: use VerifyImpactContext, which supports cancellation and
-// deadlines.
-func (f *Framework) VerifyImpact(data verifier.DataSource, inv *inventory.Inventory,
-	rule verifier.Rule, study []string, changeAt map[string]int, control []string) (*verifier.Report, error) {
-	return f.VerifyImpactContext(context.Background(), data, inv, rule, study, changeAt, control)
-}
-
 // VerifyImpactContext runs the impact verifier over a data source;
 // cancelling ctx stops the KPI evaluation worker pool.
 func (f *Framework) VerifyImpactContext(ctx context.Context, data verifier.DataSource, inv *inventory.Inventory,
 	rule verifier.Rule, study []string, changeAt map[string]int, control []string) (*verifier.Report, error) {
 	v := &verifier.Verifier{Registry: f.Registry, Data: data, Inv: inv}
 	return v.VerifyContext(ctx, rule, study, changeAt, control)
-}
-
-// CheckSchedule validates a manual schedule over a background context.
-//
-// Deprecated: use CheckScheduleContext, which supports cancellation.
-func (f *Framework) CheckSchedule(req *intent.Request, inv *inventory.Inventory,
-	assignment map[string]int, opt PlanOptions) ([]string, error) {
-	return f.CheckScheduleContext(context.Background(), req, inv, assignment, opt)
 }
 
 // CheckScheduleContext validates a manually-proposed schedule against a

@@ -119,7 +119,7 @@ func TestPlanScheduleSolverPath(t *testing.T) {
 	enbs := net.Inv.ByAttr("nf_type", "eNodeB")
 	gnbs := net.Inv.ByAttr("nf_type", "gNodeB")
 	sub := net.Inv.Subset(append(enbs, gnbs...))
-	res, err := f.PlanSchedule(planIntent(6), sub, PlanOptions{RequireAll: true, RenderModel: true})
+	res, err := f.PlanScheduleContext(context.Background(), planIntent(6), sub, PlanOptions{RequireAll: true, RenderModel: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestPlanScheduleHeuristicPathAtScale(t *testing.T) {
 	sub := net.Inv.Subset(append(enbs, gnbs...)) // 600 nodes
 	f := framework(testbed.New(1))
 	f.ScaleThreshold = 100 // force the heuristic switch
-	res, err := f.PlanSchedule(planIntent(100), sub, PlanOptions{Seed: 3})
+	res, err := f.PlanScheduleContext(context.Background(), planIntent(100), sub, PlanOptions{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestPlanScheduleHeuristicPathAtScale(t *testing.T) {
 func TestPlanScheduleBadIntent(t *testing.T) {
 	f := framework(testbed.New(1))
 	net, _ := netgen.Cellular(netgen.CellularConfig{Seed: 1, Markets: 1, TACsPerMarket: 1, USIDsPerTAC: 2})
-	if _, err := f.PlanSchedule([]byte("{"), net.Inv, PlanOptions{}); err == nil {
+	if _, err := f.PlanScheduleContext(context.Background(), []byte("{"), net.Inv, PlanOptions{}); err == nil {
 		t.Fatal("bad JSON accepted")
 	}
 }
@@ -219,7 +219,7 @@ func TestControlGroupAndVerify(t *testing.T) {
 	for _, id := range study {
 		changeAt[id] = 8 * 24
 	}
-	rep, err := f.VerifyImpact(ds, net.Inv, verifier.Rule{
+	rep, err := f.VerifyImpactContext(context.Background(), ds, net.Inv, verifier.Rule{
 		Name: "r", KPIs: []string{"tput"},
 		Timescales: []int{48}, PreWindow: 96,
 	}, study, changeAt, control)
@@ -311,7 +311,7 @@ func TestPlanScheduleStatsOnDefaultPath(t *testing.T) {
 	}
 	f := framework(testbed.New(1))
 	f.SolverOptions = solver.Options{FirstSolutionOnly: true}
-	res, err := f.PlanSchedule(planIntent(6), net.Inv, PlanOptions{})
+	res, err := f.PlanScheduleContext(context.Background(), planIntent(6), net.Inv, PlanOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -417,13 +417,6 @@ type SolveOptions struct {
 	Parallelism int
 }
 
-// Solve runs the full decomposition pipeline over a background context.
-//
-// Deprecated: use SolveContext, which supports cancellation and deadlines.
-func Solve(m *model.Model, opt SolveOptions) (model.Schedule, error) {
-	return SolveContext(context.Background(), m, opt)
-}
-
 // SolveContext runs the full decomposition pipeline: optional contraction,
 // then optional independent splitting with parallel solves, merging the
 // partial schedules into one model.Schedule over the original item space.

@@ -59,7 +59,7 @@ func TestContractMergesGroups(t *testing.T) {
 		t.Fatalf("super-item constraints: forb=%v confl=%v", c.Forbidden[0], c.ConflictSlots[0])
 	}
 	// Solve the contracted model; expansion must satisfy the original.
-	s, err := solver.Solve(c, solver.Options{})
+	s, err := solver.SolveContext(context.Background(), c, solver.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestContractEquivalentToNativeGrouping(t *testing.T) {
 	for i := 0; i < n; i += 4 {
 		m.SameSlot = append(m.SameSlot, []int{i, i + 1, i + 2, i + 3})
 	}
-	raw, err := solver.Solve(m, solver.Options{MaxNodes: 500_000, TimeLimit: 20 * time.Second})
+	raw, err := solver.SolveContext(context.Background(), m, solver.Options{MaxNodes: 500_000, TimeLimit: 20 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestContractEquivalentToNativeGrouping(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cs, err := solver.Solve(c, solver.Options{MaxNodes: 500_000, TimeLimit: 20 * time.Second})
+	cs, err := solver.SolveContext(context.Background(), c, solver.Options{MaxNodes: 500_000, TimeLimit: 20 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,11 +148,11 @@ func TestConsistencyGroupingShrinksSearch(t *testing.T) {
 		RequireAll: true,
 		Capacities: []model.Capacity{{Name: "g", Sets: [][]int{all(n)}, Cap: 4}},
 	}
-	g, err := solver.Solve(grouped, solver.Options{MaxNodes: 500_000})
+	g, err := solver.SolveContext(context.Background(), grouped, solver.Options{MaxNodes: 500_000})
 	if err != nil {
 		t.Fatal(err)
 	}
-	u, err := solver.Solve(ungrouped, solver.Options{MaxNodes: 500_000})
+	u, err := solver.SolveContext(context.Background(), ungrouped, solver.Options{MaxNodes: 500_000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,11 +234,11 @@ func TestSolvePipelineMatchesDirect(t *testing.T) {
 		},
 		SameSlot: [][]int{{0, 1}, {4, 5}},
 	}
-	direct, err := solver.Solve(m, solver.Options{})
+	direct, err := solver.SolveContext(context.Background(), m, solver.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec, err := Solve(m, SolveOptions{Contract: true, Split: true, Parallelism: 3})
+	dec, err := SolveContext(context.Background(), m, SolveOptions{Contract: true, Split: true, Parallelism: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +260,7 @@ func TestSolveWithoutDecomposition(t *testing.T) {
 		RequireAll: true,
 		Capacities: []model.Capacity{{Name: "g", Sets: [][]int{all(4)}, Cap: 2}},
 	}
-	s, err := Solve(m, SolveOptions{})
+	s, err := SolveContext(context.Background(), m, SolveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,7 +22,7 @@ func TestSolveContextCancelled(t *testing.T) {
 
 func TestSolveTimeLimitReturnsBestSoFar(t *testing.T) {
 	inv := ranInv(4, 5, 6) // 1200 nodes
-	res := Solve(Instance{
+	res := solve(t, Instance{
 		Inv: inv, MaxTimeslots: 40, SlotCapacity: 20, Seed: 4,
 		Restarts:  8,
 		TimeLimit: time.Nanosecond, // expires at the first budget check
@@ -46,7 +46,7 @@ func TestSolveTimeLimitReturnsBestSoFar(t *testing.T) {
 func TestSolveContextBackgroundMatchesSolve(t *testing.T) {
 	inv := ranInv(2, 2, 3)
 	inst := Instance{Inv: inv, MaxTimeslots: 20, SlotCapacity: 6, Seed: 5}
-	want := Solve(inst)
+	want := solve(t, inst)
 	got, err := SolveContext(context.Background(), inst)
 	if err != nil {
 		t.Fatal(err)

@@ -167,15 +167,6 @@ func (b *budget) check() bool {
 	return false
 }
 
-// Solve runs Algorithm 1 over every timezone sequentially.
-//
-// Deprecated: use SolveContext, which supports cancellation and reports
-// budget expiry as an error-free best-so-far result.
-func Solve(inst Instance) Result {
-	r, _ := SolveContext(context.Background(), inst)
-	return r
-}
-
 // SolveContext runs Algorithm 1 over every timezone sequentially; within a
 // timezone the restarts run on a worker pool of Instance.Parallelism
 // goroutines (the timezones themselves stay ordered because each one's

@@ -1,6 +1,7 @@
 package heuristic
 
 import (
+	"context"
 	"fmt"
 	"testing"
 	"testing/quick"
@@ -38,7 +39,7 @@ func ranInv(markets, tacsPerMarket, usidsPerTAC int) *inventory.Inventory {
 
 func TestSolveBasicFeasibility(t *testing.T) {
 	inv := ranInv(3, 4, 5) // 120 nodes
-	res := Solve(Instance{
+	res := solve(t, Instance{
 		Inv: inv, MaxTimeslots: 30, SlotCapacity: 10, Seed: 1,
 	})
 	if len(res.Leftovers) != 0 {
@@ -61,7 +62,7 @@ func TestSolveBasicFeasibility(t *testing.T) {
 
 func TestSolveUSIDConsistency(t *testing.T) {
 	inv := ranInv(2, 3, 4)
-	res := Solve(Instance{Inv: inv, MaxTimeslots: 40, SlotCapacity: 8, Seed: 2})
+	res := solve(t, Instance{Inv: inv, MaxTimeslots: 40, SlotCapacity: 8, Seed: 2})
 	// Co-USID eNodeB/gNodeB pairs share slots (software compatibility).
 	byUSID := map[string][]int{}
 	for id, s := range res.Slots {
@@ -80,7 +81,7 @@ func TestSolveUSIDConsistency(t *testing.T) {
 
 func TestSolveEMSCapacity(t *testing.T) {
 	inv := ranInv(1, 2, 6) // 24 nodes over 4 EMSes
-	res := Solve(Instance{
+	res := solve(t, Instance{
 		Inv: inv, MaxTimeslots: 40, SlotCapacity: 24, EMSCapacity: 2, Seed: 3,
 	})
 	use := map[string]map[int]int{}
@@ -99,7 +100,7 @@ func TestSolveEMSCapacity(t *testing.T) {
 
 func TestSolveTimezoneSeparation(t *testing.T) {
 	inv := ranInv(3, 2, 3) // markets m0/m1/m2 in tz -5/-6/-7
-	res := Solve(Instance{Inv: inv, MaxTimeslots: 60, SlotCapacity: 4, Seed: 4})
+	res := solve(t, Instance{Inv: inv, MaxTimeslots: 60, SlotCapacity: 4, Seed: 4})
 	// Eastern-most timezone (-5) must start no later than others, and
 	// timezone slot ranges must be (near-)sequential: max slot of tz -5
 	// <= min slot of tz -7 (they are two apart, no border sharing).
@@ -141,7 +142,7 @@ func TestSolveLocalizeMarkets(t *testing.T) {
 			})
 		}
 	}
-	res := Solve(Instance{Inv: inv, MaxTimeslots: 20, SlotCapacity: 2, Seed: 5})
+	res := solve(t, Instance{Inv: inv, MaxTimeslots: 20, SlotCapacity: 2, Seed: 5})
 	if len(res.Leftovers) != 0 {
 		t.Fatalf("leftovers: %v", res.Leftovers)
 	}
@@ -181,7 +182,7 @@ func TestSolveConflictAvoidance(t *testing.T) {
 	for _, id := range ids {
 		conflicts[id] = []int{0}
 	}
-	res := Solve(Instance{
+	res := solve(t, Instance{
 		Inv: inv, MaxTimeslots: 10, SlotCapacity: 8,
 		Conflicts: conflicts, Restarts: 4, Seed: 6,
 	})
@@ -192,7 +193,7 @@ func TestSolveConflictAvoidance(t *testing.T) {
 
 func TestSolveLeftoversWhenWindowTooSmall(t *testing.T) {
 	inv := ranInv(1, 2, 5) // 20 nodes
-	res := Solve(Instance{Inv: inv, MaxTimeslots: 2, SlotCapacity: 4, Seed: 7})
+	res := solve(t, Instance{Inv: inv, MaxTimeslots: 2, SlotCapacity: 4, Seed: 7})
 	if len(res.Slots)+len(res.Leftovers) != inv.Len() {
 		t.Fatalf("partition broken: %d + %d != %d", len(res.Slots), len(res.Leftovers), inv.Len())
 	}
@@ -204,8 +205,8 @@ func TestSolveLeftoversWhenWindowTooSmall(t *testing.T) {
 func TestSolveDeterministicWithSeed(t *testing.T) {
 	inv := ranInv(2, 3, 4)
 	inst := Instance{Inv: inv, MaxTimeslots: 30, SlotCapacity: 6, Seed: 42, Restarts: 4}
-	a := Solve(inst)
-	b := Solve(inst)
+	a := solve(t, inst)
+	b := solve(t, inst)
 	if a.WTCT != b.WTCT || a.Makespan != b.Makespan || len(a.Slots) != len(b.Slots) {
 		t.Fatalf("non-deterministic: %+v vs %+v", a, b)
 	}
@@ -230,9 +231,9 @@ func TestSolveRestartsImprove(t *testing.T) {
 	}
 	inst := Instance{Inv: inv, MaxTimeslots: 30, SlotCapacity: 6, Conflicts: conflicts, Seed: 9}
 	inst.Restarts = 1
-	one := Solve(inst)
+	one := solve(t, inst)
 	inst.Restarts = 12
-	many := Solve(inst)
+	many := solve(t, inst)
 	if many.Conflicts > one.Conflicts {
 		t.Fatalf("restarts made it worse: %d > %d", many.Conflicts, one.Conflicts)
 	}
@@ -248,7 +249,7 @@ func TestSolveInvariantsProperty(t *testing.T) {
 		markets := int(mRaw%3) + 1
 		slotCap := int(capRaw%8) + 2
 		inv := ranInv(markets, 2, 3)
-		res := Solve(Instance{
+		res := solve(t, Instance{
 			Inv: inv, MaxTimeslots: 15, SlotCapacity: slotCap, Seed: seed, Restarts: 3,
 		})
 		if len(res.Slots)+len(res.Leftovers) != inv.Len() {
@@ -278,7 +279,7 @@ func TestSolveScales10K(t *testing.T) {
 		t.Skip("short mode")
 	}
 	inv := ranInv(10, 25, 20) // 10,000 nodes
-	res := Solve(Instance{
+	res := solve(t, Instance{
 		Inv: inv, MaxTimeslots: 60, SlotCapacity: 400, EMSCapacity: 200,
 		Seed: 11, Restarts: 2,
 	})
@@ -288,4 +289,15 @@ func TestSolveScales10K(t *testing.T) {
 	if len(res.Leftovers) > 0 {
 		t.Fatalf("leftovers at ample capacity: %d", len(res.Leftovers))
 	}
+}
+
+// solve runs SolveContext to completion: over a background context the
+// search cannot be cancelled, so any error fails the test.
+func solve(t testing.TB, inst Instance) Result {
+	t.Helper()
+	res, err := SolveContext(context.Background(), inst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
 }

@@ -29,8 +29,8 @@ func lnsInstance(parallelism int) Instance {
 func TestSolveLNSNeverWorse(t *testing.T) {
 	base := lnsInstance(1)
 	base.LNSRestarts = 0
-	baseRes := Solve(base)
-	lnsRes := Solve(lnsInstance(1))
+	baseRes := solve(t, base)
+	lnsRes := solve(t, lnsInstance(1))
 	if better(baseRes, lnsRes) {
 		t.Fatalf("LNS result worse than base: %+v vs %+v", lnsRes, baseRes)
 	}
@@ -41,9 +41,9 @@ func TestSolveLNSNeverWorse(t *testing.T) {
 // deterministic best permutation and (Seed, timezone, Restarts+j), so
 // the composed result is identical at any worker-pool size.
 func TestSolveLNSParallelismInvariant(t *testing.T) {
-	seq := Solve(lnsInstance(1))
+	seq := solve(t, lnsInstance(1))
 	for _, workers := range []int{2, 4, 8} {
-		got := Solve(lnsInstance(workers))
+		got := solve(t, lnsInstance(workers))
 		if got.WTCT != seq.WTCT || got.Makespan != seq.Makespan ||
 			got.Conflicts != seq.Conflicts || len(got.Slots) != len(seq.Slots) ||
 			len(got.Leftovers) != len(seq.Leftovers) {

@@ -28,11 +28,11 @@ func TestSolveParallelismInvariant(t *testing.T) {
 	}
 	seqInst := base
 	seqInst.Parallelism = 1
-	seq := Solve(seqInst)
+	seq := solve(t, seqInst)
 	for _, workers := range []int{2, 4, 8} {
 		inst := base
 		inst.Parallelism = workers
-		got := Solve(inst)
+		got := solve(t, inst)
 		if got.WTCT != seq.WTCT || got.Makespan != seq.Makespan ||
 			got.Conflicts != seq.Conflicts || len(got.Slots) != len(seq.Slots) {
 			t.Fatalf("parallelism=%d diverged: %+v vs sequential %+v", workers, got, seq)

@@ -280,24 +280,17 @@ func TestRequestKeyCoversPlanOptions(t *testing.T) {
 	type field struct {
 		inKey bool
 		edit  func(o *core.PlanOptions)
-		// threshold is the Framework.ScaleThreshold under which the edit
-		// changes what the build does (the deprecated booleans only matter
-		// when Threshold would choose the other backend).
-		threshold int
 	}
-	const small, large = 0, 1 << 20 // fixture inventory: above small, below large
 	fields := map[string]field{
-		"Topology":              {true, func(o *core.PlanOptions) { o.Topology = topology.New() }, large},
-		"RequireAll":            {true, func(o *core.PlanOptions) { o.RequireAll = true }, large},
-		"Policy":                {true, func(o *core.PlanOptions) { o.Policy = engine.Portfolio }, large},
-		"ForceSolver":           {true, func(o *core.PlanOptions) { o.ForceSolver = true }, small},
-		"ForceHeuristic":        {true, func(o *core.PlanOptions) { o.ForceHeuristic = true }, large},
-		"HeuristicSlotCapacity": {true, func(o *core.PlanOptions) { o.HeuristicSlotCapacity = 7 }, large},
-		"HeuristicEMSCapacity":  {true, func(o *core.PlanOptions) { o.HeuristicEMSCapacity = 7 }, large},
-		"Seed":                  {true, func(o *core.PlanOptions) { o.Seed = 7 }, large},
-		"Parallelism":           {true, func(o *core.PlanOptions) { o.Parallelism = 7 }, large},
-		"RenderModel":           {false, func(o *core.PlanOptions) { o.RenderModel = true }, large}, // RunPlan only
-		"Warm":                  {false, func(o *core.PlanOptions) { o.Warm = map[string]int{"x": 1} }, large},
+		"Topology":              {true, func(o *core.PlanOptions) { o.Topology = topology.New() }},
+		"RequireAll":            {true, func(o *core.PlanOptions) { o.RequireAll = true }},
+		"Policy":                {true, func(o *core.PlanOptions) { o.Policy = engine.Portfolio }},
+		"HeuristicSlotCapacity": {true, func(o *core.PlanOptions) { o.HeuristicSlotCapacity = 7 }},
+		"HeuristicEMSCapacity":  {true, func(o *core.PlanOptions) { o.HeuristicEMSCapacity = 7 }},
+		"Seed":                  {true, func(o *core.PlanOptions) { o.Seed = 7 }},
+		"Parallelism":           {true, func(o *core.PlanOptions) { o.Parallelism = 7 }},
+		"RenderModel":           {false, func(o *core.PlanOptions) { o.RenderModel = true }}, // RunPlan only
+		"Warm":                  {false, func(o *core.PlanOptions) { o.Warm = map[string]int{"x": 1} }},
 	}
 	fx := newFixture(t, 0, Config{})
 	req := fx.req(6)
@@ -312,7 +305,6 @@ func TestRequestKeyCoversPlanOptions(t *testing.T) {
 			t.Errorf("core.PlanOptions.%s is not classified: does BuildPlanRequest read it?", name)
 			continue
 		}
-		fx.srv.f.ScaleThreshold = f.threshold
 		var base, edited core.PlanOptions
 		f.edit(&edited)
 		if reflect.DeepEqual(base, edited) {

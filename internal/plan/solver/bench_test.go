@@ -1,6 +1,7 @@
 package solver
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -27,7 +28,7 @@ func BenchmarkSolve(b *testing.B) {
 	const nodeBudget = 300_000
 	var nodes, prunes int64
 	for i := 0; i < b.N; i++ {
-		s, err := Solve(denseModel(240), Options{
+		s, err := SolveContext(context.Background(), denseModel(240), Options{
 			Parallelism: 1,
 			MaxNodes:    nodeBudget,
 			TimeLimit:   time.Hour,

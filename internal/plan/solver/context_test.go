@@ -38,7 +38,7 @@ func TestSolveContextDeadlineExceeded(t *testing.T) {
 }
 
 func TestSolveContextBackgroundMatchesSolve(t *testing.T) {
-	want, err := Solve(ctxModel(), Options{})
+	want, err := SolveContext(context.Background(), ctxModel(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

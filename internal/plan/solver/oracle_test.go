@@ -1,6 +1,7 @@
 package solver
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -334,7 +335,7 @@ func TestSolverOracle(t *testing.T) {
 
 		seqOpt := limits
 		seqOpt.Parallelism = 1
-		seq, err := Solve(m, seqOpt)
+		seq, err := SolveContext(context.Background(), m, seqOpt)
 		if !found {
 			if !errors.Is(err, ErrInfeasible) {
 				t.Fatalf("seed %d: no feasible assignment exists, solver returned cost %d, err %v\n%+v", seed, seq.Cost, err, m)
@@ -351,7 +352,7 @@ func TestSolverOracle(t *testing.T) {
 		for _, workers := range []int{2, 4} {
 			parOpt := limits
 			parOpt.Parallelism = workers
-			par, perr := Solve(m, parOpt)
+			par, perr := SolveContext(context.Background(), m, parOpt)
 			if !errors.Is(perr, err) || par.Cost != seq.Cost || !reflect.DeepEqual(par.Slots, seq.Slots) {
 				t.Fatalf("seed %d workers=%d: cost %d slots %v err %v, sequential cost %d slots %v err %v\n%+v",
 					seed, workers, par.Cost, par.Slots, perr, seq.Cost, seq.Slots, err, m)
@@ -360,7 +361,7 @@ func TestSolverOracle(t *testing.T) {
 		if found {
 			firstOpt := seqOpt
 			firstOpt.FirstSolutionOnly = true
-			first, err := Solve(m, firstOpt)
+			first, err := SolveContext(context.Background(), m, firstOpt)
 			if err != nil {
 				t.Fatalf("seed %d first solution: %v", seed, err)
 			}
@@ -369,7 +370,7 @@ func TestSolverOracle(t *testing.T) {
 					warmOpt := limits
 					warmOpt.Parallelism = workers
 					warmOpt.WarmSlots = seedFromSchedule(m, seedSched)
-					warm, err := Solve(m, warmOpt)
+					warm, err := SolveContext(context.Background(), m, warmOpt)
 					if err != nil || !warm.Warm || !warm.Optimal || warm.Cost != want {
 						t.Fatalf("seed %d workers=%d: warm cost %d (warm=%v optimal=%v err=%v) from a seed of cost %d, cold cost %d\n%+v",
 							seed, workers, warm.Cost, warm.Warm, warm.Optimal, err, seedSched.Cost, want, m)

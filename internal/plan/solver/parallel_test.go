@@ -49,14 +49,14 @@ func TestSolverParallelMatchesSequential(t *testing.T) {
 	for seed := int64(1); seed <= 7; seed++ {
 		seqOpt := limits
 		seqOpt.Parallelism = 1
-		seq, err := Solve(randomModel(seed), seqOpt)
+		seq, err := SolveContext(context.Background(), randomModel(seed), seqOpt)
 		if err != nil {
 			t.Fatalf("seed %d sequential: %v", seed, err)
 		}
 		for _, workers := range []int{2, 4, 8} {
 			parOpt := limits
 			parOpt.Parallelism = workers
-			par, err := Solve(randomModel(seed), parOpt)
+			par, err := SolveContext(context.Background(), randomModel(seed), parOpt)
 			if err != nil {
 				t.Fatalf("seed %d workers=%d: %v", seed, workers, err)
 			}
@@ -91,7 +91,7 @@ func TestSolverParallelSameErrors(t *testing.T) {
 		RequireAll: true,
 		Capacities: []model.Capacity{{Name: "g", Sets: [][]int{{0, 1, 2, 3, 4}}, Cap: 3}},
 	}
-	if _, err := Solve(m, Options{Parallelism: 4}); err != ErrInfeasible {
+	if _, err := SolveContext(context.Background(), m, Options{Parallelism: 4}); err != ErrInfeasible {
 		t.Fatalf("err = %v, want ErrInfeasible", err)
 	}
 }
@@ -114,7 +114,7 @@ func hardModel() *model.Model {
 // finish.
 func TestHardModelStaysHard(t *testing.T) {
 	m := hardModel()
-	sched, err := Solve(m, Options{Parallelism: 1, MaxNodes: 100_000, TimeLimit: time.Minute})
+	sched, err := SolveContext(context.Background(), m, Options{Parallelism: 1, MaxNodes: 100_000, TimeLimit: time.Minute})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +172,7 @@ func TestSolveOverlappingSameSlotGroups(t *testing.T) {
 		SameSlot:   [][]int{{0, 1}, {1, 2}},
 		Capacities: []model.Capacity{{Name: "g", Sets: [][]int{{0, 1, 2}}, Cap: 3}},
 	}
-	s, err := Solve(m, Options{})
+	s, err := SolveContext(context.Background(), m, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +188,7 @@ func TestSolveOverlappingSameSlotGroups(t *testing.T) {
 		SameSlot:   [][]int{{0, 1}, {2, 3}, {1, 2}},
 		Capacities: []model.Capacity{{Name: "g", Sets: [][]int{{0, 1, 2, 3, 4}}, Cap: 5}},
 	}
-	s2, err := Solve(m2, Options{})
+	s2, err := SolveContext(context.Background(), m2, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +247,7 @@ func BenchmarkSolverParallel(b *testing.B) {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			var nodes int64
 			for i := 0; i < b.N; i++ {
-				s, err := Solve(denseModel(200), Options{
+				s, err := SolveContext(context.Background(), denseModel(200), Options{
 					Parallelism: workers,
 					MaxNodes:    nodeBudget,
 					TimeLimit:   time.Hour,

@@ -106,13 +106,6 @@ func (o Options) withDefaults() Options {
 // explored space (only proven when the search completes).
 var ErrInfeasible = errors.New("solver: model is infeasible")
 
-// Solve searches the model and returns the best schedule found.
-//
-// Deprecated: use SolveContext, which supports cancellation and deadlines.
-func Solve(m *model.Model, opt Options) (model.Schedule, error) {
-	return SolveContext(context.Background(), m, opt)
-}
-
 // SolveContext searches the model and returns the best schedule found.
 //
 // The search honours two distinct time bounds: Options.TimeLimit expiry

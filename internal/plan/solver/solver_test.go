@@ -1,6 +1,7 @@
 package solver
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -26,7 +27,7 @@ func TestSolveGlobalCapacity(t *testing.T) {
 		RequireAll: true,
 		Capacities: []model.Capacity{{Name: "g", Sets: [][]int{{0, 1, 2, 3, 4, 5}}, Cap: 2}},
 	}
-	s, err := Solve(m, Options{})
+	s, err := SolveContext(context.Background(), m, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +50,7 @@ func TestSolveLeftoversWhenInfeasibleToFit(t *testing.T) {
 		NumSlots:   1,
 		Capacities: []model.Capacity{{Name: "g", Sets: [][]int{{0, 1, 2, 3, 4}}, Cap: 3}},
 	}
-	s, err := Solve(m, Options{})
+	s, err := SolveContext(context.Background(), m, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +67,7 @@ func TestSolveInfeasibleRequireAll(t *testing.T) {
 		RequireAll: true,
 		Capacities: []model.Capacity{{Name: "g", Sets: [][]int{{0, 1, 2, 3, 4}}, Cap: 3}},
 	}
-	if _, err := Solve(m, Options{}); err != ErrInfeasible {
+	if _, err := SolveContext(context.Background(), m, Options{}); err != ErrInfeasible {
 		t.Fatalf("err = %v, want ErrInfeasible", err)
 	}
 }
@@ -81,7 +82,7 @@ func TestSolveZeroConflictAvoidsCollisions(t *testing.T) {
 		ConflictSlots: [][]int{{0}, {0, 1}, nil},
 		Capacities:    []model.Capacity{{Name: "g", Sets: [][]int{{0, 1, 2}}, Cap: 1}},
 	}
-	s, err := Solve(m, Options{})
+	s, err := SolveContext(context.Background(), m, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +104,7 @@ func TestSolveMinimizeConflictsPrefersCleanSlots(t *testing.T) {
 		RequireAll:    true,
 		ConflictSlots: [][]int{{0, 1}},
 	}
-	s, err := Solve(m, Options{})
+	s, err := SolveContext(context.Background(), m, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +119,7 @@ func TestSolveMinimizeConflictsPrefersCleanSlots(t *testing.T) {
 		RequireAll:    true,
 		ConflictSlots: [][]int{{0}},
 	}
-	s2, err := Solve(m2, Options{})
+	s2, err := SolveContext(context.Background(), m2, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +138,7 @@ func TestSolveConsistencyGroups(t *testing.T) {
 		SameSlot:   [][]int{{0, 1}, {2, 3}},
 		Capacities: []model.Capacity{{Name: "g", Sets: [][]int{{0, 1, 2, 3, 4, 5}}, Cap: 2}},
 	}
-	s, err := Solve(m, Options{})
+	s, err := SolveContext(context.Background(), m, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +158,7 @@ func TestSolveUniformityTimezones(t *testing.T) {
 		Uniform:    []model.Uniform{{Name: "tz", Values: []float64{-5, -5, -8, -8}, MaxDist: 1}},
 		Capacities: []model.Capacity{{Name: "g", Sets: [][]int{{0, 1, 2, 3}}, Cap: 4}},
 	}
-	s, err := Solve(m, Options{})
+	s, err := SolveContext(context.Background(), m, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +179,7 @@ func TestSolveGroupCountCap(t *testing.T) {
 			{Name: "market", Groups: [][]int{{0}, {1}, {2}, {3}}, Cap: 2},
 		},
 	}
-	s, err := Solve(m, Options{})
+	s, err := SolveContext(context.Background(), m, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +208,7 @@ func TestSolveLocalizeNoInterleave(t *testing.T) {
 		Localized:  []model.Localized{{Name: "market", Groups: [][]int{{0, 1}, {2, 3}}}},
 		Capacities: []model.Capacity{{Name: "g", Sets: [][]int{{0, 1, 2, 3}}, Cap: 1}},
 	}
-	s, err := Solve(m, Options{})
+	s, err := SolveContext(context.Background(), m, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +239,7 @@ func TestSolveForbiddenAndFrozen(t *testing.T) {
 		Forbidden:  [][]int{{0}, nil},
 		Capacities: []model.Capacity{{Name: "g", Sets: [][]int{{0, 1}}, Cap: 1}},
 	}
-	s, err := Solve(m, Options{})
+	s, err := SolveContext(context.Background(), m, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +259,7 @@ func TestSolveWeightedCapacity(t *testing.T) {
 		RequireAll: true,
 		Capacities: []model.Capacity{{Name: "g", Sets: [][]int{{0, 1, 2, 3}}, Cap: 3}},
 	}
-	s, err := Solve(m, Options{})
+	s, err := SolveContext(context.Background(), m, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,7 +283,7 @@ func TestSolvePerAggregateCapacity(t *testing.T) {
 			{Name: "per-pool", Sets: [][]int{{0, 1}, {2, 3}}, Cap: 1},
 		},
 	}
-	s, err := Solve(m, Options{})
+	s, err := SolveContext(context.Background(), m, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +294,7 @@ func TestSolvePerAggregateCapacity(t *testing.T) {
 
 func TestSolveRespectsLimits(t *testing.T) {
 	m := hardModel() // 30 items; TestHardModelStaysHard keeps it unfinishable
-	s, err := Solve(m, Options{MaxNodes: 500})
+	s, err := SolveContext(context.Background(), m, Options{MaxNodes: 500})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,7 +305,7 @@ func TestSolveRespectsLimits(t *testing.T) {
 		t.Fatalf("violations: %v", v)
 	}
 	// Time limit path.
-	s2, err := Solve(m, Options{TimeLimit: time.Millisecond})
+	s2, err := SolveContext(context.Background(), m, Options{TimeLimit: time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,7 +330,7 @@ func TestSolveFirstSolutionOnly(t *testing.T) {
 		RequireAll: true,
 		Capacities: []model.Capacity{{Name: "g", Sets: [][]int{r(20)}, Cap: 4}},
 	}
-	s, err := Solve(m, Options{FirstSolutionOnly: true})
+	s, err := SolveContext(context.Background(), m, Options{FirstSolutionOnly: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -366,7 +367,7 @@ func TestSolveRandomModelsProperty(t *testing.T) {
 				m.ConflictSlots[i] = []int{rng.Intn(slots)}
 			}
 		}
-		s, err := Solve(m, Options{MaxNodes: 200_000, TimeLimit: 5 * time.Second})
+		s, err := SolveContext(context.Background(), m, Options{MaxNodes: 200_000, TimeLimit: 5 * time.Second})
 		if err != nil {
 			return false
 		}
@@ -392,7 +393,7 @@ func TestSolveLexicographicConflictPriority(t *testing.T) {
 		ConflictSlots: [][]int{{0}, {0}, {0}},
 		Capacities:    []model.Capacity{{Name: "g", Sets: [][]int{{0, 1, 2}}, Cap: 2}},
 	}
-	s, err := Solve(m, Options{})
+	s, err := SolveContext(context.Background(), m, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -413,7 +414,7 @@ func TestSolveWeeklyBucketCapacity(t *testing.T) {
 			{Name: "weekly", Sets: [][]int{r(6)}, Cap: 3, BucketSlots: 7},
 		},
 	}
-	s, err := Solve(m, Options{})
+	s, err := SolveContext(context.Background(), m, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -448,7 +449,7 @@ func TestSolveMultiWindowDurations(t *testing.T) {
 		RequireAll: true,
 		Capacities: []model.Capacity{{Name: "g", Sets: [][]int{{0, 1, 2, 3}}, Cap: 1}},
 	}
-	s, err := Solve(m, Options{})
+	s, err := SolveContext(context.Background(), m, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -482,7 +483,7 @@ func TestSolveDurationWindowBound(t *testing.T) {
 		RequireAll: true,
 		Forbidden:  [][]int{{0}}, // starting at 0 would hit its own ban... slot 0 banned
 	}
-	if _, err := Solve(m, Options{}); err != ErrInfeasible {
+	if _, err := SolveContext(context.Background(), m, Options{}); err != ErrInfeasible {
 		t.Fatalf("err = %v, want infeasible (only feasible start covers a forbidden slot)", err)
 	}
 	// Without the ban it fits exactly.
@@ -492,7 +493,7 @@ func TestSolveDurationWindowBound(t *testing.T) {
 		NumSlots:   3,
 		RequireAll: true,
 	}
-	s, err := Solve(m2, Options{})
+	s, err := SolveContext(context.Background(), m2, Options{})
 	if err != nil || s.Slots[0] != 0 {
 		t.Fatalf("s=%v err=%v", s.Slots, err)
 	}
@@ -509,7 +510,7 @@ func TestSolveDurationConflictSpan(t *testing.T) {
 		ZeroConflict:  true,
 		ConflictSlots: [][]int{{1}},
 	}
-	s, err := Solve(m, Options{})
+	s, err := SolveContext(context.Background(), m, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -532,7 +533,7 @@ func TestSolveDurationWeeklyBuckets(t *testing.T) {
 			{Name: "weekly", Sets: [][]int{{0}}, Cap: 2, BucketSlots: 7},
 		},
 	}
-	s, err := Solve(m, Options{})
+	s, err := SolveContext(context.Background(), m, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -564,7 +565,7 @@ func TestSolveSkipLeftoverOrdering(t *testing.T) {
 			Forbidden:  [][]int{nil, nil, nil, {0, 1}},
 		}
 	}
-	seq, err := Solve(build(), Options{})
+	seq, err := SolveContext(context.Background(), build(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -582,7 +583,7 @@ func TestSolveSkipLeftoverOrdering(t *testing.T) {
 	if seq.Slots[3] != -1 {
 		t.Fatalf("fully-forbidden item placed at %d", seq.Slots[3])
 	}
-	par, err := Solve(build(), Options{Parallelism: 4})
+	par, err := SolveContext(context.Background(), build(), Options{Parallelism: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package solver
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -42,7 +43,7 @@ func seedFromSchedule(m *model.Model, s model.Schedule) map[string]int {
 
 func TestWarmStartSeedsIncumbent(t *testing.T) {
 	m := warmModel()
-	cold, err := Solve(m, Options{})
+	cold, err := SolveContext(context.Background(), m, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +54,7 @@ func TestWarmStartSeedsIncumbent(t *testing.T) {
 		t.Fatal("cold schedule flagged Warm")
 	}
 
-	warm, err := Solve(m, Options{WarmSlots: seedFromSchedule(m, cold)})
+	warm, err := SolveContext(context.Background(), m, Options{WarmSlots: seedFromSchedule(m, cold)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,14 +77,14 @@ func TestWarmStartSeedsIncumbent(t *testing.T) {
 
 func TestWarmStartReachesSeedCostWithoutSearch(t *testing.T) {
 	m := warmModel()
-	cold, err := Solve(m, Options{})
+	cold, err := SolveContext(context.Background(), m, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// First-solution mode with a seeded incumbent: the seed already IS a
 	// solution, so the search returns it after the first improving leaf
 	// or immediately.
-	warm, err := Solve(m, Options{FirstSolutionOnly: true, WarmSlots: seedFromSchedule(m, cold)})
+	warm, err := SolveContext(context.Background(), m, Options{FirstSolutionOnly: true, WarmSlots: seedFromSchedule(m, cold)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +102,7 @@ func TestWarmStartInfeasibleSeedIgnored(t *testing.T) {
 	for i := range m.Items {
 		bad[m.Items[i].ID] = 0
 	}
-	s, err := Solve(m, Options{WarmSlots: bad})
+	s, err := SolveContext(context.Background(), m, Options{WarmSlots: bad})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +117,7 @@ func TestWarmStartInfeasibleSeedIgnored(t *testing.T) {
 func TestWarmStartUnknownIDsBecomeLeftovers(t *testing.T) {
 	m := warmModel()
 	m.RequireAll = false
-	cold, err := Solve(m, Options{})
+	cold, err := SolveContext(context.Background(), m, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +127,7 @@ func TestWarmStartUnknownIDsBecomeLeftovers(t *testing.T) {
 	// feasible when leftovers are allowed.
 	seed["ghost"] = 3
 	delete(seed, m.Items[0].ID)
-	s, err := Solve(m, Options{WarmSlots: seed})
+	s, err := SolveContext(context.Background(), m, Options{WarmSlots: seed})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,11 +141,11 @@ func TestWarmStartUnknownIDsBecomeLeftovers(t *testing.T) {
 
 func TestWarmStartParallelSharesBound(t *testing.T) {
 	m := warmModel()
-	cold, err := Solve(m, Options{Parallelism: 4})
+	cold, err := SolveContext(context.Background(), m, Options{Parallelism: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, err := Solve(m, Options{Parallelism: 4, WarmSlots: seedFromSchedule(m, cold)})
+	warm, err := SolveContext(context.Background(), m, Options{Parallelism: 4, WarmSlots: seedFromSchedule(m, cold)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -40,7 +40,7 @@ func TestSolverWorkStealingMatchesSequentialDense(t *testing.T) {
 	limits := Options{MaxNodes: 30_000_000, TimeLimit: time.Minute}
 	seqOpt := limits
 	seqOpt.Parallelism = 1
-	seq, err := Solve(denseMiniModel(), seqOpt)
+	seq, err := SolveContext(context.Background(), denseMiniModel(), seqOpt)
 	if err != nil {
 		t.Fatalf("sequential: %v", err)
 	}
@@ -50,7 +50,7 @@ func TestSolverWorkStealingMatchesSequentialDense(t *testing.T) {
 	for _, workers := range []int{2, 4, 8} {
 		parOpt := limits
 		parOpt.Parallelism = workers
-		par, err := Solve(denseMiniModel(), parOpt)
+		par, err := SolveContext(context.Background(), denseMiniModel(), parOpt)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -81,14 +81,14 @@ func TestSolverForcedStealDeterminism(t *testing.T) {
 	for mi, mk := range models {
 		seqOpt := limits
 		seqOpt.Parallelism = 1
-		seq, err := Solve(mk(), seqOpt)
+		seq, err := SolveContext(context.Background(), mk(), seqOpt)
 		if err != nil {
 			t.Fatalf("model %d sequential: %v", mi, err)
 		}
 		for _, workers := range []int{2, 4, 8} {
 			parOpt := limits
 			parOpt.Parallelism = workers
-			par, err := Solve(mk(), parOpt)
+			par, err := SolveContext(context.Background(), mk(), parOpt)
 			if err != nil {
 				t.Fatalf("model %d workers=%d: %v", mi, workers, err)
 			}
@@ -117,7 +117,7 @@ func TestSolverStealCounters(t *testing.T) {
 			hookSteals, hookSplits, hookReplay = steals, splits, replayNodes
 		},
 	}
-	par, err := Solve(denseMiniModel(), opt)
+	par, err := SolveContext(context.Background(), denseMiniModel(), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestSolverStealCounters(t *testing.T) {
 	}
 
 	seqOpt := Options{Parallelism: 1, OnSteal: func(_, _, _ int64) { hookCalls++ }}
-	seq, err := Solve(denseMiniModel(), seqOpt)
+	seq, err := SolveContext(context.Background(), denseMiniModel(), seqOpt)
 	if err != nil {
 		t.Fatal(err)
 	}

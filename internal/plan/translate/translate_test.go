@@ -1,6 +1,7 @@
 package translate
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -99,7 +100,7 @@ func TestTranslateNonESAConcurrencyUsesLinkingVariables(t *testing.T) {
 		t.Fatalf("linking encoding missing: %+v", s)
 	}
 	// Solve: with 1 market per slot and markets of size 3, makespan is 3.
-	sched, err := solver.Solve(m, solver.Options{})
+	sched, err := solver.SolveContext(context.Background(), m, solver.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +120,7 @@ func TestTranslateConsistencyUSID(t *testing.T) {
 	if len(res.Model.SameSlot) != 4 { // 8 elements / 2 per USID
 		t.Fatalf("same-slot groups = %d", len(res.Model.SameSlot))
 	}
-	sched, err := solver.Solve(res.Model, solver.Options{})
+	sched, err := solver.SolveContext(context.Background(), res.Model, solver.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +152,7 @@ func TestTranslateUniformityNumericTimezones(t *testing.T) {
 	if !seen[-5] || !seen[-6] {
 		t.Fatalf("values = %v", u.Values)
 	}
-	sched, err := solver.Solve(res.Model, solver.Options{})
+	sched, err := solver.SolveContext(context.Background(), res.Model, solver.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +202,7 @@ func TestTranslateLocalize(t *testing.T) {
 	if len(res.Model.Localized) != 1 {
 		t.Fatalf("localized = %+v", res.Model.Localized)
 	}
-	sched, err := solver.Solve(res.Model, solver.Options{})
+	sched, err := solver.SolveContext(context.Background(), res.Model, solver.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +239,7 @@ func TestTranslateFrozenElements(t *testing.T) {
 	if len(m.Forbidden[4]) != 1 {
 		t.Fatalf("forbidden[4] = %v", m.Forbidden[4])
 	}
-	sched, err := solver.Solve(m, solver.Options{})
+	sched, err := solver.SolveContext(context.Background(), m, solver.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,7 +327,7 @@ func TestTranslateNonESAScheduling(t *testing.T) {
 		t.Fatalf("lifted conflict = %+v", m.ConflictSlots)
 	}
 	// Weighted global capacity: cap 6 fits two markets per slot.
-	sched, err := solver.Solve(m, solver.Options{})
+	sched, err := solver.SolveContext(context.Background(), m, solver.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -385,7 +386,7 @@ func TestTranslateListing1EndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sched, err := solver.Solve(res.Model, solver.Options{})
+	sched, err := solver.SolveContext(context.Background(), res.Model, solver.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -424,7 +425,7 @@ func TestTranslateWeeklyGranularity(t *testing.T) {
 	if c.BucketSlots != 7 {
 		t.Fatalf("BucketSlots = %d", c.BucketSlots)
 	}
-	sched, err := solver.Solve(res.Model, solver.Options{})
+	sched, err := solver.SolveContext(context.Background(), res.Model, solver.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -477,7 +478,7 @@ func TestTranslateDurations(t *testing.T) {
 	if res.Model.Items[0].Duration != 4 || res.Model.Items[1].Duration != 2 {
 		t.Fatalf("durations = %+v", res.Model.Items)
 	}
-	sched, err := solver.Solve(res.Model, solver.Options{})
+	sched, err := solver.SolveContext(context.Background(), res.Model, solver.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

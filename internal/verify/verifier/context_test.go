@@ -20,7 +20,7 @@ func TestVerifyContextCancelled(t *testing.T) {
 func TestVerifyContextBackgroundMatchesVerify(t *testing.T) {
 	f := build(t, 1)
 	v := &Verifier{Registry: f.reg, Data: f.ds, Inv: f.inv}
-	want, err := v.Verify(rule(), f.study, f.changeAt, f.control)
+	want, err := v.VerifyContext(context.Background(), rule(), f.study, f.changeAt, f.control)
 	if err != nil {
 		t.Fatal(err)
 	}

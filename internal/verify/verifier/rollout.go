@@ -7,6 +7,7 @@ package verifier
 // network keeps upgrading.
 
 import (
+	"context"
 	"fmt"
 	"sort"
 )
@@ -37,8 +38,10 @@ type WaveDecision struct {
 
 // MonitorRollout verifies after each wave using the cumulative study
 // group, stopping at the first full-halt recommendation. The rule's
-// Attributes drive the selective-halt analysis.
-func (v *Verifier) MonitorRollout(rule Rule, plan RolloutPlan, control []string) ([]WaveDecision, error) {
+// Attributes drive the selective-halt analysis. Cancelling ctx stops the
+// monitor at the wave being verified: the decisions of the waves before it
+// are returned with an error wrapping ctx.Err().
+func (v *Verifier) MonitorRollout(ctx context.Context, rule Rule, plan RolloutPlan, control []string) ([]WaveDecision, error) {
 	windows := make([]int, 0, len(plan.Waves))
 	for w := range plan.Waves {
 		windows = append(windows, w)
@@ -51,7 +54,7 @@ func (v *Verifier) MonitorRollout(rule Rule, plan RolloutPlan, control []string)
 	var decisions []WaveDecision
 	for _, w := range windows {
 		study = append(study, plan.Waves[w]...)
-		rep, err := v.Verify(rule, study, plan.ChangeAt, control)
+		rep, err := v.VerifyContext(ctx, rule, study, plan.ChangeAt, control)
 		if err != nil {
 			return decisions, fmt.Errorf("verifier: wave %d: %w", w, err)
 		}

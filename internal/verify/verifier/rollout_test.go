@@ -1,7 +1,10 @@
 package verifier
 
 import (
+	"context"
+	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"cornet/internal/inventory"
@@ -73,7 +76,7 @@ func rolloutRule() Rule {
 
 func TestMonitorRolloutCleanContinues(t *testing.T) {
 	v, plan, control := rolloutFixture(t, -1, false)
-	decisions, err := v.MonitorRollout(rolloutRule(), plan, control)
+	decisions, err := v.MonitorRollout(context.Background(), rolloutRule(), plan, control)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +98,7 @@ func TestMonitorRolloutFullHalt(t *testing.T) {
 	// Degradation on every instance from wave 0: full halt at wave 0, no
 	// later waves verified.
 	v, plan, control := rolloutFixture(t, 0, false)
-	decisions, err := v.MonitorRollout(rolloutRule(), plan, control)
+	decisions, err := v.MonitorRollout(context.Background(), rolloutRule(), plan, control)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +115,7 @@ func TestMonitorRolloutSelectiveHalt(t *testing.T) {
 	// Only hw1 degrades: the monitor flags hw1 for a selective halt and
 	// keeps verifying subsequent waves (the rest of the network continues).
 	v, plan, control := rolloutFixture(t, 0, true)
-	decisions, err := v.MonitorRollout(rolloutRule(), plan, control)
+	decisions, err := v.MonitorRollout(context.Background(), rolloutRule(), plan, control)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +134,39 @@ func TestMonitorRolloutSelectiveHalt(t *testing.T) {
 
 func TestMonitorRolloutEmptyPlan(t *testing.T) {
 	v, _, control := rolloutFixture(t, -1, false)
-	if _, err := v.MonitorRollout(rolloutRule(), RolloutPlan{}, control); err == nil {
+	if _, err := v.MonitorRollout(context.Background(), rolloutRule(), RolloutPlan{}, control); err == nil {
 		t.Fatal("empty plan accepted")
+	}
+}
+
+// cancelAtWave is a DataSource that cancels a context the first time the
+// verifier reads an instance of the given wave.
+type cancelAtWave struct {
+	DataSource
+	prefix string
+	cancel context.CancelFunc
+}
+
+func (c cancelAtWave) Series(instance, counter string) []float64 {
+	if strings.HasPrefix(instance, c.prefix) {
+		c.cancel()
+	}
+	return c.DataSource.Series(instance, counter)
+}
+
+// TestMonitorRolloutCancelledBetweenWaves cancels the monitor's context
+// while the second wave is being verified: the first wave's decision comes
+// back with an error wrapping the context's.
+func TestMonitorRolloutCancelledBetweenWaves(t *testing.T) {
+	v, plan, control := rolloutFixture(t, -1, false)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	v.Data = cancelAtWave{DataSource: v.Data, prefix: "w1-", cancel: cancel}
+	decisions, err := v.MonitorRollout(ctx, rolloutRule(), plan, control)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want one wrapping context.Canceled", err)
+	}
+	if len(decisions) != 1 || decisions[0].Window != 0 || !decisions[0].Go {
+		t.Fatalf("decisions = %+v, want wave 0's go decision alone", decisions)
 	}
 }

@@ -108,14 +108,6 @@ type Verifier struct {
 	Workers int
 }
 
-// Verify runs a rule for a study group that changed at the given per-
-// instance sample indexes, against a control group.
-//
-// Deprecated: use VerifyContext, which supports cancellation and deadlines.
-func (v *Verifier) Verify(rule Rule, study []string, changeAt map[string]int, control []string) (*Report, error) {
-	return v.VerifyContext(context.Background(), rule, study, changeAt, control)
-}
-
 // VerifyContext runs a rule for a study group that changed at the given
 // per-instance sample indexes, against a control group. Cancelling ctx
 // stops the KPI worker pool between KPI evaluations and returns an error

@@ -1,6 +1,7 @@
 package verifier
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -89,7 +90,7 @@ func rule() Rule {
 func TestVerifyNoImpact(t *testing.T) {
 	f := build(t, 1)
 	v := &Verifier{Registry: f.reg, Data: f.ds, Inv: f.inv}
-	rep, err := v.Verify(rule(), f.study, f.changeAt, f.control)
+	rep, err := v.VerifyContext(context.Background(), rule(), f.study, f.changeAt, f.control)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +108,7 @@ func TestVerifyDetectsDegradation(t *testing.T) {
 	// drops x3 on the study group: drop-rate degrades (lower is better).
 	f := build(t, 3, "drops")
 	v := &Verifier{Registry: f.reg, Data: f.ds, Inv: f.inv}
-	rep, err := v.Verify(rule(), f.study, f.changeAt, f.control)
+	rep, err := v.VerifyContext(context.Background(), rule(), f.study, f.changeAt, f.control)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +136,7 @@ func TestVerifyDetectsImprovement(t *testing.T) {
 	r := rule()
 	r.Expect["throughput"] = Improvement
 	v := &Verifier{Registry: f.reg, Data: f.ds, Inv: f.inv}
-	rep, err := v.Verify(r, f.study, f.changeAt, f.control)
+	rep, err := v.VerifyContext(context.Background(), r, f.study, f.changeAt, f.control)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +161,7 @@ func TestVerifyExpectedDegradationDoesNotHalt(t *testing.T) {
 	r := rule()
 	r.Expect["throughput"] = Degradation
 	v := &Verifier{Registry: f.reg, Data: f.ds, Inv: f.inv}
-	rep, err := v.Verify(r, f.study, f.changeAt, f.control)
+	rep, err := v.VerifyContext(context.Background(), r, f.study, f.changeAt, f.control)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +194,7 @@ func TestVerifyAttributeDrillDown(t *testing.T) {
 	r := rule()
 	r.Attributes = []string{inventory.AttrCarrier}
 	v := &Verifier{Registry: f.reg, Data: ds, Inv: f.inv}
-	rep, err := v.Verify(r, f.study, f.changeAt, f.control)
+	rep, err := v.VerifyContext(context.Background(), r, f.study, f.changeAt, f.control)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,27 +219,27 @@ func TestVerifyAttributeDrillDown(t *testing.T) {
 func TestVerifyValidation(t *testing.T) {
 	f := build(t, 1)
 	v := &Verifier{Registry: f.reg, Data: f.ds, Inv: f.inv}
-	if _, err := v.Verify(rule(), nil, f.changeAt, f.control); err == nil {
+	if _, err := v.VerifyContext(context.Background(), rule(), nil, f.changeAt, f.control); err == nil {
 		t.Fatal("empty study accepted")
 	}
 	r := rule()
 	r.KPIs = []string{"ghost"}
-	if _, err := v.Verify(r, f.study, f.changeAt, f.control); err == nil {
+	if _, err := v.VerifyContext(context.Background(), r, f.study, f.changeAt, f.control); err == nil {
 		t.Fatal("unknown KPI accepted")
 	}
 	r2 := rule()
 	r2.PreWindow = 0
-	if _, err := v.Verify(r2, f.study, f.changeAt, f.control); err == nil {
+	if _, err := v.VerifyContext(context.Background(), r2, f.study, f.changeAt, f.control); err == nil {
 		t.Fatal("zero PreWindow accepted")
 	}
 	r3 := rule()
 	r3.Timescales = nil
-	if _, err := v.Verify(r3, f.study, f.changeAt, f.control); err == nil {
+	if _, err := v.VerifyContext(context.Background(), r3, f.study, f.changeAt, f.control); err == nil {
 		t.Fatal("no timescales accepted")
 	}
 	r4 := rule()
 	r4.Timescales = []int{0}
-	if _, err := v.Verify(r4, f.study, f.changeAt, f.control); err == nil {
+	if _, err := v.VerifyContext(context.Background(), r4, f.study, f.changeAt, f.control); err == nil {
 		t.Fatal("zero timescale accepted")
 	}
 }
@@ -249,7 +250,7 @@ func TestVerifyGroupSelection(t *testing.T) {
 	r := rule()
 	r.KPIs = nil
 	r.Group = kpi.Scorecard
-	rep, err := v.Verify(r, f.study, f.changeAt, f.control)
+	rep, err := v.VerifyContext(context.Background(), r, f.study, f.changeAt, f.control)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +269,7 @@ func TestVerifyMissingSeriesInconclusive(t *testing.T) {
 	r.KPIs = []string{"ghost-kpi"}
 	r.Expect = nil
 	v := &Verifier{Registry: f.reg, Data: f.ds, Inv: f.inv}
-	rep, err := v.Verify(r, f.study, f.changeAt, f.control)
+	rep, err := v.VerifyContext(context.Background(), r, f.study, f.changeAt, f.control)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +284,7 @@ func TestVerifyMissingSeriesInconclusive(t *testing.T) {
 func TestSummaryAndCounts(t *testing.T) {
 	f := build(t, 3, "drops")
 	v := &Verifier{Registry: f.reg, Data: f.ds, Inv: f.inv}
-	rep, _ := v.Verify(rule(), f.study, f.changeAt, f.control)
+	rep, _ := v.VerifyContext(context.Background(), rule(), f.study, f.changeAt, f.control)
 	s := rep.Summary()
 	if !strings.Contains(s, "drop-rate") || !strings.Contains(s, "UNEXPECTED") {
 		t.Fatalf("summary = %s", s)
