@@ -159,6 +159,7 @@ type harness struct {
 	ran   []string
 	plans int
 	skip  map[string]bool
+	onRun func() // called, if set, on every invocation
 }
 
 func newHarness(t *testing.T, settings Settings) *harness {
@@ -176,6 +177,9 @@ func newHarness(t *testing.T, settings Settings) *harness {
 		h.mu.Lock()
 		defer h.mu.Unlock()
 		h.ran = append(h.ran, args["instance"]+"@"+args["sw_version"])
+		if h.onRun != nil {
+			h.onRun()
+		}
 		return nil, nil
 	})
 	plan := func(_ context.Context, _ string, _ *intent.Request, inv *inventory.Inventory, opt core.PlanOptions) (*planserve.Response, error) {
@@ -277,6 +281,41 @@ func TestSolveAttribution(t *testing.T) {
 		}
 		if m.Status != "composed" || !reflect.DeepEqual(instances, want.instances) || !reflect.DeepEqual(m.Unscheduled, want.unscheduled) {
 			t.Errorf("member %s = %+v, want executions on %v, unscheduled %v", id, m, want.instances, want.unscheduled)
+		}
+	}
+}
+
+// TestHaltedDispatchFailsTheMember: when the run's context ends after the
+// first slot, the instances never dispatched come back on their member's
+// answer as failed executions, not as a shorter "composed" one.
+func TestHaltedDispatchFailsTheMember(t *testing.T) {
+	h := newHarness(t, Settings{})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	h.onRun = cancel
+	ch := h.change("chg-east", "v7", Scope{Markets: []string{"east"}}) // vce-000, -002, -004 in slots 0, 1, 2
+	sig := PayloadSig(ch.Deployment.API, ch.Inputs)
+	d, err := Delta(ch.ID, ch.Tenant, h.Intent(), h.cfg.Inventory, ch.Scope, sig)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := h.payloads.acquire(ch.ID, ch.Deployment, ch.Inputs, sig); err != nil {
+		t.Fatal(err)
+	}
+	res, err := h.solve(ctx, compose.Merge("cmp-1", d), []*compose.Delta{d})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := res.(*Run).member(ch.ID, &compose.Outcome{})
+	if want := []string{"vce-000@v7"}; !reflect.DeepEqual(h.ran, want) {
+		t.Fatalf("executed %v, want %v", h.ran, want)
+	}
+	if m.Status != "failed" || len(m.Executions) != 3 {
+		t.Fatalf("member = %+v, want failed with three executions", m)
+	}
+	for _, e := range m.Executions[1:] {
+		if e.Status != "" || !strings.Contains(e.Error, orchestrator.ErrHalted.Error()) {
+			t.Errorf("execution on %s = %+v, want a halted error and no status", e.Instance, e)
 		}
 	}
 }

@@ -1,18 +1,19 @@
 // Package controller is CORNET's shared controller runtime: a crossplane-
-// style reconciliation substrate that every execution entry point — the
-// workflow engine's asynchronous starts, the dispatcher's timeslot
-// batches, the event-driven engine's policy cascade, and the declarative
-// fleet reconciler (subpackage reconcile) — runs through.
+// style reconciliation substrate for the loops that watch a key, diff it
+// against what is wanted and requeue on failure — the declarative fleet
+// reconciler (subpackage reconcile) and the plan server's tenant-fair
+// admission (plan/serve's Admitter).
 //
-// It provides a rate-limited work queue with bounded worker concurrency
-// (Queue, Controller), per-item exponential-backoff requeue (RateLimiter),
-// a bounded run-to-completion job pool built on the same queue (Pool), and
-// status conditions with observed generations for managed objects
-// (Condition). The design follows the Kubernetes controller-runtime /
-// client-go workqueue discipline argued for in "Service Provider DevOps"
-// (John et al.): the ops loop — watch, diff, apply, requeue on failure —
-// is the primitive, and one-shot execution is just a loop that converges
-// in a single pass.
+// It provides a rate-limited deduplicating work queue with bounded worker
+// concurrency (Queue, Controller), per-item exponential-backoff requeue
+// (RateLimiter), and status conditions with observed generations for
+// managed objects (Condition). The design follows the Kubernetes
+// controller-runtime / client-go workqueue discipline argued for in
+// "Service Provider DevOps" (John et al.): the ops loop — watch, diff,
+// apply, requeue on failure — is the primitive. One-shot workflow
+// executions do not go through it: a run-once closure has no key to
+// deduplicate and no error to back off, so the orchestrator bounds them
+// with a counting semaphore instead.
 package controller
 
 import (
@@ -62,8 +63,7 @@ type Options struct {
 }
 
 // Controller runs a Reconciler over a rate-limited work queue with a
-// bounded worker pool: the shared runtime every CORNET execution entry
-// point dispatches through.
+// bounded worker pool.
 type Controller struct {
 	name    string
 	rec     Reconciler

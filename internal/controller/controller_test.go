@@ -160,45 +160,6 @@ func TestControllerContextCancelStops(t *testing.T) {
 	}
 }
 
-func TestPoolRunsJobsWithBoundAndWait(t *testing.T) {
-	const workers = 2
-	var cur, peak, ran atomic.Int64
-	p := NewPool("test-pool", workers)
-	defer p.Stop()
-	for i := 0; i < 8; i++ {
-		p.Go(context.Background(), func(context.Context) {
-			n := cur.Add(1)
-			for {
-				pk := peak.Load()
-				if n <= pk || peak.CompareAndSwap(pk, n) {
-					break
-				}
-			}
-			time.Sleep(5 * time.Millisecond)
-			cur.Add(-1)
-			ran.Add(1)
-		})
-	}
-	p.Wait()
-	if ran.Load() != 8 {
-		t.Fatalf("ran = %d, want 8", ran.Load())
-	}
-	if pk := peak.Load(); pk > workers {
-		t.Fatalf("peak concurrency %d exceeded bound %d", pk, workers)
-	}
-}
-
-func TestPoolGoAfterStopRunsInline(t *testing.T) {
-	p := NewPool("test-pool-stopped", 1)
-	p.Stop()
-	ran := false
-	p.Go(context.Background(), func(context.Context) { ran = true })
-	p.Wait()
-	if !ran {
-		t.Fatal("job submitted after Stop never ran")
-	}
-}
-
 func TestConditions(t *testing.T) {
 	t0 := time.Unix(100, 0)
 	t1 := time.Unix(200, 0)

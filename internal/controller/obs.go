@@ -4,7 +4,7 @@ import "cornet/internal/obs"
 
 // Controller-runtime metrics, named per the PR-3/PR-5 cornet_* scheme and
 // exposed by cmd/cornetd at GET /metrics. The controller label carries the
-// runtime consumer (e.g. "reconcile", "orchestrator", "dispatch").
+// runtime consumer ("reconcile" or "plan-admission").
 var (
 	metricReconciles = obs.Default.CounterVec("cornet_controller_reconciles_total",
 		"Reconcile passes by controller and result (success|requeue|error).", "controller", "result")

@@ -8,26 +8,21 @@ import (
 
 // Queue is a rate-limited string work queue in the client-go workqueue
 // mold: items are keys naming managed objects, ready items are delivered
-// FIFO, and — in the default deduplicating mode — a key is never handed to
-// two workers at once, and re-adding a key that is being processed marks
-// it dirty so it reconciles exactly once more after the in-flight pass
-// finishes. Delayed delivery (AddAfter) and per-item exponential backoff
-// (AddRateLimited) feed requeues back in without busy loops.
-//
-// A non-deduplicating variant (NewFIFO) preserves duplicates and ordering
-// exactly; the event-driven orchestrator uses it as its cascade queue,
-// where two emissions of the same topic mean two policy firings.
+// FIFO, a key is never handed to two workers at once, and re-adding a key
+// that is being processed marks it dirty so it reconciles exactly once
+// more after the in-flight pass finishes. Delayed delivery (AddAfter) and
+// per-item exponential backoff (AddRateLimited) feed requeues back in
+// without busy loops.
 type Queue struct {
 	name    string
 	limiter *RateLimiter
-	dedup   bool
 
 	mu         sync.Mutex
 	cond       *sync.Cond
 	items      []string
-	queued     map[string]bool // dedup mode: ready or in items
-	processing map[string]bool // dedup mode: handed to a worker
-	redo       map[string]bool // dedup mode: re-added while processing
+	queued     map[string]bool // ready: in items
+	processing map[string]bool // handed to a worker
+	redo       map[string]bool // re-added while processing
 	waiting    delayedItems
 	wakerUp    bool
 	wakerCh    chan struct{}
@@ -43,7 +38,6 @@ func NewQueue(name string, limiter *RateLimiter) *Queue {
 	q := &Queue{
 		name:       name,
 		limiter:    limiter,
-		dedup:      true,
 		queued:     map[string]bool{},
 		processing: map[string]bool{},
 		redo:       map[string]bool{},
@@ -53,18 +47,10 @@ func NewQueue(name string, limiter *RateLimiter) *Queue {
 	return q
 }
 
-// NewFIFO returns a plain FIFO queue on the same machinery: no
-// deduplication, no rate limiting — every Add is one delivery, in order.
-func NewFIFO(name string) *Queue {
-	q := NewQueue(name, nil)
-	q.dedup = false
-	return q
-}
-
-// Add enqueues a key for processing. In dedup mode a key already waiting
-// is dropped (it will be processed anyway) and a key currently processing
-// is marked for one follow-up pass. It reports whether the queue accepted
-// the key; false means the queue is shut down and the key was discarded.
+// Add enqueues a key for processing. A key already waiting is dropped (it
+// will be processed anyway) and a key currently processing is marked for
+// one follow-up pass. It reports whether the queue accepted the key; false
+// means the queue is shut down and the key was discarded.
 func (q *Queue) Add(key string) bool {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -75,16 +61,14 @@ func (q *Queue) addLocked(key string) bool {
 	if q.down {
 		return false
 	}
-	if q.dedup {
-		if q.queued[key] {
-			return true
-		}
-		if q.processing[key] {
-			q.redo[key] = true
-			return true
-		}
-		q.queued[key] = true
+	if q.queued[key] {
+		return true
 	}
+	if q.processing[key] {
+		q.redo[key] = true
+		return true
+	}
+	q.queued[key] = true
 	q.items = append(q.items, key)
 	q.setDepth()
 	q.cond.Signal()
@@ -127,8 +111,8 @@ func (q *Queue) Forget(key string) { q.limiter.Forget(key) }
 func (q *Queue) Requeues(key string) int { return q.limiter.Requeues(key) }
 
 // Get blocks until a key is ready (returning it with shutdown=false) or
-// the queue is shut down and drained (shutdown=true). In dedup mode the
-// caller must pair every Get with Done.
+// the queue is shut down and drained (shutdown=true). The caller must pair
+// every Get with Done.
 func (q *Queue) Get() (key string, shutdown bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -138,29 +122,12 @@ func (q *Queue) Get() (key string, shutdown bool) {
 	if len(q.items) == 0 {
 		return "", true
 	}
-	return q.popLocked(), false
-}
-
-// TryGet is the non-blocking Get for synchronous drains: ok is false when
-// nothing is ready right now.
-func (q *Queue) TryGet() (key string, ok bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if len(q.items) == 0 {
-		return "", false
-	}
-	return q.popLocked(), true
-}
-
-func (q *Queue) popLocked() string {
-	key := q.items[0]
+	key = q.items[0]
 	q.items = q.items[1:]
-	if q.dedup {
-		delete(q.queued, key)
-		q.processing[key] = true
-	}
+	delete(q.queued, key)
+	q.processing[key] = true
 	q.setDepth()
-	return key
+	return key, false
 }
 
 // Done marks a key's processing pass finished; if the key was re-added in
@@ -168,9 +135,6 @@ func (q *Queue) popLocked() string {
 func (q *Queue) Done(key string) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if !q.dedup {
-		return
-	}
 	delete(q.processing, key)
 	if q.redo[key] {
 		delete(q.redo, key)

@@ -54,8 +54,8 @@ func TestQueueRedirtyWhileProcessing(t *testing.T) {
 func TestQueueAddAfterDeliversLater(t *testing.T) {
 	q := NewQueue("t-delay", nil)
 	q.AddAfter("slow", 30*time.Millisecond)
-	if _, ok := q.TryGet(); ok {
-		t.Fatal("delayed key delivered immediately")
+	if got := q.Len(); got != 0 {
+		t.Fatalf("Len = %d, want 0 (delayed key not ready yet)", got)
 	}
 	if got := q.WaitingLen(); got != 1 {
 		t.Fatalf("WaitingLen = %d, want 1", got)
@@ -112,25 +112,6 @@ func TestQueueShutDownDrainsReadyDropsDelayed(t *testing.T) {
 	}
 	if got := q.WaitingLen(); got != 0 {
 		t.Fatalf("delayed keys survived shutdown: %d", got)
-	}
-}
-
-func TestFIFOPreservesDuplicates(t *testing.T) {
-	q := NewFIFO("t-raw")
-	q.Add("x")
-	q.Add("x")
-	q.Add("y")
-	var got []string
-	for {
-		key, ok := q.TryGet()
-		if !ok {
-			break
-		}
-		got = append(got, key)
-		q.Done(key)
-	}
-	if len(got) != 3 || got[0] != "x" || got[1] != "x" || got[2] != "y" {
-		t.Fatalf("drained %v, want [x x y]", got)
 	}
 }
 

@@ -6,8 +6,8 @@ import (
 	"log/slog"
 	"sort"
 	"sync"
+	"sync/atomic"
 
-	"cornet/internal/controller"
 	"cornet/internal/obs"
 	"cornet/internal/workflow"
 )
@@ -61,12 +61,13 @@ type Result struct {
 	Err      error
 }
 
-// Run executes all scheduled changes slot by slot and returns the results
-// ordered by (timeslot, instance). A context cancellation stops dispatching
-// further slots but lets in-flight workflows finish their current block.
-// The changes of each slot flow through a controller-runtime job pool, so
-// a dispatch batch gets the same bounded workers, queue-depth metrics, and
-// drain semantics as every other execution path.
+// Run executes all scheduled changes slot by slot and returns one result
+// per change, ordered by (timeslot, instance, change id). Each slot's
+// changes start in that order on at most Concurrency workers, and the next
+// slot waits for all of them. A context cancellation stops dispatching
+// further slots — their changes come back with a nil Exec and an Err
+// wrapping ErrHalted — but lets in-flight workflows finish their current
+// block.
 func (d *Dispatcher) Run(ctx context.Context, dep DeploymentResolver, changes []ScheduledChange) []Result {
 	bySlot := map[int][]ScheduledChange{}
 	for _, c := range changes {
@@ -78,21 +79,28 @@ func (d *Dispatcher) Run(ctx context.Context, dep DeploymentResolver, changes []
 	}
 	sort.Ints(slots)
 
-	pool := controller.NewPool("dispatch", d.Concurrency)
-	defer pool.Stop()
-	var results []Result
-	var mu sync.Mutex
+	results := make([]Result, len(changes))
+	filled := 0
 	for _, slot := range slots {
-		if ctx.Err() != nil {
-			break
-		}
 		batch := bySlot[slot]
+		out := results[filled : filled+len(batch)]
+		filled += len(batch)
 		sort.Slice(batch, func(i, j int) bool {
 			if batch[i].Instance != batch[j].Instance {
 				return batch[i].Instance < batch[j].Instance
 			}
 			return batch[i].ChangeID < batch[j].ChangeID
 		})
+		if err := ctx.Err(); err != nil {
+			for i, c := range batch {
+				out[i] = Result{
+					Instance: c.Instance, Timeslot: c.Timeslot, ChangeID: c.ChangeID,
+					Err: fmt.Errorf("dispatcher: %s not dispatched: %w: %v", c.Instance, ErrHalted, err),
+				}
+				metricDispatched.With("halted").Inc()
+			}
+			continue
+		}
 		if d.OnSlotStart != nil {
 			d.OnSlotStart(slot, len(batch))
 		}
@@ -101,53 +109,57 @@ func (d *Dispatcher) Run(ctx context.Context, dep DeploymentResolver, changes []
 		ssp.SetAttr("changes", len(batch))
 		d.Engine.logger().LogAttrs(ctx, slog.LevelInfo, "dispatching timeslot",
 			slog.Int("slot", slot), slog.Int("changes", len(batch)))
-		for _, c := range batch {
-			c := c
-			pool.Go(slotCtx, func(slotCtx context.Context) {
-				if c.ChangeID != "" {
-					slotCtx = obs.WithChangeID(slotCtx, c.ChangeID)
-				}
-				deployment, err := dep(c)
-				var res Result
-				res.Instance, res.Timeslot, res.ChangeID = c.Instance, c.Timeslot, c.ChangeID
-				if err != nil {
-					res.Err = fmt.Errorf("dispatcher: resolve deployment for %s: %w", c.Instance, err)
-					metricDispatched.With("resolve-error").Inc()
-				} else {
-					inputs := map[string]string{"instance": c.Instance}
-					for k, v := range c.Inputs {
-						inputs[k] = v
+		// Workers pull the next index, so changes start in batch order and
+		// each writes only its own element of out. The slot boundary is a
+		// barrier: the planner's concurrency constraint only holds within
+		// a maintenance window.
+		var next atomic.Int64
+		var wg sync.WaitGroup
+		for w := max(1, min(d.Concurrency, len(batch))); w > 0; w-- {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for {
+					i := int(next.Add(1)) - 1
+					if i >= len(batch) {
+						return
 					}
-					res.Exec, res.Err = d.Engine.Execute(slotCtx, deployment, inputs)
-					switch {
-					case res.Exec != nil && res.Exec.Status == StatusRolledBack:
-						metricDispatched.With("rolledback").Inc()
-					case res.Err != nil:
-						metricDispatched.With("failure").Inc()
-					default:
-						metricDispatched.With("success").Inc()
-					}
+					out[i] = d.dispatch(slotCtx, dep, batch[i])
 				}
-				mu.Lock()
-				results = append(results, res)
-				mu.Unlock()
-			})
+			}()
 		}
-		// The slot boundary is a barrier: the planner's concurrency
-		// constraint only holds within a maintenance window.
-		pool.Wait()
+		wg.Wait()
 		ssp.End()
 	}
-	sort.Slice(results, func(i, j int) bool {
-		if results[i].Timeslot != results[j].Timeslot {
-			return results[i].Timeslot < results[j].Timeslot
-		}
-		if results[i].Instance != results[j].Instance {
-			return results[i].Instance < results[j].Instance
-		}
-		return results[i].ChangeID < results[j].ChangeID
-	})
 	return results
+}
+
+// dispatch resolves one change's deployment and executes it.
+func (d *Dispatcher) dispatch(ctx context.Context, dep DeploymentResolver, c ScheduledChange) Result {
+	res := Result{Instance: c.Instance, Timeslot: c.Timeslot, ChangeID: c.ChangeID}
+	deployment, err := dep(c)
+	if err != nil {
+		res.Err = fmt.Errorf("dispatcher: resolve deployment for %s: %w", c.Instance, err)
+		metricDispatched.With("resolve-error").Inc()
+		return res
+	}
+	if c.ChangeID != "" {
+		ctx = obs.WithChangeID(ctx, c.ChangeID)
+	}
+	inputs := map[string]string{"instance": c.Instance}
+	for k, v := range c.Inputs {
+		inputs[k] = v
+	}
+	res.Exec, res.Err = d.Engine.Execute(ctx, deployment, inputs)
+	switch {
+	case res.Exec != nil && res.Exec.Status == StatusRolledBack:
+		metricDispatched.With("rolledback").Inc()
+	case res.Err != nil:
+		metricDispatched.With("failure").Inc()
+	default:
+		metricDispatched.With("success").Inc()
+	}
+	return res
 }
 
 // DeploymentResolver selects the deployment for a scheduled change; it lets

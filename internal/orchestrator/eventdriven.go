@@ -16,7 +16,6 @@ import (
 	"sync"
 	"time"
 
-	"cornet/internal/controller"
 	"cornet/internal/orchestrator/resilience"
 )
 
@@ -112,23 +111,19 @@ type EventExecution struct {
 // explicit end state: termination is emergent from the policy set, which
 // is exactly the state-management difficulty the paper calls out.
 //
-// The cascade runs on a controller-runtime FIFO work queue (non-deduping:
-// the same topic emitted twice must fire its policies twice), replacing
-// the slice-based event loop this engine used to carry.
+// The cascade is a FIFO of topics drained on the caller's goroutine; it
+// keeps duplicates, because the same topic emitted twice must fire its
+// policies twice.
 func (e *EventEngine) Run(ctx context.Context, start Event) (*EventExecution, error) {
 	exec := &EventExecution{Status: StatusRunning, State: map[string]string{}}
 	for k, v := range start.Data {
 		exec.State[k] = v
 	}
-	queue := controller.NewFIFO("events")
-	defer queue.ShutDown()
-	queue.Add(start.Topic)
+	queue := []string{start.Topic}
 	events := 0
-	for {
-		topic, ok := queue.TryGet()
-		if !ok {
-			break
-		}
+	for len(queue) > 0 {
+		topic := queue[0]
+		queue = queue[1:]
 		if err := ctx.Err(); err != nil {
 			exec.Status = StatusFailure
 			return exec, fmt.Errorf("orchestrator: event run halted: %w", err)
@@ -154,11 +149,10 @@ func (e *EventEngine) Run(ctx context.Context, start Event) (*EventExecution, er
 			emitted, tr := e.fire(ctx, p, exec)
 			exec.Trace = append(exec.Trace, tr)
 			if emitted != "" {
-				queue.Add(emitted)
+				queue = append(queue, emitted)
 			}
 		}
 		_ = matched // unmatched topics simply die out (another fall-out hazard)
-		queue.Done(topic)
 	}
 	// Queue drained without reaching "done": the cascade fizzled.
 	exec.Status = StatusFailure

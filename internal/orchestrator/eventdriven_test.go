@@ -186,3 +186,25 @@ func mustDeployUpgrade(t *testing.T) *workflow.Deployment {
 	}
 	return dep
 }
+
+// The cascade queue keeps duplicates: a topic emitted by two policies fires
+// its subscribers once per emission, not once per distinct topic.
+func TestEventDrivenDuplicateTopicFiresTwice(t *testing.T) {
+	policies := []Policy{
+		{Name: "fan-a", On: "go", Emit: map[string]string{"success": "work"}},
+		{Name: "fan-b", On: "go", Emit: map[string]string{"success": "work"}},
+		{Name: "worker", On: "work", Block: "/api/bb/health-check"},
+	}
+	inv := &fakeInvoker{}
+	exec, _ := NewEventEngine(inv, policies).Run(context.Background(), Event{Topic: "go"})
+	if n := len(inv.calledAPIs()); n != 2 {
+		t.Fatalf("worker block invoked %d times, want 2", n)
+	}
+	var fired []string
+	for _, tr := range exec.Trace {
+		fired = append(fired, tr.Policy)
+	}
+	if got := strings.Join(fired, " "); got != "fan-a fan-b worker worker" {
+		t.Fatalf("fired %q, want both fan-outs then the worker twice", got)
+	}
+}

@@ -24,7 +24,6 @@ import (
 	"time"
 
 	"cornet/internal/catalog"
-	"cornet/internal/controller"
 	"cornet/internal/obs"
 	"cornet/internal/obs/events"
 	"cornet/internal/obs/tenants"
@@ -201,15 +200,16 @@ type Engine struct {
 	// backoff instantaneous. Defaults to a context-aware timer sleep.
 	Sleep func(context.Context, time.Duration) error
 	// Concurrency bounds how many workflow executions run at once: every
-	// execution — synchronous Execute calls included — goes through the
-	// engine's controller-runtime work queue, and excess executions wait
-	// their turn. 0 means the default bound (32). Set it before the first
+	// execution — synchronous Execute calls included — holds one slot of a
+	// counting semaphore while it runs, and excess executions wait their
+	// turn. 0 means the default bound (32). Set it before the first
 	// execution; it is not consulted afterwards.
 	Concurrency int
 
-	jitter   *jitterRand
-	poolOnce sync.Once
-	pool     *controller.Pool
+	jitter    *jitterRand
+	slotsOnce sync.Once
+	slots     chan struct{}  // counting semaphore: one token per running execution
+	started   sync.WaitGroup // executions begun by Start
 }
 
 // NewEngine returns an engine dispatching through the given invoker. The
@@ -258,44 +258,43 @@ func (eng *Engine) EnableBreakers(cfg resilience.BreakerConfig) *resilience.Brea
 // ErrHalted is returned when the context is cancelled mid-execution.
 var ErrHalted = errors.New("orchestrator: execution halted")
 
-// execPool lazily builds the engine's execution pool — the controller-
-// runtime work queue every workflow execution dispatches through, giving
-// the engine bounded concurrency, queue-depth metrics, and a graceful
-// drain in place of the unbounded per-Start goroutines it used to spawn.
-func (eng *Engine) execPool() *controller.Pool {
-	eng.poolOnce.Do(func() {
+// runInSlot runs the execution while holding one of the engine's
+// Concurrency slots, waiting for one as long as ctx lasts. A ctx that ends
+// first runs the execution without a slot: run checks ctx before its first
+// step, so the execution fails as halted with its start/end events and
+// metrics recorded and no block invoked.
+func (eng *Engine) runInSlot(ctx context.Context, dep *workflow.Deployment, exec *Execution) {
+	eng.slotsOnce.Do(func() {
 		n := eng.Concurrency
 		if n <= 0 {
 			n = 32
 		}
-		eng.pool = controller.NewPool("orchestrator", n)
+		eng.slots = make(chan struct{}, n)
 	})
-	return eng.pool
+	select {
+	case eng.slots <- struct{}{}:
+		defer func() { <-eng.slots }()
+	case <-ctx.Done():
+	}
+	eng.run(ctx, dep, exec)
 }
 
-// Shutdown drains the engine's execution queue and releases its workers;
-// queued executions still run to completion first. The engine must not be
-// used after Shutdown (late executions run inline on the caller).
+// Shutdown waits for every execution begun by Start to finish. It must not
+// be called concurrently with Start; Execute keeps working afterwards.
 func (eng *Engine) Shutdown() {
-	eng.execPool().Stop()
+	eng.started.Wait()
 }
 
-// Execute runs a deployed workflow against inputs. The required workflow
-// inputs must be present in inputs. The call is synchronous but the
-// execution itself runs through the engine's work queue, so it shares the
-// Concurrency bound with Start; use Start plus Execution.Pause for
-// interactive control.
+// Execute runs a deployed workflow against inputs, on the caller's
+// goroutine. The required workflow inputs must be present in inputs. The
+// execution shares the Concurrency bound with Start, so the call may wait
+// for a slot; use Start plus Execution.Pause for interactive control.
 func (eng *Engine) Execute(ctx context.Context, dep *workflow.Deployment, inputs map[string]string) (*Execution, error) {
-	exec, run := eng.prepare(dep, inputs)
-	if run == nil {
+	exec, ok := eng.prepare(dep, inputs)
+	if !ok {
 		return exec, errors.New(exec.Err)
 	}
-	done := make(chan struct{})
-	eng.execPool().Go(ctx, func(ctx context.Context) {
-		defer close(done)
-		run(ctx)
-	})
-	<-done
+	eng.runInSlot(ctx, dep, exec)
 	switch st, errMsg := exec.snapshotStatus(); st {
 	case StatusFailure:
 		return exec, fmt.Errorf("orchestrator: workflow %s on %s failed: %s", exec.Workflow, exec.Instance, errMsg)
@@ -306,24 +305,28 @@ func (eng *Engine) Execute(ctx context.Context, dep *workflow.Deployment, inputs
 }
 
 // Start begins an asynchronous execution and returns immediately with the
-// live Execution handle plus a done channel. The execution is enqueued on
-// the engine's controller-runtime work queue and runs when a worker (see
-// Concurrency) frees up.
+// live Execution handle plus a done channel. The execution runs on its own
+// goroutine once one of the engine's Concurrency slots frees up.
 func (eng *Engine) Start(ctx context.Context, dep *workflow.Deployment, inputs map[string]string) (*Execution, <-chan struct{}) {
-	exec, run := eng.prepare(dep, inputs)
+	exec, ok := eng.prepare(dep, inputs)
 	done := make(chan struct{})
-	if run == nil {
+	if !ok {
 		close(done)
 		return exec, done
 	}
-	eng.execPool().Go(ctx, func(ctx context.Context) {
+	eng.started.Add(1)
+	go func() {
+		defer eng.started.Done()
 		defer close(done)
-		run(ctx)
-	})
+		eng.runInSlot(ctx, dep, exec)
+	}()
 	return exec, done
 }
 
-func (eng *Engine) prepare(dep *workflow.Deployment, inputs map[string]string) (*Execution, func(context.Context)) {
+// prepare builds the execution record and checks the workflow's required
+// inputs; it reports false when one is missing, with the record already
+// failed.
+func (eng *Engine) prepare(dep *workflow.Deployment, inputs map[string]string) (*Execution, bool) {
 	exec := &Execution{
 		Workflow:  dep.WorkflowName,
 		Instance:  inputs["instance"],
@@ -342,11 +345,11 @@ func (eng *Engine) prepare(dep *workflow.Deployment, inputs map[string]string) (
 				exec.Status = StatusFailure
 				exec.Err = fmt.Sprintf("missing required workflow input %q", p.Name)
 				exec.Finished = eng.Clock()
-				return exec, nil
+				return exec, false
 			}
 		}
 	}
-	return exec, func(ctx context.Context) { eng.run(ctx, dep, exec) }
+	return exec, true
 }
 
 func (eng *Engine) run(ctx context.Context, dep *workflow.Deployment, exec *Execution) {

@@ -47,7 +47,7 @@ func (f *fakeInvoker) calledAPIs() []string {
 	return append([]string(nil), f.calls...)
 }
 
-func deploy(t *testing.T, w *workflow.Workflow) *workflow.Deployment {
+func deploy(t testing.TB, w *workflow.Workflow) *workflow.Deployment {
 	t.Helper()
 	dep, err := workflow.Deploy(w, "eNodeB", func(block, nf string) (string, error) {
 		return "/bb/" + block, nil
