@@ -20,18 +20,14 @@ fmt-check:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
 	fi
 
-# The planning, orchestration, controller-runtime, and telemetry packages
-# are the concurrency-heavy core (portfolio racing, component workers,
-# dispatcher, work queues, reconcile loops, copy-on-write inventory, shared
-# metrics registry and span trees): keep them race-clean. cmd/cornetd rides
-# along for the declarative-API end-to-end. The composer's seal paths (window
-# timer, batch, cohort, stop) race by design, so its suite — and that of
-# internal/compose/serve, which drives those seals through Submit — runs
-# four times.
+# Every package under the race detector, once. Two suites race by design
+# and run four times: the composer's seal paths (window timer, batch,
+# cohort, stop — and internal/compose/serve, which drives those seals
+# through Submit), and plan admission (a worker's claim against the
+# submitter's abandon, Stop against Submit).
 race:
-	$(GO) test -race ./internal/plan/... ./internal/orchestrator/... ./internal/obs/... \
-		./internal/controller/... ./internal/inventory ./cmd/cornetd
-	$(GO) test -race -count=4 ./internal/compose/...
+	$(GO) test -race ./...
+	$(GO) test -race -count=4 ./internal/compose/... ./internal/plan/serve
 
 # Documentation hygiene: formatting, vet, and a go/ast walk asserting that
 # every exported identifier in the execution-facing packages carries a doc

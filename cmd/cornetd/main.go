@@ -89,9 +89,6 @@ func newServer(f *core.Framework, tb *testbed.Testbed, net *netgen.Network,
 	if f.Engine != nil {
 		f.Engine.Log = log
 	}
-	if planCfg.Admission.Log == nil {
-		planCfg.Admission.Log = log
-	}
 	s := &server{
 		f: f, tb: tb, net: net, planTimeout: planTimeout,
 		planSrv:     planserve.New(f, planCfg),

@@ -3,6 +3,7 @@ package compose
 import (
 	"context"
 	"errors"
+	"runtime"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -321,9 +322,11 @@ func TestComposerWithdrawOnCancel(t *testing.T) {
 	}
 }
 
-// TestComposerStop asserts Stop drains the open generation and fails
-// later submissions with ErrStopped.
+// TestComposerStop asserts Stop drains the open generation, fails later
+// submissions with ErrStopped and leaves no goroutine behind (the hour-long
+// window timer included).
 func TestComposerStop(t *testing.T) {
+	before := runtime.NumGoroutine()
 	rec := &solveRecorder{}
 	c := NewComposer(Config{Strategy: NodeStrategy{}, Window: time.Hour, Solve: rec.solve})
 
@@ -342,6 +345,13 @@ func TestComposerStop(t *testing.T) {
 	}
 	if _, err := c.Submit(context.Background(), node("chg-b", "t2", Path{"west", "y"}), Reject); !errors.Is(err, ErrStopped) {
 		t.Fatalf("post-Stop Submit returned %v, want ErrStopped", err)
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after Stop, %d before the composer existed", runtime.NumGoroutine(), before)
+		}
+		time.Sleep(2 * time.Millisecond)
 	}
 }
 

@@ -1,8 +1,9 @@
-// Package controller is CORNET's shared controller runtime: a crossplane-
-// style reconciliation substrate for the loops that watch a key, diff it
-// against what is wanted and requeue on failure — the declarative fleet
-// reconciler (subpackage reconcile) and the plan server's tenant-fair
-// admission (plan/serve's Admitter).
+// Package controller is CORNET's controller runtime: a crossplane-style
+// reconciliation substrate for a loop that watches a key, diffs it against
+// what is wanted and requeues on failure. It has one consumer, the
+// declarative fleet reconciler (subpackage reconcile), and stays a package
+// of its own so that backoff, resync, bounded workers and drain are tested
+// without building a fleet.
 //
 // It provides a rate-limited deduplicating work queue with bounded worker
 // concurrency (Queue, Controller), per-item exponential-backoff requeue
@@ -13,7 +14,9 @@
 // apply, requeue on failure — is the primitive. One-shot workflow
 // executions do not go through it: a run-once closure has no key to
 // deduplicate and no error to back off, so the orchestrator bounds them
-// with a counting semaphore instead.
+// with a counting semaphore instead. Neither does plan admission: a
+// tenant's turn has no error to back off and no object to diff, so
+// plan/serve's Admitter owns its ring of tenant queues.
 package controller
 
 import (
@@ -28,29 +31,10 @@ import (
 // Result tells the controller what to do with a key after a reconcile pass
 // that returned no error.
 type Result struct {
-	// Requeue re-adds the key under the rate limiter's backoff.
-	Requeue bool
 	// RequeueAfter re-adds the key after a fixed delay (and resets its
-	// backoff history); use it for periodic resyncs. It takes precedence
-	// over Requeue.
+	// backoff history); use it for periodic resyncs.
 	RequeueAfter time.Duration
 }
-
-// Reconciler drives one managed object toward its desired state. Reconcile
-// is invoked with the object's key; returning an error requeues the key
-// with exponential backoff, returning a Result schedules follow-up work
-// explicitly. Reconcilers must be safe for concurrent calls with distinct
-// keys; the queue guarantees a single key is never reconciled twice at
-// once.
-type Reconciler interface {
-	Reconcile(ctx context.Context, key string) (Result, error)
-}
-
-// Func adapts a function to the Reconciler interface.
-type Func func(ctx context.Context, key string) (Result, error)
-
-// Reconcile implements Reconciler.
-func (f Func) Reconcile(ctx context.Context, key string) (Result, error) { return f(ctx, key) }
 
 // Options tune a Controller.
 type Options struct {
@@ -62,11 +46,11 @@ type Options struct {
 	Log *slog.Logger
 }
 
-// Controller runs a Reconciler over a rate-limited work queue with a
-// bounded worker pool.
+// Controller runs a reconcile function over a rate-limited work queue
+// with a bounded worker pool.
 type Controller struct {
 	name    string
-	rec     Reconciler
+	rec     func(ctx context.Context, key string) (Result, error)
 	queue   *Queue
 	workers int
 	log     *slog.Logger
@@ -77,8 +61,13 @@ type Controller struct {
 	stopped   chan struct{}
 }
 
-// New assembles a controller; call Start to launch its workers.
-func New(name string, rec Reconciler, o Options) *Controller {
+// New assembles a controller; call Start to launch its workers. rec drives
+// one managed object toward its desired state: it is invoked with the
+// object's key, returning an error requeues the key with exponential
+// backoff, and returning a Result schedules follow-up work explicitly. It
+// must be safe for concurrent calls with distinct keys; the queue
+// guarantees a single key is never reconciled twice at once.
+func New(name string, rec func(ctx context.Context, key string) (Result, error), o Options) *Controller {
 	if o.Workers < 1 {
 		o.Workers = 1
 	}
@@ -95,9 +84,6 @@ func New(name string, rec Reconciler, o Options) *Controller {
 // Add enqueues a key for reconciliation; it reports false once the
 // controller has been stopped.
 func (c *Controller) Add(key string) bool { return c.queue.Add(key) }
-
-// AddAfter enqueues a key once the delay elapses.
-func (c *Controller) AddAfter(key string, d time.Duration) { c.queue.AddAfter(key, d) }
 
 // Len reports the number of keys ready to reconcile.
 func (c *Controller) Len() int { return c.queue.Len() }
@@ -143,16 +129,16 @@ func (c *Controller) Stop() {
 	c.wg.Wait()
 }
 
-// process runs one reconcile pass and routes its outcome: errors and
-// explicit requeues go back through the rate limiter, fixed-delay requeues
-// reset the backoff, clean completions forget the key.
+// process runs one reconcile pass and routes its outcome: errors go back
+// through the rate limiter, fixed-delay requeues reset the backoff, clean
+// completions forget the key.
 func (c *Controller) process(ctx context.Context, key string) {
 	defer c.queue.Done(key)
 	rctx, sp := obs.StartSpan(ctx, "controller.reconcile")
 	sp.SetAttr("controller", c.name)
 	sp.SetAttr("key", key)
 	start := time.Now()
-	res, err := c.rec.Reconcile(rctx, key)
+	res, err := c.rec(rctx, key)
 	result := "success"
 	switch {
 	case err != nil:
@@ -168,13 +154,6 @@ func (c *Controller) process(ctx context.Context, key string) {
 		result = "requeue"
 		c.queue.Forget(key)
 		c.queue.AddAfter(key, res.RequeueAfter)
-	case res.Requeue:
-		result = "requeue"
-		d := c.queue.AddRateLimited(key)
-		metricRequeues.With(c.name).Inc()
-		c.logger().LogAttrs(rctx, slog.LevelInfo, "reconcile requeued",
-			slog.String("controller", c.name), slog.String("key", key),
-			slog.Duration("backoff", d))
 	default:
 		c.queue.Forget(key)
 	}

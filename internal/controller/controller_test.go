@@ -13,11 +13,11 @@ import (
 func TestControllerReconcilesAndForgets(t *testing.T) {
 	var calls atomic.Int64
 	done := make(chan string, 10)
-	c := New("test-ok", Func(func(_ context.Context, key string) (Result, error) {
+	c := New("test-ok", func(_ context.Context, key string) (Result, error) {
 		calls.Add(1)
 		done <- key
 		return Result{}, nil
-	}), Options{Workers: 2})
+	}, Options{Workers: 2})
 	c.Start(context.Background())
 	defer c.Stop()
 	c.Add("a")
@@ -43,14 +43,14 @@ func TestControllerReconcilesAndForgets(t *testing.T) {
 func TestControllerBackoffRetryConverges(t *testing.T) {
 	var calls atomic.Int64
 	converged := make(chan struct{})
-	c := New("test-backoff", Func(func(_ context.Context, key string) (Result, error) {
+	c := New("test-backoff", func(_ context.Context, key string) (Result, error) {
 		n := calls.Add(1)
 		if n < 4 {
 			return Result{}, errors.New("still drifting")
 		}
 		close(converged)
 		return Result{}, nil
-	}), Options{Workers: 1, Limiter: NewRateLimiter(time.Millisecond, 10*time.Millisecond)})
+	}, Options{Workers: 1, Limiter: NewRateLimiter(time.Millisecond, 10*time.Millisecond)})
 	c.Start(context.Background())
 	defer c.Stop()
 	c.Add("fleet")
@@ -69,13 +69,13 @@ func TestControllerBackoffRetryConverges(t *testing.T) {
 func TestControllerRequeueAfter(t *testing.T) {
 	var calls atomic.Int64
 	second := make(chan struct{})
-	c := New("test-resync", Func(func(_ context.Context, key string) (Result, error) {
+	c := New("test-resync", func(_ context.Context, key string) (Result, error) {
 		if calls.Add(1) == 2 {
 			close(second)
 			return Result{}, nil
 		}
 		return Result{RequeueAfter: 5 * time.Millisecond}, nil
-	}), Options{Workers: 1})
+	}, Options{Workers: 1})
 	c.Start(context.Background())
 	defer c.Stop()
 	c.Add("k")
@@ -91,7 +91,7 @@ func TestControllerBoundedConcurrency(t *testing.T) {
 	var cur, peak atomic.Int64
 	var wg sync.WaitGroup
 	wg.Add(10)
-	c := New("test-bound", Func(func(_ context.Context, key string) (Result, error) {
+	c := New("test-bound", func(_ context.Context, key string) (Result, error) {
 		defer wg.Done()
 		n := cur.Add(1)
 		for {
@@ -103,7 +103,7 @@ func TestControllerBoundedConcurrency(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 		cur.Add(-1)
 		return Result{}, nil
-	}), Options{Workers: workers})
+	}, Options{Workers: workers})
 	c.Start(context.Background())
 	for i := 0; i < 10; i++ {
 		c.Add(fmt.Sprintf("k%d", i))
@@ -118,13 +118,13 @@ func TestControllerBoundedConcurrency(t *testing.T) {
 func TestControllerGracefulStopDrainsReadyWork(t *testing.T) {
 	var calls atomic.Int64
 	block := make(chan struct{})
-	c := New("test-drain", Func(func(_ context.Context, key string) (Result, error) {
+	c := New("test-drain", func(_ context.Context, key string) (Result, error) {
 		if key == "slow" {
 			<-block
 		}
 		calls.Add(1)
 		return Result{}, nil
-	}), Options{Workers: 1})
+	}, Options{Workers: 1})
 	c.Start(context.Background())
 	c.Add("slow")
 	c.Add("queued")
@@ -146,10 +146,10 @@ func TestControllerGracefulStopDrainsReadyWork(t *testing.T) {
 func TestControllerContextCancelStops(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	ran := make(chan struct{}, 1)
-	c := New("test-ctx", Func(func(ctx context.Context, key string) (Result, error) {
+	c := New("test-ctx", func(ctx context.Context, key string) (Result, error) {
 		ran <- struct{}{}
 		return Result{}, nil
-	}), Options{Workers: 1})
+	}, Options{Workers: 1})
 	c.Start(ctx)
 	c.Add("k")
 	<-ran

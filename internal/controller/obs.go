@@ -4,7 +4,7 @@ import "cornet/internal/obs"
 
 // Controller-runtime metrics, named per the PR-3/PR-5 cornet_* scheme and
 // exposed by cmd/cornetd at GET /metrics. The controller label carries the
-// runtime consumer ("reconcile" or "plan-admission").
+// name given to New; the daemon runs one controller, "reconcile".
 var (
 	metricReconciles = obs.Default.CounterVec("cornet_controller_reconciles_total",
 		"Reconcile passes by controller and result (success|requeue|error).", "controller", "result")

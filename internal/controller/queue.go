@@ -168,13 +168,6 @@ func (q *Queue) ShutDown() {
 	q.wake()
 }
 
-// ShuttingDown reports whether ShutDown has been called.
-func (q *Queue) ShuttingDown() bool {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.down
-}
-
 // setDepth mirrors the ready depth into the queue-depth gauge; callers
 // hold q.mu.
 func (q *Queue) setDepth() {

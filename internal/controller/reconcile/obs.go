@@ -3,7 +3,7 @@ package reconcile
 import "cornet/internal/obs"
 
 // Reconciliation metrics. Queue depth, reconcile counts, and requeue
-// backoff live on the shared controller runtime (internal/controller);
+// backoff live on the controller runtime (internal/controller);
 // these cover the reconciler's own domain: drift discovery and the change
 // executions it drives.
 var (

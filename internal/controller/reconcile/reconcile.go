@@ -104,7 +104,7 @@ func New(cfg Config) (*Manager, error) {
 		cfg.Clock = time.Now
 	}
 	m := &Manager{cfg: cfg, deps: map[string]*workflow.Deployment{}}
-	m.ctrl = controller.New("reconcile", controller.Func(m.Reconcile), controller.Options{
+	m.ctrl = controller.New("reconcile", m.Reconcile, controller.Options{
 		Workers: cfg.Workers, Limiter: cfg.Limiter, Log: cfg.Log,
 	})
 	cfg.Store.Subscribe(func(name string) { m.ctrl.Add(name) })
@@ -137,7 +137,7 @@ func (m *Manager) Enqueue(name string) { m.ctrl.Add(name) }
 func (m *Manager) Requeues(name string) int { return m.ctrl.Requeues(name) }
 
 // Reconcile is one pass over one fleet: diff, plan, execute, record. It
-// implements controller.Reconciler; the runtime handles backoff requeues
+// is the function the controller runs; the runtime handles backoff requeues
 // on error and periodic resync via RequeueAfter.
 func (m *Manager) Reconcile(ctx context.Context, name string) (controller.Result, error) {
 	fleet, ok := m.cfg.Store.Get(name)
@@ -307,12 +307,29 @@ func (m *Manager) execute(ctx context.Context, fleet Fleet, changes []orchestrat
 		}
 		return m.deployment(workflow.SoftwareUpgrade, "software-upgrade", fleet.Spec.NFType)
 	}, changes)
-	for _, res := range results {
-		var cfgPayload string
+	// A result with no execution (a slot the dispatcher never reached, a
+	// deployment that did not resolve) names its element but not which of
+	// the element's changes it answers, so it is matched against what the
+	// manager sent: the element's changes that no execution accounts for.
+	keys := make([]string, len(results)) // the sent change each result answers
+	ran := map[string]bool{}
+	for i, res := range results {
 		if res.Exec != nil {
-			cfgPayload = res.Exec.State["config"]
+			keys[i] = changeKey(res.Instance, res.Exec.State["config"])
+			ran[keys[i]] = true
 		}
-		drift, ok := byKey[changeKey(res.Instance, cfgPayload)]
+	}
+	unrun := map[string][]string{}
+	for _, c := range changes {
+		if key := changeKey(c.Instance, c.Inputs["config"]); !ran[key] {
+			unrun[c.Instance] = append(unrun[c.Instance], key)
+		}
+	}
+	for i, res := range results {
+		if left := unrun[res.Instance]; res.Exec == nil && len(left) > 0 {
+			keys[i], unrun[res.Instance] = left[0], left[1:]
+		}
+		drift, ok := byKey[keys[i]]
 		if !ok {
 			continue
 		}

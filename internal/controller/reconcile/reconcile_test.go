@@ -2,6 +2,8 @@ package reconcile
 
 import (
 	"context"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -10,12 +12,20 @@ import (
 	"cornet/internal/controller"
 	"cornet/internal/core"
 	"cornet/internal/inventory"
+	"cornet/internal/orchestrator"
 	"cornet/internal/testbed"
 )
 
 // newTestRig builds a testbed fleet of vGW NFs (half in market dfw, half
 // in nyc), its inventory mirror, and a reconcile manager with fast backoff.
 func newTestRig(t *testing.T, count int) (*testbed.Testbed, *inventory.Inventory, *Manager) {
+	t.Helper()
+	return newTestRigInvoking(t, count, func(tb *testbed.Testbed) orchestrator.Invoker { return tb })
+}
+
+// newTestRigInvoking is newTestRig with the building-block calls routed
+// through the invoker wrap returns, so a test can act on the first of them.
+func newTestRigInvoking(t *testing.T, count int, wrap func(*testbed.Testbed) orchestrator.Invoker) (*testbed.Testbed, *inventory.Inventory, *Manager) {
 	t.Helper()
 	tb := testbed.New(7)
 	testbed.PopulateVNFs(tb, count)
@@ -29,7 +39,7 @@ func newTestRig(t *testing.T, count int) (*testbed.Testbed, *inventory.Inventory
 	})
 	f := core.New(map[string]catalog.ImplKind{
 		"vGW": catalog.ImplVendorCLI, "vCE": catalog.ImplVendorCLI,
-	}, core.WithInvoker(tb))
+	}, core.WithInvoker(wrap(tb)))
 	m, err := New(Config{
 		Framework: f, Inventory: inv,
 		MaxParallel: 2, Resync: time.Minute,
@@ -241,5 +251,72 @@ func TestReconcileUnknownMarketSurfacesReadyFalse(t *testing.T) {
 	})
 	if got.Status.ObservedGeneration != got.Generation {
 		t.Fatalf("selector errors must still observe the generation: %+v", got.Status)
+	}
+}
+
+// TestReconcileAccountsForHaltedConfigChanges cancels a config-drift pass
+// during its first slot: the changes of the slot the dispatcher never
+// reached come back without an execution record, and each must still be
+// counted failed and journaled with the halt as its detail.
+func TestReconcileAccountsForHaltedConfigChanges(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	_, _, m := newTestRigInvoking(t, 4, func(tb *testbed.Testbed) orchestrator.Invoker {
+		return orchestrator.InvokerFunc(func(ctx context.Context, api string, args map[string]string) (map[string]string, error) {
+			cancel() // slot 0 is running: no later slot is dispatched
+			return tb.Invoke(ctx, api, args)
+		})
+	})
+	// Four vGWs at MaxParallel 2: two slots of two config changes.
+	if _, err := m.Store().Apply(Spec{Name: "vgw-cfg", NFType: "vGW",
+		Config: map[string]string{"mtu": "9000"}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Reconcile(ctx, "vgw-cfg"); err == nil {
+		t.Fatal("a halted pass reported success")
+	}
+	fleet, _ := m.Store().Get("vgw-cfg")
+	if got := fleet.Status.Applied + fleet.Status.Failed; got != 4 {
+		t.Fatalf("applied=%d failed=%d, want all 4 planned changes accounted for",
+			fleet.Status.Applied, fleet.Status.Failed)
+	}
+	revs := m.Journal().ByFleet("vgw-cfg")
+	if len(revs) != 4 {
+		t.Fatalf("journal has %d revisions, want one per planned change", len(revs))
+	}
+	halted := 0
+	for _, r := range revs {
+		if strings.Contains(r.Detail, "not dispatched") {
+			halted++
+			if r.Outcome != changelog.OutcomeFailed || !strings.Contains(r.Detail, orchestrator.ErrHalted.Error()) {
+				t.Fatalf("unreached change journaled as %+v", r)
+			}
+		}
+	}
+	if halted != 2 {
+		t.Fatalf("%d revisions carry the halt, want the 2 of the unreached slot: %+v", halted, revs)
+	}
+}
+
+// TestManagerLeavesNoGoroutines converges one fleet — which leaves a resync
+// timer pending in the queue's delay heap — and stops: the workers, the
+// controller's lifecycle goroutine and the delay-heap waker must all exit.
+func TestManagerLeavesNoGoroutines(t *testing.T) {
+	before := runtime.NumGoroutine()
+	_, _, m := newTestRig(t, 2)
+	m.Start(context.Background())
+	if _, err := m.Store().Apply(Spec{Name: "vgw-all", NFType: "vGW", SWVersion: "v2"}); err != nil {
+		t.Fatal(err)
+	}
+	waitStatus(t, m.Store(), "vgw-all", func(f Fleet) bool {
+		return controller.ConditionIs(f.Status.Conditions, controller.ConditionSynced, controller.ConditionTrue)
+	})
+	m.Stop()
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after Stop, %d before the manager existed", runtime.NumGoroutine(), before)
+		}
+		time.Sleep(2 * time.Millisecond)
 	}
 }

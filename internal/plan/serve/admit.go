@@ -5,11 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"cornet/internal/controller"
 	"cornet/internal/obs"
 	"cornet/internal/obs/events"
 	"cornet/internal/obs/tenants"
@@ -65,7 +65,8 @@ type AdmitConfig struct {
 	Weights map[string]int
 	// DefaultWeight is the per-pass batch for unlisted tenants (default 2).
 	DefaultWeight int
-	// Log receives controller requeue records; nil stays silent.
+	// Log is inert (the admitter logs nothing) and stays only because the
+	// frozen bench/replay.go sets it; ROADMAP item 1's rewrite deletes it.
 	Log *slog.Logger
 }
 
@@ -101,20 +102,24 @@ type job struct {
 
 // Admitter is the serving layer's admission controller: a bounded queue
 // of plan requests in front of the solver, drained fairly across tenants
-// by a controller-runtime worker pool. Each tenant is one key on the
-// controller's deduplicating queue; a reconcile pass runs up to the
-// tenant's weight of queued requests and requeues the tenant behind the
-// others while it has backlog — weighted round-robin on the shared
-// runtime rather than a bespoke scheduler. Overload is shed at admission
-// (global and per-tenant bounds, deadline-infeasible requests) so a
-// flooding tenant delays, but never starves or crashes, the rest.
+// by Workers goroutines it owns. Tenants with backlog wait their turn in a
+// ring; a worker takes the head tenant, runs up to the tenant's weight of
+// its queued requests and re-appends it behind the others while it has
+// backlog — weighted round-robin. A tenant's backlog is drained by one
+// worker at a time (a tenant being served is in serving, not in ring), so
+// single-tenant traffic solves serially whatever Workers says. Overload is
+// shed at admission (global and per-tenant bounds, deadline-infeasible
+// requests) so a flooding tenant delays, but never starves or crashes, the
+// rest.
 type Admitter struct {
-	cfg    AdmitConfig
-	ctrl   *controller.Controller
-	cancel context.CancelFunc
+	cfg AdmitConfig
+	wg  sync.WaitGroup
 
 	mu      sync.Mutex
+	ready   *sync.Cond // the ring gained a tenant, or stopped was set
 	queues  map[string][]*job
+	ring    []string        // tenants with backlog and no worker, in turn order
+	serving map[string]bool // tenants a worker is draining now
 	pending int
 	ewma    time.Duration // per-request service time estimate
 	stopped bool
@@ -122,20 +127,20 @@ type Admitter struct {
 
 // NewAdmitter builds and starts an admission controller.
 func NewAdmitter(cfg AdmitConfig) *Admitter {
-	a := &Admitter{cfg: cfg.withDefaults(), queues: map[string][]*job{}}
-	a.ctrl = controller.New("plan-admission", controller.Func(a.reconcile),
-		controller.Options{Workers: a.cfg.Workers, Log: a.cfg.Log})
-	ctx, cancel := context.WithCancel(context.Background())
-	a.cancel = cancel
-	a.ctrl.Start(ctx)
+	a := &Admitter{cfg: cfg.withDefaults(), queues: map[string][]*job{}, serving: map[string]bool{}}
+	a.ready = sync.NewCond(&a.mu)
+	for i := 0; i < a.cfg.Workers; i++ {
+		a.wg.Add(1)
+		go a.worker()
+	}
 	return a
 }
 
 // Submit queues run under the tenant's backlog and blocks until a worker
 // has run it, the ctx ends, or admission sheds it. It returns the queue
 // wait. Shed requests return *ShedError without ever queueing; a ctx that
-// ends while queued returns ctx.Err() and the queued slot is skipped at
-// dequeue. After Stop, Submit runs inline (the drain path still answers).
+// ends while queued returns ctx.Err() and gives the queued place back.
+// After Stop, Submit runs inline (the drain path still answers).
 func (a *Admitter) Submit(ctx context.Context, tenant string, run func()) (time.Duration, error) {
 	a.mu.Lock()
 	if a.stopped {
@@ -161,17 +166,21 @@ func (a *Admitter) Submit(ctx context.Context, tenant string, run func()) (time.
 		}
 	}
 	j := &job{ctx: ctx, tenant: tenant, run: run, done: make(chan struct{}), enq: time.Now()}
+	if len(a.queues[tenant]) == 0 && !a.serving[tenant] {
+		a.ring = append(a.ring, tenant)
+		a.ready.Signal()
+	}
 	a.queues[tenant] = append(a.queues[tenant], j)
 	a.pending++
 	metricQueueDepth.Set(float64(a.pending))
 	a.mu.Unlock()
-	a.ctrl.Add(tenant)
 
 	select {
 	case <-j.done:
 		return j.wait, j.err
 	case <-ctx.Done():
 		if j.state.CompareAndSwap(0, 2) {
+			a.unqueue(j)
 			a.shed(ctx, tenant, ShedAbandoned)
 			return time.Since(j.enq), ctx.Err()
 		}
@@ -188,14 +197,14 @@ func (a *Admitter) Depth() int {
 	return a.pending
 }
 
-// Stop shuts the worker pool down, waits out in-flight solves, and fails
+// Stop shuts the workers down, waits out the passes they are in, and fails
 // still-queued requests with ErrStopped.
 func (a *Admitter) Stop() {
 	a.mu.Lock()
 	a.stopped = true
+	a.ready.Broadcast()
 	a.mu.Unlock()
-	a.cancel()
-	a.ctrl.Stop()
+	a.wg.Wait()
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	for tenant, q := range a.queues {
@@ -211,26 +220,42 @@ func (a *Admitter) Stop() {
 	metricQueueDepth.Set(0)
 }
 
-// reconcile is one fair-dequeue pass for a tenant: run up to the tenant's
-// weight of queued requests, then hand the worker back. A tenant with
-// remaining backlog is re-added, which the deduplicating queue delivers
-// after every other ready tenant — round-robin with per-tenant batch
-// sizes as weights.
-func (a *Admitter) reconcile(_ context.Context, tenant string) (controller.Result, error) {
-	for i := 0; i < a.weight(tenant); i++ {
-		j := a.pop(tenant)
-		if j == nil {
-			return controller.Result{}, nil
+// worker takes the tenant at the head of the ring and gives it one
+// fair-dequeue pass: up to the tenant's weight of queued requests. A tenant
+// with remaining backlog goes back on the ring behind every other waiting
+// tenant — round-robin with per-tenant batch sizes as weights.
+func (a *Admitter) worker() {
+	defer a.wg.Done()
+	for {
+		a.mu.Lock()
+		for len(a.ring) == 0 && !a.stopped {
+			a.ready.Wait()
 		}
-		a.runJob(j)
+		if a.stopped {
+			a.mu.Unlock()
+			return
+		}
+		tenant := a.ring[0]
+		a.ring = a.ring[1:]
+		a.serving[tenant] = true
+		a.mu.Unlock()
+
+		for i := 0; i < a.weight(tenant); i++ {
+			j := a.pop(tenant)
+			if j == nil {
+				break
+			}
+			a.runJob(j)
+		}
+
+		a.mu.Lock()
+		delete(a.serving, tenant)
+		if len(a.queues[tenant]) > 0 {
+			a.ring = append(a.ring, tenant)
+			a.ready.Signal()
+		}
+		a.mu.Unlock()
 	}
-	a.mu.Lock()
-	backlog := len(a.queues[tenant])
-	a.mu.Unlock()
-	if backlog > 0 {
-		a.ctrl.Add(tenant)
-	}
-	return controller.Result{}, nil
 }
 
 func (a *Admitter) weight(tenant string) int {
@@ -258,6 +283,28 @@ func (a *Admitter) pop(tenant string) *job {
 	a.pending--
 	metricQueueDepth.Set(float64(a.pending))
 	return j
+}
+
+// unqueue gives an abandoned request's place back, so a dead entry does not
+// count against QueueLimit and TenantQuota until a worker reaches it. A
+// request a worker popped first is no longer in its queue; runJob skips it.
+func (a *Admitter) unqueue(j *job) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	q := a.queues[j.tenant]
+	i := slices.Index(q, j)
+	if i < 0 {
+		return
+	}
+	a.pending--
+	metricQueueDepth.Set(float64(a.pending))
+	if len(q) > 1 {
+		a.queues[j.tenant] = slices.Delete(q, i, i+1)
+		return
+	}
+	// The tenant's only request: its turn on the ring goes with it.
+	delete(a.queues, j.tenant)
+	a.ring = slices.DeleteFunc(a.ring, func(t string) bool { return t == j.tenant })
 }
 
 // runJob claims and executes one dequeued request on the worker
