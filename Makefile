@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet fmt-check race bench bench-serve bench-compose bench-e2e cover check doccheck metriccheck
+.PHONY: all build test vet fmt-check race bench bench-miss bench-serve bench-compose bench-e2e cover check doccheck metriccheck
 
 all: check
 
@@ -50,8 +50,14 @@ cover:
 	$(GO) tool cover -func=coverage.out | tail -1
 
 bench:
-	$(GO) test -run '^$$' -bench BenchmarkPlannerScale -benchtime 1x .
-	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/plan/...
+	$(GO) test -run '^$$' -bench BenchmarkPlannerScale -benchtime 1x -benchmem .
+	$(GO) test -run '^$$' -bench . -benchtime 1x -benchmem ./internal/plan/...
+
+# One warm-seeded plan miss in process (plan_miss without the HTTP): ns/op,
+# B/op and allocs/op of parse -> translate -> fingerprint -> warm-seed scan
+# -> one-node solve -> cache put. The probe behind DESIGN §13's cost table.
+bench-miss:
+	$(GO) test -run '^$$' -bench BenchmarkMiss -benchmem -count 5 ./internal/plan/serve
 
 # Quick serving-layer smoke: cache hit speedup, warm-start seeding, and
 # overload shedding against their acceptance bars. Overwrites

@@ -12,7 +12,9 @@ package decompose
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
+	"strconv"
 	"sync"
 
 	"cornet/internal/plan/model"
@@ -61,20 +63,7 @@ func contract(m *model.Model) (*model.Model, func(model.Schedule) model.Schedule
 			union(grp[0], grp[i])
 		}
 	}
-	// Super-item per root, ordered by smallest member for determinism.
-	rootMembers := map[int][]int{}
-	for i := 0; i < n; i++ {
-		r := find(i)
-		rootMembers[r] = append(rootMembers[r], i)
-	}
-	roots := make([]int, 0, len(rootMembers))
-	for r := range rootMembers {
-		roots = append(roots, r)
-	}
-	sort.Slice(roots, func(i, j int) bool {
-		return rootMembers[roots[i]][0] < rootMembers[roots[j]][0]
-	})
-	super := make([]int, n) // item -> super index
+	// One super-item per root, numbered by smallest member for determinism.
 	c := &model.Model{
 		Name:         m.Name + "-contracted",
 		NumSlots:     m.NumSlots,
@@ -83,34 +72,53 @@ func contract(m *model.Model) (*model.Model, func(model.Schedule) model.Schedule
 		ZeroConflict: m.ZeroConflict,
 		BigM:         m.BigM,
 	}
-	for si, r := range roots {
-		members := rootMembers[r]
-		w, d := 0, 1
-		for _, i := range members {
-			super[i] = si
-			w += m.Weight(i)
-			if md := m.Duration(i); md > d {
-				d = md
-			}
+	super := make([]int, n)   // item -> super index
+	superOf := make([]int, n) // root -> super index; -1 until its smallest member is seen
+	for i := range superOf {
+		superOf[i] = -1
+	}
+	var members []int // super index -> member count
+	for i := 0; i < n; i++ {
+		r := find(i)
+		if superOf[r] < 0 {
+			superOf[r] = len(c.Items)
+			c.Items = append(c.Items, model.Item{ID: m.Items[i].ID, Duration: 1})
+			members = append(members, 0)
 		}
-		id := m.Items[members[0]].ID
-		if len(members) > 1 {
-			id = fmt.Sprintf("grp(%s+%d)", id, len(members)-1)
-		}
-		c.Items = append(c.Items, model.Item{ID: id, Weight: w, Duration: d})
+		si := superOf[r]
+		super[i] = si
+		members[si]++
+		c.Items[si].Weight += m.Weight(i)
+		c.Items[si].Duration = max(c.Items[si].Duration, m.Duration(i))
 	}
 	ns := len(c.Items)
+	for si, k := range members {
+		if k > 1 {
+			c.Items[si].ID = "grp(" + c.Items[si].ID + "+" + strconv.Itoa(k-1) + ")"
+		}
+	}
 
+	// mapSet maps an index set to the sorted set of its super-items.
+	// seen[s] == stamp marks s as already in the set being mapped. A mapped
+	// set is no longer than its original, so the sets are cut from shared
+	// chunks instead of allocated one by one.
+	seen := make([]int, ns)
+	stamp := 0
+	var chunk []int
 	mapSet := func(set []int) []int {
-		seen := map[int]bool{}
-		var out []int
+		if len(set) > len(chunk) {
+			chunk = make([]int, max(len(set), 4*n))
+		}
+		out := chunk[:0:len(set)]
+		chunk = chunk[len(set):]
+		stamp++
 		for _, i := range set {
-			if s := super[i]; !seen[s] {
-				seen[s] = true
+			if s := super[i]; seen[s] != stamp {
+				seen[s] = stamp
 				out = append(out, s)
 			}
 		}
-		sort.Ints(out)
+		slices.Sort(out)
 		return out
 	}
 	for _, cap := range m.Capacities {
@@ -154,36 +162,20 @@ func contract(m *model.Model) (*model.Model, func(model.Schedule) model.Schedule
 	}
 	c.Forbidden = make([][]int, ns)
 	c.ConflictSlots = make([][]int, ns)
-	forb := make([]map[int]bool, ns)
-	confl := make([]map[int]int, ns)
 	for i := 0; i < n; i++ {
 		s := super[i]
 		if i < len(m.Forbidden) {
-			for _, t := range m.Forbidden[i] {
-				if forb[s] == nil {
-					forb[s] = map[int]bool{}
-				}
-				forb[s][t] = true
-			}
+			c.Forbidden[s] = append(c.Forbidden[s], m.Forbidden[i]...)
 		}
 		if i < len(m.ConflictSlots) {
-			for _, t := range m.ConflictSlots[i] {
-				if confl[s] == nil {
-					confl[s] = map[int]int{}
-				}
-				confl[s][t]++
-			}
+			c.ConflictSlots[s] = append(c.ConflictSlots[s], m.ConflictSlots[i]...)
 		}
 	}
 	for s := 0; s < ns; s++ {
-		for t := range forb[s] {
-			c.Forbidden[s] = append(c.Forbidden[s], t)
-		}
-		for t := range confl[s] {
-			c.ConflictSlots[s] = append(c.ConflictSlots[s], t)
-		}
-		sort.Ints(c.Forbidden[s])
-		sort.Ints(c.ConflictSlots[s])
+		slices.Sort(c.Forbidden[s])
+		c.Forbidden[s] = slices.Compact(c.Forbidden[s])
+		slices.Sort(c.ConflictSlots[s])
+		c.ConflictSlots[s] = slices.Compact(c.ConflictSlots[s])
 	}
 	c.Normalize()
 

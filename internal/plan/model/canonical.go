@@ -1,11 +1,13 @@
 package model
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
-	"fmt"
+	"hash"
 	"hash/fnv"
-	"sort"
+	"slices"
+	"strconv"
 	"strings"
 )
 
@@ -26,23 +28,75 @@ import (
 // (SkipPenalty, BigM, effective weights and durations) are folded in at
 // their effective values so a pre- and post-Normalize model hash the same.
 func (m *Model) Fingerprint() string {
+	c := newCanon(m)
 	h := sha256.New()
-	fmt.Fprintf(h, "slots=%d;requireAll=%t;skip=%d;bigM=%d;zeroConflict=%t;\n",
-		m.NumSlots, m.RequireAll, m.effectiveSkipPenalty(), m.effectiveBigM(), m.ZeroConflict)
-	for _, rec := range m.canonicalItems() {
-		fmt.Fprintf(h, "item:%s\n", rec)
+	c.str("slots=").int(m.NumSlots).str(";requireAll=").bool(m.RequireAll)
+	c.str(";skip=").int(m.effectiveSkipPenalty()).str(";bigM=").int(m.effectiveBigM())
+	c.str(";zeroConflict=").bool(m.ZeroConflict).str(";\n")
+	h.Write(c.buf)
+	c.buf = c.buf[:0]
+
+	// Rank order is byte order unless one ID is a prefix of another, so the
+	// sort of these records (and of the uniform pairs below) mostly
+	// confirms the order they were written in.
+	for _, i := range c.byRank {
+		lo := len(c.buf)
+		c.str("item:").itemRecord(int(i))
+		c.rec(lo)
 	}
-	for _, fam := range [][]string{
-		prefixed("cap", m.canonicalCapacities()),
-		prefixed("gc", m.canonicalGroupCounts()),
-		prefixed("same", m.canonicalSameSlot()),
-		prefixed("uni", m.canonicalUniform()),
-		prefixed("loc", m.canonicalLocalized()),
-	} {
-		for _, rec := range fam {
-			fmt.Fprintf(h, "%s\n", rec)
+	c.flush(h)
+
+	for _, cp := range m.Capacities {
+		c.idSets(cp.Sets)
+		lo := len(c.buf)
+		c.str("cap:cap=").int(cp.Cap).str("|bucket=").int(max(cp.BucketSlots, 1))
+		c.str("|sets={").join(';').str("}")
+		c.rec(lo)
+	}
+	c.flush(h)
+
+	for _, g := range m.GroupCounts {
+		c.idSets(g.Groups)
+		lo := len(c.buf)
+		c.str("gc:cap=").int(g.Cap).str("|groups={").join(';').str("}")
+		c.rec(lo)
+	}
+	c.flush(h)
+
+	for _, grp := range m.SameSlot {
+		if len(grp) > 1 {
+			lo := len(c.buf)
+			c.str("same:").idSet(grp)
+			c.rec(lo)
 		}
 	}
+	c.flush(h)
+
+	for _, u := range m.Uniform {
+		for _, i := range c.byRank {
+			v := 0.0
+			if int(i) < len(u.Values) {
+				v = u.Values[i]
+			}
+			lo := len(c.buf)
+			c.str(m.Items[i].ID).str("=").float(v)
+			c.parts = append(c.parts, span{lo, len(c.buf)})
+		}
+		c.sort(c.parts)
+		lo := len(c.buf)
+		c.str("uni:max=").float(u.MaxDist).str("|vals={").join(',').str("}")
+		c.rec(lo)
+	}
+	c.flush(h)
+
+	for _, l := range m.Localized {
+		c.idSets(l.Groups)
+		lo := len(c.buf)
+		c.str("loc:groups={").join(';').str("}")
+		c.rec(lo)
+	}
+	c.flush(h)
+
 	return hex.EncodeToString(h.Sum(nil))
 }
 
@@ -54,7 +108,7 @@ func (m *Model) Fingerprint() string {
 // so an intent whose fleet gained a node or changed an attribute still
 // lands in its predecessor's family.
 func (m *Model) FamilyKey() string {
-	return fmt.Sprintf("%s|%d|%t|%t", m.Name, m.NumSlots, m.RequireAll, m.ZeroConflict)
+	return m.Name + "|" + strconv.Itoa(m.NumSlots) + "|" + strconv.FormatBool(m.RequireAll) + "|" + strconv.FormatBool(m.ZeroConflict)
 }
 
 // ItemSignatures returns a per-item semantic signature keyed by item ID:
@@ -65,9 +119,13 @@ func (m *Model) FamilyKey() string {
 // incumbent is close enough to seed a warm-start solve.
 func (m *Model) ItemSignatures() map[string]uint64 {
 	sigs := make(map[string]uint64, len(m.Items))
+	c := canon{m: m}
+	f := fnv.New64a()
 	for i := range m.Items {
-		f := fnv.New64a()
-		fmt.Fprint(f, m.itemRecord(i))
+		c.buf = c.buf[:0]
+		c.itemRecord(i)
+		f.Reset()
+		f.Write(c.buf)
 		sigs[m.Items[i].ID] = f.Sum64()
 	}
 	return sigs
@@ -97,121 +155,132 @@ func (m *Model) effectiveBigM() int {
 	return total*(m.NumSlots+1) + m.effectiveSkipPenalty()*total + 1
 }
 
-// itemRecord serializes one item's semantics (effective weight and
-// duration, sorted forbidden and conflict slots).
-func (m *Model) itemRecord(i int) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s|w=%d|d=%d", m.Items[i].ID, m.Weight(i), m.Duration(i))
+// span is one serialized record (or one part of a record being built)
+// held in canon.buf.
+type span struct{ lo, hi int }
+
+// canon serializes a model's canonical records. Everything is appended to
+// one buffer and remembered as spans of it, so putting records in order is
+// sorting spans, and the item IDs are ranked once so that a set's sorted ID
+// list is a sort of small integers.
+type canon struct {
+	m *Model
+	// byRank lists the item indexes in ascending ID order; rank inverts it.
+	byRank, rank []int32
+	buf          []byte
+	// recs are the finished records of the family being written; parts are
+	// the sets (or pairs) of the record being built.
+	recs, parts []span
+	ranks       []int32
+	slots       []int
+}
+
+func newCanon(m *Model) *canon {
+	n := len(m.Items)
+	idx := make([]int32, 2*n)
+	c := &canon{m: m, byRank: idx[:n], rank: idx[n:], buf: make([]byte, 0, 64*n+128)}
+	for i := range c.byRank {
+		c.byRank[i] = int32(i)
+	}
+	slices.SortFunc(c.byRank, func(a, b int32) int { return strings.Compare(m.Items[a].ID, m.Items[b].ID) })
+	for r, i := range c.byRank {
+		c.rank[i] = int32(r)
+	}
+	return c
+}
+
+func (c *canon) str(s string) *canon { c.buf = append(c.buf, s...); return c }
+func (c *canon) int(v int) *canon    { c.buf = strconv.AppendInt(c.buf, int64(v), 10); return c }
+func (c *canon) bool(v bool) *canon  { c.buf = strconv.AppendBool(c.buf, v); return c }
+
+// float appends v as fmt's %g prints it.
+func (c *canon) float(v float64) *canon {
+	c.buf = strconv.AppendFloat(c.buf, v, 'g', -1, 64)
+	return c
+}
+
+// itemRecord appends one item's semantics: effective weight and duration,
+// sorted forbidden and conflict slots.
+func (c *canon) itemRecord(i int) {
+	m := c.m
+	c.str(m.Items[i].ID).str("|w=").int(m.Weight(i)).str("|d=").int(m.Duration(i))
 	if i < len(m.Forbidden) && len(m.Forbidden[i]) > 0 {
-		fmt.Fprintf(&b, "|f=%v", sortedCopy(m.Forbidden[i]))
+		c.str("|f=").slotList(m.Forbidden[i])
 	}
 	if i < len(m.ConflictSlots) && len(m.ConflictSlots[i]) > 0 {
-		fmt.Fprintf(&b, "|c=%v", sortedCopy(m.ConflictSlots[i]))
+		c.str("|c=").slotList(m.ConflictSlots[i])
 	}
-	return b.String()
 }
 
-// canonicalItems returns one record per item, sorted by ID.
-func (m *Model) canonicalItems() []string {
-	recs := make([]string, len(m.Items))
-	for i := range m.Items {
-		recs[i] = m.itemRecord(i)
-	}
-	sort.Strings(recs)
-	return recs
-}
-
-// idSet maps an index set to a sorted, comma-joined list of item IDs.
-func (m *Model) idSet(set []int) string {
-	ids := make([]string, len(set))
-	for k, i := range set {
-		ids[k] = m.Items[i].ID
-	}
-	sort.Strings(ids)
-	return strings.Join(ids, ",")
-}
-
-// idSets canonicalizes a list of index sets: each set becomes a sorted ID
-// list, and the sets themselves are sorted.
-func (m *Model) idSets(sets [][]int) []string {
-	out := make([]string, len(sets))
-	for k, s := range sets {
-		out[k] = m.idSet(s)
-	}
-	sort.Strings(out)
-	return out
-}
-
-func (m *Model) canonicalCapacities() []string {
-	recs := make([]string, len(m.Capacities))
-	for k, c := range m.Capacities {
-		bucket := c.BucketSlots
-		if bucket <= 1 {
-			bucket = 1
+// slotList appends xs sorted, as fmt's %v prints a slice: "[1 3 7]".
+func (c *canon) slotList(xs []int) {
+	c.slots = append(c.slots[:0], xs...)
+	slices.Sort(c.slots)
+	for k, x := range c.slots {
+		if k == 0 {
+			c.str("[")
+		} else {
+			c.str(" ")
 		}
-		recs[k] = fmt.Sprintf("cap=%d|bucket=%d|sets={%s}", c.Cap, bucket, strings.Join(m.idSets(c.Sets), ";"))
+		c.int(x)
 	}
-	sort.Strings(recs)
-	return recs
+	c.str("]")
 }
 
-func (m *Model) canonicalGroupCounts() []string {
-	recs := make([]string, len(m.GroupCounts))
-	for k, g := range m.GroupCounts {
-		recs[k] = fmt.Sprintf("cap=%d|groups={%s}", g.Cap, strings.Join(m.idSets(g.Groups), ";"))
+// idSet appends an index set as its item IDs, sorted and comma-joined.
+func (c *canon) idSet(set []int) {
+	c.ranks = c.ranks[:0]
+	for _, i := range set {
+		c.ranks = append(c.ranks, c.rank[i])
 	}
-	sort.Strings(recs)
-	return recs
-}
-
-func (m *Model) canonicalSameSlot() []string {
-	var recs []string
-	for _, grp := range m.SameSlot {
-		if len(grp) > 1 {
-			recs = append(recs, m.idSet(grp))
+	slices.Sort(c.ranks)
+	for k, r := range c.ranks {
+		if k > 0 {
+			c.str(",")
 		}
+		c.str(c.m.Items[c.byRank[r]].ID)
 	}
-	sort.Strings(recs)
-	return recs
 }
 
-func (m *Model) canonicalUniform() []string {
-	recs := make([]string, len(m.Uniform))
-	for k, u := range m.Uniform {
-		pairs := make([]string, len(m.Items))
-		for i := range m.Items {
-			v := 0.0
-			if i < len(u.Values) {
-				v = u.Values[i]
-			}
-			pairs[i] = fmt.Sprintf("%s=%g", m.Items[i].ID, v)
+// idSets appends each index set as a sorted ID list and leaves the lists,
+// themselves sorted, in parts.
+func (c *canon) idSets(sets [][]int) {
+	for _, s := range sets {
+		lo := len(c.buf)
+		c.idSet(s)
+		c.parts = append(c.parts, span{lo, len(c.buf)})
+	}
+	c.sort(c.parts)
+}
+
+// join appends the parts separated by sep and forgets them.
+func (c *canon) join(sep byte) *canon {
+	for k, p := range c.parts {
+		if k > 0 {
+			c.buf = append(c.buf, sep)
 		}
-		sort.Strings(pairs)
-		recs[k] = fmt.Sprintf("max=%g|vals={%s}", u.MaxDist, strings.Join(pairs, ","))
+		c.buf = append(c.buf, c.buf[p.lo:p.hi]...)
 	}
-	sort.Strings(recs)
-	return recs
+	c.parts = c.parts[:0]
+	return c
 }
 
-func (m *Model) canonicalLocalized() []string {
-	recs := make([]string, len(m.Localized))
-	for k, l := range m.Localized {
-		recs[k] = fmt.Sprintf("groups={%s}", strings.Join(m.idSets(l.Groups), ";"))
-	}
-	sort.Strings(recs)
-	return recs
+func (c *canon) sort(spans []span) {
+	slices.SortFunc(spans, func(a, b span) int { return bytes.Compare(c.buf[a.lo:a.hi], c.buf[b.lo:b.hi]) })
 }
 
-func prefixed(tag string, recs []string) []string {
-	out := make([]string, len(recs))
-	for i, r := range recs {
-		out[i] = tag + ":" + r
-	}
-	return out
+// rec ends the record begun at lo, a line of the family being written.
+func (c *canon) rec(lo int) {
+	c.recs = append(c.recs, span{lo, len(c.buf)})
+	c.buf = append(c.buf, '\n')
 }
 
-func sortedCopy(xs []int) []int {
-	out := append([]int(nil), xs...)
-	sort.Ints(out)
-	return out
+// flush writes one family's lines to h in byte order and empties the
+// buffer.
+func (c *canon) flush(h hash.Hash) {
+	c.sort(c.recs)
+	for _, r := range c.recs {
+		h.Write(c.buf[r.lo : r.hi+1])
+	}
+	c.recs, c.buf = c.recs[:0], c.buf[:0]
 }

@@ -1,6 +1,7 @@
 package model
 
 import (
+	"math/rand"
 	"testing"
 )
 
@@ -66,6 +67,88 @@ func TestFingerprintPermutationInvariant(t *testing.T) {
 	if got, want := perm.FamilyKey(), base.FamilyKey(); got != want {
 		t.Fatalf("permuted model family differs: %q vs %q", got, want)
 	}
+
+	// The same on random models, every order shuffled at once: the items,
+	// the constraints of each family, the sets inside a constraint, the
+	// members inside a set, the slots of a slot list.
+	rng := rand.New(rand.NewSource(22))
+	for k := 0; k < 500; k++ {
+		m := randomCanonModel(rng)
+		p := permuted(rng, m)
+		if got, want := p.Fingerprint(), m.Fingerprint(); got != want {
+			t.Fatalf("model %d: permuted fingerprint %s, original %s\n%+v\n%+v", k, got, want, m, p)
+		}
+		got, want := p.ItemSignatures(), m.ItemSignatures()
+		for id, sig := range want {
+			if got[id] != sig {
+				t.Fatalf("model %d: item %q signature moved with the permutation", k, id)
+			}
+		}
+	}
+}
+
+// permuted returns m with its items renumbered at random and every list
+// whose order carries no meaning shuffled.
+func permuted(rng *rand.Rand, m *Model) *Model {
+	n := len(m.Items)
+	at := rng.Perm(n) // at[i]: item i's new index
+	p := *m
+	p.Items = make([]Item, n)
+	for i, it := range m.Items {
+		p.Items[at[i]] = it
+	}
+	set := func(s []int) []int {
+		out := make([]int, len(s))
+		for k, j := range rng.Perm(len(s)) {
+			out[k] = at[s[j]]
+		}
+		return out
+	}
+	sets := func(ss [][]int) [][]int {
+		out := make([][]int, len(ss))
+		for k, j := range rng.Perm(len(ss)) {
+			out[k] = set(ss[j])
+		}
+		return out
+	}
+	// An item past the end of a per-item list reads as its zero value.
+	slots := func(ls [][]int) [][]int {
+		if ls == nil {
+			return nil
+		}
+		out := make([][]int, n)
+		for i, l := range ls {
+			for _, j := range rng.Perm(len(l)) {
+				out[at[i]] = append(out[at[i]], l[j])
+			}
+		}
+		return out
+	}
+	p.Forbidden, p.ConflictSlots = slots(m.Forbidden), slots(m.ConflictSlots)
+	p.SameSlot = sets(m.SameSlot)
+	p.Capacities = make([]Capacity, len(m.Capacities))
+	for k, j := range rng.Perm(len(m.Capacities)) {
+		p.Capacities[k] = m.Capacities[j]
+		p.Capacities[k].Sets = sets(m.Capacities[j].Sets)
+	}
+	p.GroupCounts = make([]GroupCount, len(m.GroupCounts))
+	for k, j := range rng.Perm(len(m.GroupCounts)) {
+		p.GroupCounts[k] = m.GroupCounts[j]
+		p.GroupCounts[k].Groups = sets(m.GroupCounts[j].Groups)
+	}
+	p.Localized = make([]Localized, len(m.Localized))
+	for k, j := range rng.Perm(len(m.Localized)) {
+		p.Localized[k] = Localized{Groups: sets(m.Localized[j].Groups)}
+	}
+	p.Uniform = make([]Uniform, len(m.Uniform))
+	for k, j := range rng.Perm(len(m.Uniform)) {
+		u := Uniform{MaxDist: m.Uniform[j].MaxDist, Values: make([]float64, n)}
+		for i, v := range m.Uniform[j].Values {
+			u.Values[at[i]] = v
+		}
+		p.Uniform[k] = u
+	}
+	return &p
 }
 
 func TestFingerprintNormalizeInvariant(t *testing.T) {

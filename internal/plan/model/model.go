@@ -159,7 +159,7 @@ func (m *Model) Validate() error {
 	if m.NumSlots <= 0 {
 		return fmt.Errorf("model: NumSlots must be positive")
 	}
-	seen := map[string]bool{}
+	seen := make(map[string]bool, n)
 	for i, it := range m.Items {
 		if it.ID == "" {
 			return fmt.Errorf("model: item %d has empty id", i)

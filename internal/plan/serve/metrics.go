@@ -17,7 +17,7 @@ var (
 	metricShared = obs.Default.Counter("cornet_plan_singleflight_shared_total",
 		"Plan requests that shared another in-flight identical solve instead of solving.")
 	metricWarmStarts = obs.Default.Counter("cornet_plan_warm_starts_total",
-		"Solves seeded with a cached incumbent from a near-identical model.")
+		"Solves whose solver took the cached incumbent of a near-identical model as its starting bound (a seed offered and dropped as infeasible is not counted).")
 
 	metricQueueDepth = obs.Default.Gauge("cornet_admission_queue_depth",
 		"Plan requests queued for admission across all tenants.")

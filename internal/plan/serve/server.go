@@ -226,27 +226,28 @@ func (s *Server) Plan(ctx context.Context, tenant string, req *intent.Request, i
 
 	v, shared, err := s.flight.Do(ctx, key, func() (any, error) {
 		ropt := opt
-		warm := false
 		// One signature pass serves both the warm-seed scan and the
 		// entry this solve will cache.
 		sigs := b.Req.Model.ItemSignatures()
-		if seed := s.warmSeed(b.Req.Model, sigs, key); seed != nil {
-			ropt.Warm = seed
-			warm = true
-			metricWarmStarts.Inc()
-			events.Default.Publish(events.Event{
-				Type: events.TypeWarmStart, Source: "serve",
-				ChangeID: obs.ChangeID(ctx), Tenant: tenant,
-				Fields: map[string]any{"key": key, "seed_items": len(seed)},
-			})
-		}
+		ropt.Warm = s.warmSeed(b.Req.Model, sigs, key)
 		res, wait, err := s.solve(ctx, tenant, b, ropt)
 		if err != nil {
 			return nil, err
 		}
+		// A seed counts once the solver took it: one it dropped as
+		// infeasible, or whose solve was shed, warm-started nothing.
+		warm := ropt.Warm != nil && warmApplied(res)
+		if warm {
+			metricWarmStarts.Inc()
+			events.Default.Publish(events.Event{
+				Type: events.TypeWarmStart, Source: "serve",
+				ChangeID: obs.ChangeID(ctx), Tenant: tenant,
+				Fields: map[string]any{"key": key, "seed_items": len(ropt.Warm)},
+			})
+		}
 		s.cache.Put(entryFor(key, b.Req.Model, sigs, res))
 		metricCacheEntries.Set(float64(s.cache.Len()))
-		return &outcome{res: res, warm: warm && warmApplied(res), wait: wait}, nil
+		return &outcome{res: res, warm: warm, wait: wait}, nil
 	})
 	if err != nil {
 		return nil, err
@@ -335,35 +336,42 @@ func (s *Server) solve(ctx context.Context, tenant string, b *core.PlanBuild, op
 	return res, wait, rerr
 }
 
-// warmSeed scans recent same-family cache entries for the closest model
-// (by per-item signature delta against sigs) within WarmDelta and returns
-// its solved assignment as the solver seed, or nil when nothing is close
-// enough.
+// warmSeed scans recent same-family cache entries, most recent first, for
+// the closest model (by per-item signature delta against sigs) within
+// WarmDelta and returns its solved assignment as the solver seed, or nil
+// when nothing is close enough. A tie goes to the more recent entry, so a
+// candidate is dropped as soon as its delta reaches the best so far and
+// the scan ends at the first identical one.
 func (s *Server) warmSeed(m *model.Model, sigs map[string]uint64, selfKey string) map[string]int {
 	if s.warmDelta < 0 {
 		return nil
 	}
-	cands := s.cache.Recent(m.FamilyKey(), s.warmScan)
 	var best map[string]int
 	bestDelta := s.warmDelta + 1
-	for _, c := range cands {
+	for _, c := range s.cache.Recent(m.FamilyKey(), s.warmScan) {
 		if c.Key == selfKey || len(c.ItemSlots) == 0 {
 			continue
 		}
-		delta := 0
+		// delta = changed + added + removed. The candidate's removed items
+		// are the ones not matched by sigs, len(c.ItemSigs) - (len(sigs) -
+		// added), so every added item counts twice over that base and one
+		// pass over sigs sizes all three.
+		delta := len(c.ItemSigs) - len(sigs)
 		for id, sig := range sigs {
-			if old, ok := c.ItemSigs[id]; !ok || old != sig {
-				delta++
+			if delta >= bestDelta {
+				break
 			}
-		}
-		for id := range c.ItemSigs {
-			if _, ok := sigs[id]; !ok {
+			if old, ok := c.ItemSigs[id]; !ok {
+				delta += 2
+			} else if old != sig {
 				delta++
 			}
 		}
 		if delta < bestDelta {
-			bestDelta = delta
-			best = c.ItemSlots
+			bestDelta, best = delta, c.ItemSlots
+			if delta == 0 {
+				break
+			}
 		}
 	}
 	return best

@@ -23,13 +23,14 @@
 package solver
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"math"
 	"math/bits"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -312,10 +313,6 @@ type block struct {
 	uniLo, uniHi []float64
 	// locGroups lists (localize index, group index) memberships.
 	locGroups [][2]int
-	// forbidden lists banned START slots: a start is banned when any
-	// member would occupy one of its forbidden slots (sorted). Folded into
-	// the slot-domain bitset at newState time.
-	forbidden []int
 	// conflictCount[t] = member-slot collisions when starting at t; nil
 	// when the block has no conflicting member (dense by slot — the map it
 	// replaces dominated the hot placement path).
@@ -496,7 +493,8 @@ func newState(m *model.Model, opt Options) *state {
 
 	// Build blocks from SameSlot groups via union-find so overlapping
 	// consistency groups merge into one block (the union semantics the
-	// constraint promises); remaining items are singletons.
+	// constraint promises); remaining items are singletons. Blocks are
+	// numbered by first member and list their members in index order.
 	parent := make([]int, n)
 	for i := range parent {
 		parent[i] = i
@@ -516,55 +514,91 @@ func newState(m *model.Model, opt Options) *state {
 			}
 		}
 	}
-	members := map[int][]int{}
+	blockOf := make([]int, n) // by root; -1 until the root's first member is seen
+	for i := range blockOf {
+		blockOf[i] = -1
+	}
+	var size []int
 	for i := 0; i < n; i++ {
 		r := find(i)
-		members[r] = append(members[r], i)
-	}
-	var blocks []block
-	for i := 0; i < n; i++ {
-		if r := find(i); members[r][0] == i {
-			blocks = append(blocks, block{items: members[r]})
+		if blockOf[r] < 0 {
+			blockOf[r] = len(size)
+			size = append(size, 0)
 		}
+		size[blockOf[r]]++
+	}
+	nb := len(size)
+	blocks := make([]block, nb)
+	itemSlab := make([]int, n)
+	for bi := range blocks {
+		blocks[bi].items = carve(&itemSlab, size[bi])[:0]
+	}
+	for i := 0; i < n; i++ {
+		b := &blocks[blockOf[find(i)]]
+		b.items = append(b.items, i)
 	}
 
-	// Per-item membership maps for constraint bookkeeping.
-	type capMember struct{ c, set int }
-	capOf := make([][]capMember, n)
+	// Per-item membership lists for constraint bookkeeping, and the flat
+	// (capacity, set) numbering of the forward-checking tables.
+	setBase := make([]int, len(m.Capacities)+1)
+	capSets := make([][][]int, len(m.Capacities))
 	for ci, c := range m.Capacities {
-		for si, set := range c.Sets {
-			for _, i := range set {
-				capOf[i] = append(capOf[i], capMember{ci, si})
-			}
-		}
+		setBase[ci+1] = setBase[ci] + len(c.Sets)
+		capSets[ci] = c.Sets
 	}
-	gcOf := make([][][2]int, n)
+	gcSets := make([][][]int, len(m.GroupCounts))
 	for gi, g := range m.GroupCounts {
-		for grpIdx, grp := range g.Groups {
-			for _, i := range grp {
-				gcOf[i] = append(gcOf[i], [2]int{gi, grpIdx})
-			}
-		}
+		gcSets[gi] = g.Groups
 	}
-	locOf := make([][][2]int, n)
+	locSets := make([][][]int, len(m.Localized))
 	for li, l := range m.Localized {
-		for grpIdx, grp := range l.Groups {
-			for _, i := range grp {
-				locOf[i] = append(locOf[i], [2]int{li, grpIdx})
-			}
+		locSets[li] = l.Groups
+	}
+	capOf, gcOf, locOf := membership(n, capSets), membership(n, gcSets), membership(n, locSets)
+
+	// Everything sized per block comes off slabs sized for all of them. A
+	// block's capacity rows take at most 2d+1 ints (wOff and prefix) per
+	// membership of a member of duration d, its group lists at most one
+	// pair per membership.
+	U := len(m.Uniform)
+	capUses, capInts, pairs := 0, 0, 0
+	for i := 0; i < n; i++ {
+		capUses += len(capOf[i])
+		capInts += len(capOf[i]) * (2*m.Duration(i) + 1)
+		pairs += len(gcOf[i]) + len(locOf[i])
+	}
+	capUseSlab := make([]capUse, capUses)
+	intSlab := make([]int, capInts)
+	pairSlab := make([][2]int, pairs)
+	costSlab := make([]int64, nb*T)
+	ordSlab := make([]int32, 2*nb*T)
+	uniSlab := make([]float64, 2*nb*U)
+	s.domWords = (T + 63) >> 6
+	s.dom = make([]uint64, nb*s.domWords)
+	s.domCount = make([]int, nb)
+	// Scratch reused by every block: the (capacity set, weight, duration)
+	// of each member's memberships, gathered group pairs, banned starts.
+	type capTouch struct{ c, set, flat, w, d int }
+	var touches []capTouch
+	var gathered [][2]int
+	banned := make([]bool, T)
+	// groupsOf is the sorted set of the {constraint, group} pairs a block's
+	// members belong to.
+	groupsOf := func(items []int, of [][][2]int) [][2]int {
+		gathered = gathered[:0]
+		for _, i := range items {
+			gathered = append(gathered, of[i]...)
 		}
+		sortPairs(gathered)
+		return append(carve(&pairSlab, len(gathered))[:0], slices.Compact(gathered)...)
 	}
 
 	for bi := range blocks {
 		b := &blocks[bi]
-		capW := map[[2]int][]int{} // (c,set) -> weight per slot offset
-		gcSeen := map[[2]int]bool{}
-		locSeen := map[[2]int]bool{}
-		forb := map[int]bool{}
-		confl := map[int]int{}
+		touches = touches[:0]
+		clear(banned)
 		b.duration = 1
-		b.uniLo = make([]float64, len(m.Uniform))
-		b.uniHi = make([]float64, len(m.Uniform))
+		b.uniLo, b.uniHi = carve(&uniSlab, U), carve(&uniSlab, U)
 		for ui := range m.Uniform {
 			b.uniLo[ui], b.uniHi[ui] = math.Inf(1), math.Inf(-1)
 		}
@@ -577,21 +611,7 @@ func newState(m *model.Model, opt Options) *state {
 				b.duration = d
 			}
 			for _, cm := range capOf[i] {
-				key := [2]int{cm.c, cm.set}
-				wOff := capW[key]
-				for len(wOff) < d {
-					wOff = append(wOff, 0)
-				}
-				for k := 0; k < d; k++ {
-					wOff[k] += w
-				}
-				capW[key] = wOff
-			}
-			for _, g := range gcOf[i] {
-				gcSeen[g] = true
-			}
-			for _, l := range locOf[i] {
-				locSeen[l] = true
+				touches = append(touches, capTouch{cm[0], cm[1], setBase[cm[0]] + cm[1], w, d})
 			}
 			for ui, u := range m.Uniform {
 				v := u.Values[i]
@@ -604,72 +624,62 @@ func newState(m *model.Model, opt Options) *state {
 			}
 			// A member occupying [t, t+d) bans every start t that would
 			// cover a forbidden (or zero-tolerance conflicting) slot, and
-			// accumulates collisions per start for minimize mode.
+			// accumulates collisions per start for minimize mode. Validate
+			// keeps both kinds of slot inside the window.
 			if i < len(m.Forbidden) {
 				for _, f := range m.Forbidden[i] {
-					for t := f - d + 1; t <= f; t++ {
-						if t >= 0 {
-							forb[t] = true
-						}
+					for t := max(f-d+1, 0); t <= f; t++ {
+						banned[t] = true
 					}
 				}
 			}
 			if i < len(m.ConflictSlots) {
 				for _, f := range m.ConflictSlots[i] {
-					for t := f - d + 1; t <= f; t++ {
-						if t < 0 {
-							continue
-						}
-						confl[t]++
+					if b.conflictCount == nil {
+						b.conflictCount = make([]int, T)
+					}
+					for t := max(f-d+1, 0); t <= f; t++ {
+						b.conflictCount[t]++
 						if m.ZeroConflict {
-							forb[t] = true
+							banned[t] = true
 						}
 					}
 				}
 			}
 		}
-		for k, wOff := range capW {
-			prefix := make([]int, len(wOff)+1)
+		// One capUse per capacity set the block touches, in flat order: the
+		// memberships of one set are a run once sorted, and its row is as
+		// long as the run's longest member.
+		slices.SortFunc(touches, func(x, y capTouch) int { return cmp.Compare(x.flat, y.flat) })
+		b.capUse = carve(&capUseSlab, len(touches))[:0]
+		for lo := 0; lo < len(touches); {
+			hi, dur := lo, 0
+			for ; hi < len(touches) && touches[hi].flat == touches[lo].flat; hi++ {
+				dur = max(dur, touches[hi].d)
+			}
+			wOff, prefix := carve(&intSlab, dur), carve(&intSlab, dur+1)
+			for _, tc := range touches[lo:hi] {
+				for k := 0; k < tc.d; k++ {
+					wOff[k] += tc.w
+				}
+			}
 			for o, w := range wOff {
 				prefix[o+1] = prefix[o] + w
 			}
-			b.capUse = append(b.capUse, capUse{c: k[0], set: k[1],
-				cap: m.Capacities[k[0]].Cap, bucketSlots: m.Capacities[k[0]].BucketSlots,
+			tc := touches[lo]
+			b.capUse = append(b.capUse, capUse{c: tc.c, set: tc.set, flat: tc.flat,
+				cap: m.Capacities[tc.c].Cap, bucketSlots: m.Capacities[tc.c].BucketSlots,
 				wOff: wOff, prefix: prefix})
+			lo = hi
 		}
-		sort.Slice(b.capUse, func(x, y int) bool {
-			if b.capUse[x].c != b.capUse[y].c {
-				return b.capUse[x].c < b.capUse[y].c
-			}
-			return b.capUse[x].set < b.capUse[y].set
-		})
-		for k := range gcSeen {
-			b.gcGroups = append(b.gcGroups, k)
-		}
-		sortPairs(b.gcGroups)
-		for k := range locSeen {
-			b.locGroups = append(b.locGroups, k)
-		}
-		sortPairs(b.locGroups)
-		for t := range forb {
-			b.forbidden = append(b.forbidden, t)
-		}
-		sort.Ints(b.forbidden)
-		if len(confl) > 0 {
-			b.conflictCount = make([]int, T)
-			for t, c := range confl {
-				if t < T {
-					b.conflictCount[t] = c
-				}
-			}
-		}
+		b.gcGroups, b.locGroups = groupsOf(b.items, gcOf), groupsOf(b.items, locOf)
 		// Value ordering: exact incremental cost per start slot, slots
 		// sorted cheapest-first (ties slot-ascending so the sequential
 		// search and lex tie-breaks stay deterministic). Under
 		// ZeroConflict the conflicting starts are forbidden (domain
 		// facts), so costAt carries no BigM term.
 		b.skipCost = int64(m.SkipPenalty) * int64(b.weight)
-		b.costAt = make([]int64, T)
+		b.costAt = carve(&costSlab, T)
 		for t := 0; t < T; t++ {
 			ca := int64(t)*int64(b.weight) + b.costConst
 			if !m.ZeroConflict && b.conflictCount != nil {
@@ -677,43 +687,25 @@ func newState(m *model.Model, opt Options) *state {
 			}
 			b.costAt[t] = ca
 		}
-		b.valOrder = make([]int32, T)
+		b.valOrder, b.ordOf = carve(&ordSlab, T), carve(&ordSlab, T)
 		for t := range b.valOrder {
 			b.valOrder[t] = int32(t)
 		}
-		sort.SliceStable(b.valOrder, func(x, y int) bool {
-			return b.costAt[b.valOrder[x]] < b.costAt[b.valOrder[y]]
-		})
-		b.ordOf = make([]int32, T)
+		slices.SortStableFunc(b.valOrder, func(x, y int32) int { return cmp.Compare(b.costAt[x], b.costAt[y]) })
 		for o, t := range b.valOrder {
 			b.ordOf[t] = int32(o)
 		}
-	}
-	s.blocks = blocks
-
-	// Slot-domain bitsets: seed each block's live start slots from the
-	// window bound (t+duration <= NumSlots) minus its forbidden starts.
-	s.domWords = (T + 63) >> 6
-	s.dom = make([]uint64, len(blocks)*s.domWords)
-	s.domCount = make([]int, len(blocks))
-	for bi := range blocks {
-		b := &blocks[bi]
+		// Slot domain: the starts the window admits (t+duration <= NumSlots)
+		// minus the banned ones.
 		base := bi * s.domWords
-		cnt := T - b.duration + 1
-		if cnt < 0 {
-			cnt = 0
-		}
 		for t := 0; t+b.duration <= T; t++ {
-			s.dom[base+(t>>6)] |= 1 << (uint(t) & 63)
-		}
-		for _, f := range b.forbidden {
-			if f+b.duration <= T && s.dom[base+(f>>6)]&(1<<(uint(f)&63)) != 0 {
-				s.dom[base+(f>>6)] &^= 1 << (uint(f) & 63)
-				cnt--
+			if !banned[t] {
+				s.dom[base+(t>>6)] |= 1 << (uint(t) & 63)
+				s.domCount[bi]++
 			}
 		}
-		s.domCount[bi] = cnt
 	}
+	s.blocks = blocks
 
 	// Static search order: most-constrained first by live-domain size,
 	// then larger weight, then index. order[0] doubles as the fixed root
@@ -723,15 +715,8 @@ func newState(m *model.Model, opt Options) *state {
 	for i := range s.order {
 		s.order[i] = i
 	}
-	sort.SliceStable(s.order, func(x, y int) bool {
-		a, b := s.order[x], s.order[y]
-		if s.domCount[a] != s.domCount[b] {
-			return s.domCount[a] < s.domCount[b]
-		}
-		if blocks[a].weight != blocks[b].weight {
-			return blocks[a].weight > blocks[b].weight
-		}
-		return a < b
+	slices.SortStableFunc(s.order, func(a, b int) int {
+		return cmp.Or(cmp.Compare(s.domCount[a], s.domCount[b]), cmp.Compare(blocks[b].weight, blocks[a].weight), cmp.Compare(a, b))
 	})
 	nOrd := len(s.order)
 	s.posOf = make([]int32, len(blocks))
@@ -750,10 +735,6 @@ func newState(m *model.Model, opt Options) *state {
 	// blocks and the saturation threshold Cap - min contributed weight.
 	// Every wOff entry is >= 1, so once usage exceeds the threshold every
 	// unassigned member placement touching the bucket must overflow it.
-	setBase := make([]int, len(m.Capacities)+1)
-	for ci, c := range m.Capacities {
-		setBase[ci+1] = setBase[ci] + len(c.Sets)
-	}
 	nFlat := setBase[len(m.Capacities)]
 	s.fcMembers = make([][]int32, nFlat)
 	s.fcThr = make([]int, nFlat)
@@ -764,9 +745,7 @@ func newState(m *model.Model, opt Options) *state {
 	}
 	maxW := make([]int, nFlat) // upper bound on any bucket's total load
 	for bi := range blocks {
-		for ci := range blocks[bi].capUse {
-			cu := &blocks[bi].capUse[ci]
-			cu.flat = setBase[cu.c] + cu.set
+		for _, cu := range blocks[bi].capUse {
 			s.fcMembers[cu.flat] = append(s.fcMembers[cu.flat], int32(bi))
 			for _, w := range cu.wOff {
 				if w < minW[cu.flat] {
@@ -989,12 +968,45 @@ func cloneBool(xs [][]bool) [][]bool {
 }
 
 func sortPairs(ps [][2]int) {
-	sort.Slice(ps, func(x, y int) bool {
-		if ps[x][0] != ps[y][0] {
-			return ps[x][0] < ps[y][0]
+	slices.SortFunc(ps, func(a, b [2]int) int { return cmp.Or(cmp.Compare(a[0], b[0]), cmp.Compare(a[1], b[1])) })
+}
+
+// carve cuts the next n elements off a slab allocated for many small
+// slices at once; the piece cannot grow into its neighbour.
+func carve[E any](slab *[]E, n int) []E {
+	out := (*slab)[:n:n]
+	*slab = (*slab)[n:]
+	return out
+}
+
+// membership inverts the index sets of one constraint family: out[i] lists
+// {constraint, set} for every occurrence of item i in a set, in
+// (constraint, set) order. The occurrences are counted first so the lists
+// share one allocation.
+func membership(n int, sets [][][]int) [][][2]int {
+	count := make([]int, n)
+	total := 0
+	for _, family := range sets {
+		for _, set := range family {
+			for _, i := range set {
+				count[i]++
+				total++
+			}
 		}
-		return ps[x][1] < ps[y][1]
-	})
+	}
+	slab := make([][2]int, total)
+	out := make([][][2]int, n)
+	for i := range out {
+		out[i] = carve(&slab, count[i])[:0]
+	}
+	for k, family := range sets {
+		for si, set := range family {
+			for _, i := range set {
+				out[i] = append(out[i], [2]int{k, si})
+			}
+		}
+	}
+	return out
 }
 
 // blockContrib returns the admissible minimum incremental cost for an

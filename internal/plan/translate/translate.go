@@ -69,7 +69,7 @@ func Translate(req *intent.Request, inv *inventory.Inventory, opt Options) (*Res
 	// --- Items -----------------------------------------------------------
 	var items []model.Item
 	var itemElements [][]string
-	itemIndex := map[string]int{} // ESA value -> item index
+	itemIndex := make(map[string]int, inv.Len()) // ESA value -> item index
 	// Per-element change durations: the element's duration_mw attribute,
 	// falling back to the request-level change_duration (Fig. 12's
 	// multi-window re-tuning and construction changes).
@@ -87,10 +87,13 @@ func Translate(req *intent.Request, inv *inventory.Inventory, opt Options) (*Res
 		return 1
 	}
 	if esa == inventory.AttrCommonID {
-		for _, id := range inv.IDs() {
+		ids := inv.IDs()
+		items = make([]model.Item, 0, len(ids))
+		itemElements = make([][]string, 0, len(ids))
+		for k, id := range ids {
 			itemIndex[id] = len(items)
 			items = append(items, model.Item{ID: id, Weight: 1, Duration: elemDuration(id)})
-			itemElements = append(itemElements, []string{id})
+			itemElements = append(itemElements, ids[k:k+1:k+1])
 		}
 	} else {
 		groups := inv.GroupBy(esa)
@@ -146,12 +149,15 @@ func Translate(req *intent.Request, inv *inventory.Inventory, opt Options) (*Res
 		return int(d / slotDur), nil
 	}
 
-	// elementItem maps an element id to its item index (identity for
-	// common_id ESA; group membership otherwise).
-	elementItem := map[string]int{}
-	for idx, ids := range itemElements {
-		for _, id := range ids {
-			elementItem[id] = idx
+	// elementItem maps an element id to its item index (itemIndex itself
+	// for common_id ESA; group membership otherwise).
+	elementItem := itemIndex
+	if esa != inventory.AttrCommonID {
+		elementItem = make(map[string]int, inv.Len())
+		for idx, ids := range itemElements {
+			for _, id := range ids {
+				elementItem[id] = idx
+			}
 		}
 	}
 
@@ -169,7 +175,11 @@ func Translate(req *intent.Request, inv *inventory.Inventory, opt Options) (*Res
 			}
 			return groups, names, nil
 		}
-		byVal := map[string]map[int]bool{}
+		// Items are visited in index order, so each value's list comes out
+		// sorted and a repeat can only be its last entry.
+		var groups [][]int
+		var names []string
+		groupOf := map[string]int{}
 		for idx, ids := range itemElements {
 			for _, id := range ids {
 				e, ok := inv.Get(id)
@@ -177,29 +187,27 @@ func Translate(req *intent.Request, inv *inventory.Inventory, opt Options) (*Res
 					continue
 				}
 				for _, v := range e.Values(attr) {
-					if byVal[v] == nil {
-						byVal[v] = map[int]bool{}
+					gi, ok := groupOf[v]
+					if !ok {
+						gi = len(groups)
+						groupOf[v] = gi
+						groups, names = append(groups, nil), append(names, v)
 					}
-					byVal[v][idx] = true
+					if g := groups[gi]; len(g) == 0 || g[len(g)-1] != idx {
+						groups[gi] = append(g, idx)
+					}
 				}
 			}
 		}
-		if len(byVal) == 0 {
+		if len(groups) == 0 {
 			return nil, nil, fmt.Errorf("translate: attribute %q absent from inventory", attr)
 		}
-		names := make([]string, 0, len(byVal))
-		for v := range byVal {
-			names = append(names, v)
-		}
 		sort.Strings(names)
-		groups := make([][]int, len(names))
-		for gi, v := range names {
-			for idx := range byVal[v] {
-				groups[gi] = append(groups[gi], idx)
-			}
-			sort.Ints(groups[gi])
+		sorted := make([][]int, len(names))
+		for k, v := range names {
+			sorted[k] = groups[groupOf[v]]
 		}
-		return groups, names, nil
+		return sorted, names, nil
 	}
 
 	// --- Constraints ------------------------------------------------------
