@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet fmt-check race bench bench-miss bench-serve bench-compose bench-e2e cover check doccheck metriccheck
+.PHONY: all build test vet fmt-check race bench bench-miss bench-exec bench-serve bench-compose bench-e2e cover check doccheck metriccheck
 
 all: check
 
@@ -58,6 +58,13 @@ bench:
 # -> one-node solve -> cache put. The probe behind DESIGN §13's cost table.
 bench-miss:
 	$(GO) test -run '^$$' -bench BenchmarkMiss -benchmem -count 5 ./internal/plan/serve
+
+# The execution path in process (exec_plain / exec_composed without the
+# HTTP): one three-block Engine.Execute, one Dispatcher.Run of 24 changes,
+# and the workflow-vs-event-driven ablation. TestExecuteAllocBudget and
+# TestDispatch24AllocBudget pin the first two's allocs/op.
+bench-exec:
+	$(GO) test -run '^$$' -bench 'BenchmarkExecute|BenchmarkDispatch24|BenchmarkEventVsWorkflow' -benchmem -count 5 ./internal/orchestrator
 
 # Quick serving-layer smoke: cache hit speedup, warm-start seeding, and
 # overload shedding against their acceptance bars. Overwrites

@@ -590,48 +590,3 @@ func BenchmarkAblationConflictRep(b *testing.B) {
 		_ = total
 	})
 }
-
-// --- Future-work: workflow-based vs event-driven composition ----------------
-// The §3.2 remarks defer a quantitative comparison of the two composition
-// styles; both engines run the Fig. 4 flow against the same testbed here.
-func BenchmarkEventVsWorkflow(b *testing.B) {
-	newTB := func() *testbed.Testbed {
-		tb := testbed.New(3)
-		tb.MustAdd(testbed.NewNF("enb1", "eNodeB", "v0"))
-		return tb
-	}
-	b.Run("workflow", func(b *testing.B) {
-		tb := newTB()
-		dep, err := workflow.Deploy(workflow.SoftwareUpgrade(), "eNodeB",
-			func(block, nf string) (string, error) { return "/api/bb/" + block, nil })
-		if err != nil {
-			b.Fatal(err)
-		}
-		eng := orchestrator.NewEngine(tb)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := eng.Execute(context.Background(), dep, map[string]string{
-				"instance": "enb1", "sw_version": fmt.Sprintf("v%d", i+1),
-				"prior_version": fmt.Sprintf("v%d", i),
-			}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("event-driven", func(b *testing.B) {
-		tb := newTB()
-		eng := orchestrator.NewEventEngine(tb, orchestrator.UpgradePolicies())
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := eng.Run(context.Background(), orchestrator.Event{
-				Topic: "change.requested",
-				Data: map[string]string{
-					"instance": "enb1", "sw_version": fmt.Sprintf("v%d", i+1),
-					"prior_version": fmt.Sprintf("v%d", i),
-				},
-			}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}

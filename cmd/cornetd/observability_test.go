@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"log/slog"
 	"net/http"
 	"strings"
 	"testing"
@@ -86,6 +87,8 @@ func TestChangeTimelineAcrossFaultInjectedChange(t *testing.T) {
 		MaxAttempts: 2, OnExhausted: resilience.ActionRollback,
 	}
 	s.f.Engine.Sleep = func(context.Context, time.Duration) error { return nil }
+	var engineLog bytes.Buffer
+	s.f.Engine.Log = obs.NewLogger(&engineLog, slog.LevelInfo, "json")
 	if err := s.tb.SetFault("vce-000", testbed.FaultSpec{ErrorRate: 1}); err != nil {
 		t.Fatal(err)
 	}
@@ -118,6 +121,16 @@ func TestChangeTimelineAcrossFaultInjectedChange(t *testing.T) {
 	}
 	if execOut.Status != "rolledback" || execOut.ChangeID != changeID {
 		t.Fatalf("execute = %+v, want rolledback under %s", execOut, changeID)
+	}
+	// Every log record of that execution can be grepped by the change id.
+	records := strings.Split(strings.TrimSpace(engineLog.String()), "\n")
+	if len(records) < 4 {
+		t.Fatalf("engine logged %d records for a retried, rolled-back execution:\n%s", len(records), engineLog.String())
+	}
+	for _, rec := range records {
+		if !strings.Contains(rec, `"change_id":"`+changeID+`"`) || !strings.Contains(rec, `"tenant":"timeline-tenant"`) {
+			t.Errorf("log record without the request's change id and tenant: %s", rec)
+		}
 	}
 
 	// Verify the change in-process under the same id (verifier event).

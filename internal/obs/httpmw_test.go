@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"context"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -86,4 +87,22 @@ func TestContextHandlerAddsTraceIDs(t *testing.T) {
 	}
 	// NopLogger must swallow everything without panicking.
 	NopLogger().InfoContext(ctx, "dropped")
+}
+
+// A record logged under a change's context can be joined to the change:
+// it carries the change id and tenant the journal's events carry, and a
+// context without them adds neither key.
+func TestContextHandlerAddsChangeIDAndTenant(t *testing.T) {
+	var buf bytes.Buffer
+	logger := NewLogger(&buf, ParseLevel("info"), "text")
+	ctx := WithTenant(WithChangeID(context.Background(), "chg-1"), "team-a")
+	logger.InfoContext(ctx, "hello")
+	if out := buf.String(); !strings.Contains(out, "change_id=chg-1") || !strings.Contains(out, "tenant=team-a") {
+		t.Fatalf("log line missing change id or tenant: %s", out)
+	}
+	buf.Reset()
+	logger.InfoContext(context.Background(), "hello")
+	if out := buf.String(); strings.Contains(out, "change_id") || strings.Contains(out, "tenant") {
+		t.Fatalf("log line outside any change has change keys: %s", out)
+	}
 }

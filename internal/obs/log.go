@@ -7,19 +7,31 @@ import (
 )
 
 // ContextHandler decorates every record with the context's trace, span,
-// and request IDs, so one logger wired at startup correlates log lines
-// with traces for free. Use the logger's *Context methods (InfoContext,
-// LogAttrs, ...) for the decoration to apply.
+// request and change IDs and its tenant, so one logger wired at startup
+// correlates log lines with traces and with a change's journal timeline
+// for free. Use the logger's *Context methods (InfoContext, LogAttrs, ...)
+// for the decoration to apply.
 type ContextHandler struct{ slog.Handler }
 
 // Handle implements slog.Handler.
 func (h ContextHandler) Handle(ctx context.Context, r slog.Record) error {
+	// Collected first and added in one call: past a record's five inline
+	// attributes every AddAttrs may regrow its overflow slice.
+	var buf [5]slog.Attr
+	attrs := buf[:0]
 	if sp := FromContext(ctx); sp != nil {
-		r.AddAttrs(slog.String("trace_id", sp.TraceID()), slog.String("span_id", sp.SpanID()))
+		attrs = append(attrs, slog.String("trace_id", sp.TraceID()), slog.String("span_id", sp.SpanID()))
 	}
 	if id := RequestID(ctx); id != "" {
-		r.AddAttrs(slog.String("request_id", id))
+		attrs = append(attrs, slog.String("request_id", id))
 	}
+	if id := ChangeID(ctx); id != "" {
+		attrs = append(attrs, slog.String("change_id", id))
+	}
+	if t := Tenant(ctx); t != "" {
+		attrs = append(attrs, slog.String("tenant", t))
+	}
+	r.AddAttrs(attrs...)
 	return h.Handler.Handle(ctx, r)
 }
 
@@ -34,8 +46,8 @@ func (h ContextHandler) WithGroup(name string) slog.Handler {
 }
 
 // NewLogger builds a structured logger writing text (format "text") or
-// JSON (format "json") records at the given level, decorated with
-// trace/span/request IDs from the context.
+// JSON (format "json") records at the given level, decorated by
+// ContextHandler.
 func NewLogger(w io.Writer, level slog.Leveler, format string) *slog.Logger {
 	opts := &slog.HandlerOptions{Level: level}
 	var h slog.Handler

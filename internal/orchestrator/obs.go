@@ -1,9 +1,11 @@
 package orchestrator
 
 import (
+	"context"
 	"log/slog"
 
 	"cornet/internal/obs"
+	"cornet/internal/obs/events"
 )
 
 // Execution metrics, recorded in the process-wide registry for every
@@ -41,4 +43,25 @@ func (eng *Engine) logger() *slog.Logger {
 		return eng.Log
 	}
 	return obs.NopLogger()
+}
+
+// publish journals one lifecycle fact, with attrs as the event's fields,
+// against the change and tenant ctx carries.
+func (eng *Engine) publish(ctx context.Context, typ events.Type, attrs ...slog.Attr) {
+	fields := make(map[string]any, len(attrs))
+	for _, a := range attrs {
+		fields[a.Key] = a.Value.Any()
+	}
+	events.Default.Publish(events.Event{
+		Type: typ, Source: "orchestrator",
+		ChangeID: obs.ChangeID(ctx), Tenant: obs.Tenant(ctx), Fields: fields,
+	})
+}
+
+// emit writes one lifecycle fact to both of its readers from fields typed
+// once: the journal event (publish) and the log record, whose attributes so
+// carry the event's field names.
+func (eng *Engine) emit(ctx context.Context, lvl slog.Level, msg string, typ events.Type, attrs ...slog.Attr) {
+	eng.publish(ctx, typ, attrs...)
+	eng.logger().LogAttrs(ctx, lvl, msg, attrs...)
 }

@@ -244,11 +244,7 @@ func (eng *Engine) EnableBreakers(cfg resilience.BreakerConfig) *resilience.Brea
 		}
 		// Breaker transitions are shared across executions, so the event
 		// carries no change id — it lands in timelines only via /api/events.
-		events.Default.Publish(events.Event{
-			Type: events.TypeBreaker, Source: "orchestrator",
-			Fields: map[string]any{"api": api, "from": string(from), "to": string(to)},
-		})
-		eng.logger().LogAttrs(context.Background(), slog.LevelWarn, "circuit breaker transition",
+		eng.emit(context.Background(), slog.LevelWarn, "circuit breaker transition", events.TypeBreaker,
 			slog.String("api", api), slog.String("from", string(from)), slog.String("to", string(to)))
 	}
 	eng.Breakers = set
@@ -356,53 +352,36 @@ func (eng *Engine) run(ctx context.Context, dep *workflow.Deployment, exec *Exec
 	ctx, wsp := obs.StartSpan(ctx, "wf.execute")
 	wsp.SetAttr("workflow", exec.Workflow)
 	wsp.SetAttr("instance", exec.Instance)
-	changeID, tenant := obs.ChangeID(ctx), obs.Tenant(ctx)
-	events.Default.Publish(events.Event{
-		Type: events.TypeWfStart, Source: "orchestrator",
-		ChangeID: changeID, Tenant: tenant,
-		Fields: map[string]any{"workflow": exec.Workflow, "instance": exec.Instance},
-	})
-	log := eng.logger()
-	log.LogAttrs(ctx, slog.LevelInfo, "workflow started",
+	eng.emit(ctx, slog.LevelInfo, "workflow started", events.TypeWfStart,
 		slog.String("workflow", exec.Workflow), slog.String("instance", exec.Instance))
+	log := eng.logger()
 	defer func() {
-		st, errMsg := exec.snapshotStatus()
+		exec.mu.Lock()
+		st, errMsg, blocks := exec.Status, exec.Err, int64(len(exec.Logs))
+		exec.mu.Unlock()
 		wsp.SetAttr("status", string(st))
+		lvl := slog.LevelInfo
 		if st == StatusFailure || st == StatusRolledBack {
 			wsp.Fail(errors.New(errMsg))
+			lvl = slog.LevelWarn
 		}
 		wsp.End()
 		metricWfExecutions.With(exec.Workflow, string(st)).Inc()
-		blocks := int64(len(exec.snapshotLogs()))
-		tenants.Default.RecordBlocks(tenant, blocks)
-		fields := map[string]any{
-			"workflow": exec.Workflow, "instance": exec.Instance,
-			"status": string(st), "blocks": blocks,
+		tenants.Default.RecordBlocks(obs.Tenant(ctx), blocks)
+		attrs := []slog.Attr{
+			slog.String("workflow", exec.Workflow), slog.String("instance", exec.Instance),
+			slog.String("status", string(st)), slog.Int64("blocks", blocks),
 		}
 		if errMsg != "" {
-			fields["error"] = errMsg
+			attrs = append(attrs, slog.String("error", errMsg))
 		}
-		events.Default.Publish(events.Event{
-			Type: events.TypeWfEnd, Source: "orchestrator",
-			ChangeID: changeID, Tenant: tenant, Fields: fields,
-		})
-		lvl := slog.LevelInfo
-		if st == StatusFailure || st == StatusRolledBack {
-			lvl = slog.LevelWarn
-		}
-		log.LogAttrs(ctx, lvl, "workflow finished",
-			slog.String("workflow", exec.Workflow), slog.String("instance", exec.Instance),
-			slog.String("status", string(st)), slog.String("err", errMsg))
+		eng.emit(ctx, lvl, "workflow finished", events.TypeWfEnd, attrs...)
 	}()
 	w := dep.Workflow
 	cur := w.StartNode()
 	steps := 0
 	fail := func(format string, args ...any) {
-		exec.mu.Lock()
-		exec.Status = StatusFailure
-		exec.Err = fmt.Sprintf(format, args...)
-		exec.Finished = eng.Clock()
-		exec.mu.Unlock()
+		eng.finish(exec, StatusFailure, fmt.Sprintf(format, args...))
 	}
 	for {
 		if steps++; steps > eng.MaxSteps {
@@ -447,10 +426,7 @@ func (eng *Engine) run(ctx context.Context, dep *workflow.Deployment, exec *Exec
 		case workflow.Start:
 			cur = succ[""]
 		case workflow.End:
-			exec.mu.Lock()
-			exec.Status = StatusSuccess
-			exec.Finished = eng.Clock()
-			exec.mu.Unlock()
+			eng.finish(exec, StatusSuccess, "")
 			return
 		case workflow.Decision:
 			v := exec.State[node.Cond]
@@ -534,17 +510,9 @@ func (eng *Engine) runTask(ctx context.Context, dep *workflow.Deployment, exec *
 		metricWfFailureActions.With(node.Block, string(action)).Inc()
 		obs.FromContext(ctx).Event("failure-action",
 			"node", node.ID, "action", string(action), "err", err.Error())
-		events.Default.Publish(events.Event{
-			Type: events.TypeFailureAction, Source: "orchestrator",
-			ChangeID: obs.ChangeID(ctx), Tenant: obs.Tenant(ctx),
-			Fields: map[string]any{
-				"workflow": exec.Workflow, "node": node.ID, "block": node.Block,
-				"action": string(action), "error": err.Error(),
-			},
-		})
-		eng.logger().LogAttrs(ctx, slog.LevelWarn, "block failure action",
-			slog.String("workflow", exec.Workflow), slog.String("node", node.ID),
-			slog.String("action", string(action)), slog.String("err", err.Error()))
+		eng.emit(ctx, slog.LevelWarn, "block failure action", events.TypeFailureAction,
+			slog.String("workflow", exec.Workflow), slog.String("node", node.ID), slog.String("block", node.Block),
+			slog.String("action", string(action)), slog.String("error", err.Error()))
 		exec.setLastAction(action)
 		switch action {
 		case resilience.ActionContinue:
@@ -576,91 +544,82 @@ func (eng *Engine) runTask(ctx context.Context, dep *workflow.Deployment, exec *
 }
 
 // invokeBlock performs one policy-governed invocation cycle of a task
-// (first attempt plus retries), recording the span, block log, metrics,
-// and — on success — the saved outputs. It returns the final error when
-// the cycle exhausted its attempts.
+// (first attempt plus retries), records it and — on success — saves the
+// outputs. It returns the final error when the cycle exhausted its attempts.
 func (eng *Engine) invokeBlock(ctx context.Context, exec *Execution, node *workflow.Node, api string, pol resilience.Policy) error {
 	args := eng.blockArgs(exec, node)
 	bctx, bsp := obs.StartSpan(ctx, "bb."+node.Block)
 	bsp.SetAttr("node", node.ID)
 	bsp.SetAttr("block", node.Block)
 	bsp.SetAttr("api", api)
-	start := eng.Clock()
-	pi := policyInvoker{
-		inv:      eng.invoker,
-		breakers: eng.Breakers,
-		delay:    eng.jitter.delay,
-		sleep:    eng.sleep(),
-		onRetry: func(attempt int, delay time.Duration, err error) {
-			metricBBRetries.With(node.Block).Inc()
-			bsp.Event("retry", "attempt", attempt, "delay", delay.String(), "err", err.Error())
-			events.Default.Publish(events.Event{
-				Type: events.TypeBlockRetry, Source: "orchestrator",
-				ChangeID: obs.ChangeID(ctx), Tenant: obs.Tenant(ctx),
-				Fields: map[string]any{
-					"workflow": exec.Workflow, "node": node.ID, "block": node.Block,
-					"attempt": attempt, "backoff_ns": delay.Nanoseconds(), "error": err.Error(),
-				},
-			})
-			eng.logger().LogAttrs(ctx, slog.LevelWarn, "block retry scheduled",
-				slog.String("workflow", exec.Workflow), slog.String("node", node.ID),
-				slog.String("block", node.Block), slog.Int("attempt", attempt),
-				slog.Duration("backoff", delay), slog.String("err", err.Error()))
-		},
-	}
-	outputs, attempts, err := pi.do(bctx, api, args, pol)
-	entry := BlockLog{
-		NodeID:   node.ID,
-		Block:    node.Block,
-		API:      api,
-		Started:  start,
-		Duration: eng.Clock().Sub(start),
-		Status:   StatusSuccess,
-		Attempts: attempts,
-	}
+	entry := BlockLog{NodeID: node.ID, Block: node.Block, API: api, Started: eng.Clock()}
+	outputs, attempts, err := eng.invoke(bctx, api, args, pol, func(attempt int, delay time.Duration, cause error) {
+		metricBBRetries.With(node.Block).Inc()
+		bsp.Event("retry", "attempt", attempt, "delay", delay.String(), "err", cause.Error())
+		eng.emit(ctx, slog.LevelWarn, "block retry scheduled", events.TypeBlockRetry,
+			slog.String("workflow", exec.Workflow), slog.String("node", node.ID), slog.String("block", node.Block),
+			slog.Int("attempt", attempt), slog.Int64("backoff_ns", delay.Nanoseconds()), slog.String("error", cause.Error()))
+	})
+	entry.Attempts = attempts
+	bsp.SetAttr("attempts", attempts)
 	if err != nil {
-		entry.Status = StatusFailure
-		entry.Err = err.Error()
 		entry.Action = pol.OnExhausted
 		if errors.Is(err, resilience.ErrBreakerOpen) {
 			bsp.Event("breaker-open", "api", api)
 		}
 	}
-	bsp.SetAttr("status", string(entry.Status))
-	bsp.SetAttr("attempts", attempts)
-	bsp.Fail(err)
-	bsp.End()
-	metricBBInvocations.With(node.Block, string(entry.Status)).Inc()
-	metricBBDuration.With(node.Block).Observe(entry.Duration.Seconds())
-	if node.Block == catalog.BBRollback && err == nil {
-		obs.FromContext(ctx).SetAttr("rollback", true)
-		metricWfRollbacks.Inc()
-		events.Default.Publish(events.Event{
-			Type: events.TypeRollback, Source: "orchestrator",
-			ChangeID: obs.ChangeID(ctx), Tenant: obs.Tenant(ctx),
-			Fields: map[string]any{"workflow": exec.Workflow, "node": node.ID, "block": node.Block},
-		})
-	}
-	lvl := slog.LevelInfo
-	if err != nil {
-		lvl = slog.LevelWarn
-	}
-	eng.logger().LogAttrs(ctx, lvl, "block executed",
-		slog.String("workflow", exec.Workflow), slog.String("node", node.ID),
-		slog.String("block", node.Block), slog.String("status", string(entry.Status)),
-		slog.Int("attempts", attempts),
-		slog.Duration("duration", entry.Duration), slog.String("err", entry.Err))
-	exec.mu.Lock()
-	exec.Logs = append(exec.Logs, entry)
+	eng.recordBlock(ctx, exec, bsp, entry, err, false)
 	if err == nil {
+		exec.mu.Lock()
 		for out, v := range node.Saves {
 			if val, ok := outputs[out]; ok {
 				exec.State[v] = val
 			}
 		}
+		exec.mu.Unlock()
 	}
-	exec.mu.Unlock()
 	return err
+}
+
+// recordBlock is the one place a finished block invocation is written down,
+// a task's policy cycle and a compensation alike: err decides the entry's
+// status, then the span closes, the two block metrics move, a roll-back is
+// counted and journaled, the log record is written and the entry joins the
+// execution's logs. ctx is the workflow's, sp the block's span.
+func (eng *Engine) recordBlock(ctx context.Context, exec *Execution, sp *obs.Span, entry BlockLog, err error, compensation bool) {
+	entry.Duration = eng.Clock().Sub(entry.Started)
+	entry.Status = StatusSuccess
+	lvl := slog.LevelInfo
+	if err != nil {
+		entry.Status, entry.Err, lvl = StatusFailure, err.Error(), slog.LevelWarn
+	}
+	sp.SetAttr("status", string(entry.Status))
+	sp.Fail(err)
+	sp.End()
+	metricBBInvocations.With(entry.Block, string(entry.Status)).Inc()
+	metricBBDuration.With(entry.Block).Observe(entry.Duration.Seconds())
+	// A roll-back happened when a compensation ran, however it ended, or
+	// when the graph's own roll-back node succeeded.
+	rolledBack := compensation || entry.Block == catalog.BBRollback && err == nil
+	if rolledBack {
+		obs.FromContext(ctx).SetAttr("rollback", true)
+		metricWfRollbacks.Inc()
+	}
+	wf, node := slog.String("workflow", exec.Workflow), slog.String("node", entry.NodeID)
+	block, status := slog.String("block", entry.Block), slog.String("status", string(entry.Status))
+	if compensation {
+		eng.emit(ctx, lvl, "compensation executed", events.TypeRollback,
+			wf, node, block, slog.Bool("compensation", true), status)
+	} else {
+		if rolledBack {
+			eng.publish(ctx, events.TypeRollback, wf, node, block)
+		}
+		eng.logger().LogAttrs(ctx, lvl, "block executed", wf, node, block, status,
+			slog.Int("attempts", entry.Attempts), slog.Duration("duration", entry.Duration), slog.String("err", entry.Err))
+	}
+	exec.mu.Lock()
+	exec.Logs = append(exec.Logs, entry)
+	exec.mu.Unlock()
 }
 
 // markSaves writes a sentinel value into every state variable the node
@@ -742,59 +701,15 @@ func (eng *Engine) compensate(ctx context.Context, dep *workflow.Deployment, exe
 		cctx, cancel = context.WithTimeout(cctx, to)
 		defer cancel()
 	}
-	start := eng.Clock()
-	outputs, err := eng.invoker.Invoke(cctx, api, args)
 	entry := BlockLog{
-		NodeID:   node.ID,
-		Block:    comp,
-		API:      api,
-		Started:  start,
-		Duration: eng.Clock().Sub(start),
-		Status:   StatusSuccess,
-		Attempts: 1,
-		Action:   resilience.ActionRollback,
+		NodeID: node.ID, Block: comp, API: api, Started: eng.Clock(),
+		Attempts: 1, Action: resilience.ActionRollback,
 	}
-	if err != nil {
-		entry.Status = StatusFailure
-		entry.Err = err.Error()
-	} else if outputs["status"] == "failure" {
-		entry.Err = "compensation reported failure: " + outputs["detail"]
+	outputs, err := eng.invoker.Invoke(cctx, api, args)
+	if err == nil && outputs["status"] == "failure" {
+		err = errors.New("compensation reported failure: " + outputs["detail"])
 	}
-	csp.SetAttr("status", string(entry.Status))
-	csp.Fail(err)
-	csp.End()
-	metricBBInvocations.With(comp, string(entry.Status)).Inc()
-	metricBBDuration.With(comp).Observe(entry.Duration.Seconds())
-	obs.FromContext(ctx).SetAttr("rollback", true)
-	metricWfRollbacks.Inc()
-	events.Default.Publish(events.Event{
-		Type: events.TypeRollback, Source: "orchestrator",
-		ChangeID: obs.ChangeID(ctx), Tenant: obs.Tenant(ctx),
-		Fields: map[string]any{
-			"workflow": exec.Workflow, "node": node.ID, "block": comp,
-			"compensation": true, "status": string(entry.Status),
-		},
-	})
-	lvl := slog.LevelInfo
-	if err != nil {
-		lvl = slog.LevelWarn
-	}
-	eng.logger().LogAttrs(ctx, lvl, "compensation executed",
-		slog.String("workflow", exec.Workflow), slog.String("node", node.ID),
-		slog.String("block", comp), slog.String("status", string(entry.Status)),
-		slog.String("err", entry.Err))
-	exec.mu.Lock()
-	exec.Logs = append(exec.Logs, entry)
-	exec.mu.Unlock()
-}
-
-// sleep returns the engine's inter-attempt wait, defaulting to a
-// context-aware timer sleep.
-func (eng *Engine) sleep() func(context.Context, time.Duration) error {
-	if eng.Sleep != nil {
-		return eng.Sleep
-	}
-	return ctxSleep
+	eng.recordBlock(ctx, exec, csp, entry, err, true)
 }
 
 func nodeByID(w *workflow.Workflow, id string) (*workflow.Node, bool) {

@@ -9,6 +9,8 @@ import (
 	"testing"
 	"time"
 
+	"cornet/internal/obs/events"
+	"cornet/internal/orchestrator/resilience"
 	"cornet/internal/workflow"
 )
 
@@ -131,6 +133,44 @@ func TestExecuteRollbackOnBadComparison(t *testing.T) {
 	apis := inv.calledAPIs()
 	if apis[len(apis)-1] != "/bb/roll-back" {
 		t.Fatalf("roll-back not invoked: %v", apis)
+	}
+}
+
+// A compensation block that answers with status "failure" did not roll the
+// change back: it is a failed block in the logs, the counters and the
+// journal, exactly as one whose invocation returned an error.
+func TestCompensationReportingFailureIsAFailedBlock(t *testing.T) {
+	inv := &fakeInvoker{
+		errs:    map[string]error{"/bb/software-upgrade": errors.New("image rejected")},
+		outputs: map[string]map[string]string{"/bb/roll-back": {"status": "failure", "detail": "x"}},
+	}
+	eng := NewEngine(inv)
+	eng.Defaults = resilience.Policy{OnExhausted: resilience.ActionRollback}
+	failed := metricBBInvocations.With("roll-back", "failure").Value()
+	succeeded := metricBBInvocations.With("roll-back", "success").Value()
+	seq := events.Default.LastSeq()
+
+	exec, err := eng.Execute(context.Background(), deploy(t, workflow.SoftwareUpgrade()),
+		map[string]string{"instance": "enb1", "sw_version": "v2"})
+	if err == nil || exec.Status != StatusRolledBack {
+		t.Fatalf("status = %s, err = %v; want rolled back", exec.Status, err)
+	}
+	comp := exec.Logs[len(exec.Logs)-1]
+	if comp.Block != "roll-back" || comp.Status != StatusFailure || comp.Err != "compensation reported failure: x" {
+		t.Fatalf("compensation log = %+v", comp)
+	}
+	if got := exec.FailedBlocks(); len(got) != 2 || got[1] != comp.NodeID {
+		t.Fatalf("FailedBlocks = %v, want the upgrade node twice (block, then compensation)", got)
+	}
+	if d := metricBBInvocations.With("roll-back", "failure").Value() - failed; d != 1 {
+		t.Errorf("roll-back failure counter moved by %v, want 1", d)
+	}
+	if d := metricBBInvocations.With("roll-back", "success").Value() - succeeded; d != 0 {
+		t.Errorf("roll-back success counter moved by %v, want 0", d)
+	}
+	rb := events.Default.Query(events.Filter{Types: []events.Type{events.TypeRollback}, SinceSeq: seq})
+	if len(rb) != 1 || rb[0].Fields["status"] != "failure" {
+		t.Fatalf("wf.rollback events = %+v, want one with status failure", rb)
 	}
 }
 

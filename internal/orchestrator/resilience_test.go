@@ -488,35 +488,3 @@ func TestBreakerFailsFastAcrossExecutions(t *testing.T) {
 		t.Fatal("sentinel identity broken")
 	}
 }
-
-// TestEventEngineRetries verifies the event-driven engine honours retry
-// policies through the same invocation loop.
-func TestEventEngineRetries(t *testing.T) {
-	tb := testbed.New(31)
-	tb.MustAdd(testbed.NewNF("vce-000", "vCE", "v1"))
-	if err := tb.SetFault(testbed.FaultTargetAll, testbed.FaultSpec{ErrorRate: 0.4}); err != nil {
-		t.Fatal(err)
-	}
-	e := NewEventEngine(tb, UpgradePolicies())
-	e.Sleep = (&fastSleeper{}).sleep
-	e.Defaults = resilience.Policy{
-		MaxAttempts: 10,
-		Backoff:     resilience.Backoff{Base: resilience.Duration(time.Millisecond)},
-	}
-	exec, err := e.Run(context.Background(), Event{
-		Topic: "change.requested",
-		Data:  map[string]string{"instance": "vce-000", "sw_version": "v2", "prior_version": "v1"},
-	})
-	if err != nil || exec.Status != StatusSuccess {
-		t.Fatalf("event run under faults: status=%v err=%v", exec.Status, err)
-	}
-	retried := false
-	for _, tr := range exec.Trace {
-		if tr.Attempts > 1 {
-			retried = true
-		}
-	}
-	if !retried {
-		t.Fatal("no event policy recorded >1 attempts; change the seed")
-	}
-}

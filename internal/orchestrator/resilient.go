@@ -9,35 +9,24 @@ import (
 	"cornet/internal/orchestrator/resilience"
 )
 
-// This file holds the policy-driven invocation loop shared by the workflow
-// engine and the event-driven engine: per-attempt timeouts, circuit-breaker
-// admission, retryable-error classification, and backoff with deterministic
-// seeded jitter. The policy semantics live in orchestrator/resilience; this
-// is the runtime that applies them to an Invoker.
+// This file holds the engine's policy-driven invocation loop: per-attempt
+// timeouts, circuit-breaker admission, retryable-error classification, and
+// backoff with deterministic seeded jitter. The policy semantics live in
+// orchestrator/resilience; this is the runtime that applies them to the
+// engine's Invoker.
 
-// policyInvoker bundles everything one policy-governed invocation needs.
-// Both engines assemble one per call site from their own configuration.
-type policyInvoker struct {
-	inv      Invoker
-	breakers *resilience.BreakerSet
-	// delay computes the backoff before retry #attempt (jitter included).
-	delay func(resilience.Backoff, int) time.Duration
-	// sleep waits context-aware between attempts.
-	sleep func(context.Context, time.Duration) error
-	// onRetry observes every scheduled retry (span events, metrics, logs).
-	onRetry func(attempt int, delay time.Duration, err error)
-}
-
-// do runs one building-block invocation under pol. It returns the outputs,
-// the number of attempts actually made (0 when the circuit breaker
+// invoke runs one building-block invocation under pol. It returns the
+// outputs, the number of attempts actually made (0 when the circuit breaker
 // rejected the call outright), and the final error. It retries only errors
 // the policy classifies as transient, never past the attempt budget, and
-// never once the parent context is done.
-func (pi policyInvoker) do(ctx context.Context, api string, args map[string]string, pol resilience.Policy) (map[string]string, int, error) {
+// never once the parent context is done; onRetry observes every retry it
+// schedules, before the wait.
+func (eng *Engine) invoke(ctx context.Context, api string, args map[string]string, pol resilience.Policy,
+	onRetry func(attempt int, delay time.Duration, err error)) (map[string]string, int, error) {
 	budget := pol.Attempts()
 	for attempt := 1; ; attempt++ {
-		if pi.breakers != nil {
-			if err := pi.breakers.Allow(api); err != nil {
+		if eng.Breakers != nil {
+			if err := eng.Breakers.Allow(api); err != nil {
 				return nil, attempt - 1, err
 			}
 		}
@@ -46,10 +35,10 @@ func (pi policyInvoker) do(ctx context.Context, api string, args map[string]stri
 		if pol.Timeout > 0 {
 			actx, cancel = context.WithTimeout(ctx, pol.Timeout.Std())
 		}
-		out, err := pi.inv.Invoke(actx, api, args)
+		out, err := eng.invoker.Invoke(actx, api, args)
 		cancel()
-		if pi.breakers != nil {
-			pi.breakers.Record(api, err == nil)
+		if eng.Breakers != nil {
+			eng.Breakers.Record(api, err == nil)
 		}
 		if err == nil {
 			return out, attempt, nil
@@ -57,11 +46,9 @@ func (pi policyInvoker) do(ctx context.Context, api string, args map[string]stri
 		if ctx.Err() != nil || attempt >= budget || !pol.Retryable(err) {
 			return nil, attempt, err
 		}
-		d := pi.delay(pol.Backoff, attempt)
-		if pi.onRetry != nil {
-			pi.onRetry(attempt, d, err)
-		}
-		if serr := pi.sleep(ctx, d); serr != nil {
+		d := eng.jitter.delay(pol.Backoff, attempt)
+		onRetry(attempt, d, err)
+		if serr := eng.Sleep(ctx, d); serr != nil {
 			// The workflow context died during backoff; surface the
 			// block's error, the caller notices ctx.Err separately.
 			return nil, attempt, err
@@ -97,12 +84,8 @@ func newJitterRand(seed int64) *jitterRand {
 	return &jitterRand{rng: rand.New(rand.NewSource(seed))}
 }
 
-// delay computes the jittered backoff for retry #attempt under b. A nil
-// receiver (zero-value engine) degrades to jitterless backoff.
+// delay computes the jittered backoff for retry #attempt under b.
 func (j *jitterRand) delay(b resilience.Backoff, attempt int) time.Duration {
-	if j == nil {
-		return b.Delay(attempt, nil)
-	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return b.Delay(attempt, j.rng)
