@@ -36,7 +36,8 @@ doccheck: vet fmt-check
 	$(GO) run ./tools/doccheck ./internal/orchestrator ./internal/orchestrator/resilience \
 		./internal/workflow ./internal/testbed \
 		./internal/controller ./internal/controller/reconcile ./internal/changelog \
-		./internal/plan/serve ./internal/plan/cache ./internal/compose ./internal/compose/serve \
+		./internal/plan/serve ./internal/plan/cache ./internal/plan/engine ./internal/plan/decompose \
+		./internal/plan/solver ./internal/compose ./internal/compose/serve \
 		./internal/obs/events ./internal/obs/slo ./internal/obs/tenants
 
 # Metrics-naming hygiene: a go/ast walk asserting that every cornet_*

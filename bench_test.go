@@ -149,8 +149,7 @@ func benchPlanner(b *testing.B, n int, constraints string) {
 			b.Fatal(err)
 		}
 		if _, err := decompose.SolveContext(context.Background(), tr.Model, decompose.SolveOptions{
-			Solver:   solver.Options{TimeLimit: 5 * time.Second, MaxNodes: 300_000},
-			Contract: true, Split: true,
+			Solver: solver.Options{TimeLimit: 5 * time.Second, MaxNodes: 300_000},
 		}); err != nil {
 			b.Fatal(err)
 		}
@@ -248,8 +247,8 @@ func BenchmarkPlannerScaleSolver10K(b *testing.B) {
 			b.Fatal(err)
 		}
 		if _, err := decompose.SolveContext(context.Background(), tr.Model, decompose.SolveOptions{
-			Solver:   solver.Options{FirstSolutionOnly: true},
-			Contract: true, Split: true, Parallelism: 8,
+			Solver:      solver.Options{FirstSolutionOnly: true},
+			Parallelism: 8,
 		}); err != nil {
 			b.Fatal(err)
 		}
@@ -473,8 +472,8 @@ func BenchmarkAblationConsistency(b *testing.B) {
 	}
 }
 
-// AblationDecompose measures split-into-components on/off for a separable
-// per-pool problem.
+// AblationDecompose measures split-into-components (decompose) against one
+// monolithic solve of a separable per-pool problem.
 func BenchmarkAblationDecompose(b *testing.B) {
 	build := func() *model.Model {
 		m := &model.Model{Name: "split", NumSlots: 8, RequireAll: true}
@@ -497,12 +496,16 @@ func BenchmarkAblationDecompose(b *testing.B) {
 		}
 		b.Run(name, func(b *testing.B) {
 			m := build()
+			opt := solver.Options{MaxNodes: 500_000}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := decompose.SolveContext(context.Background(), m, decompose.SolveOptions{
-					Split: split, Parallelism: 8,
-					Solver: solver.Options{MaxNodes: 500_000},
-				}); err != nil {
+				var err error
+				if split {
+					_, err = decompose.SolveContext(context.Background(), m, decompose.SolveOptions{Solver: opt, Parallelism: 8})
+				} else {
+					_, err = solver.SolveContext(context.Background(), m, opt)
+				}
+				if err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -206,8 +206,7 @@ func runEvalPlanner(quick bool) error {
 				return err
 			}
 			sched, err := decompose.SolveContext(context.Background(), tr.Model, decompose.SolveOptions{
-				Solver:   solver.Options{TimeLimit: 3 * time.Second, MaxNodes: 300_000},
-				Contract: true, Split: true,
+				Solver: solver.Options{TimeLimit: 3 * time.Second, MaxNodes: 300_000},
 			})
 			elapsed := time.Since(start)
 			if err != nil {
@@ -286,7 +285,7 @@ func runEvalScale(quick bool) error {
 		// CORNET: generic pipeline. The §3.3.3 scaling trick adds an
 		// EXTRA consistency constraint at a topology-derived granularity
 		// coarser than the operations intent — whole TACs scheduled
-		// together — which contracts the model by two orders of magnitude
+		// together — which cuts the solver's blocks by two orders of magnitude
 		// but coarsens the packing, costing a little makespan.
 		doc := fmt.Sprintf(`{
 		  "scheduling_window": {"start": "2021-01-01 00:00:00", "end": "2021-03-31 00:00:00",
@@ -309,8 +308,8 @@ func runEvalScale(quick bool) error {
 			return err
 		}
 		sched, err := decompose.SolveContext(context.Background(), tr.Model, decompose.SolveOptions{
-			Solver:   solver.Options{FirstSolutionOnly: true, TimeLimit: 60 * time.Second, MaxNodes: 50_000_000},
-			Contract: true, Split: true, Parallelism: 8,
+			Solver:      solver.Options{FirstSolutionOnly: true, TimeLimit: 60 * time.Second, MaxNodes: 50_000_000},
+			Parallelism: 8,
 		})
 		if err != nil {
 			return err

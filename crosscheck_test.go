@@ -64,8 +64,7 @@ func TestSolverHeuristicCrossValidation(t *testing.T) {
 			return false
 		}
 		sched, err := decompose.SolveContext(context.Background(), tr.Model, decompose.SolveOptions{
-			Solver:   solver.Options{MaxNodes: 300_000, TimeLimit: 5 * time.Second},
-			Contract: true, Split: true,
+			Solver: solver.Options{MaxNodes: 300_000, TimeLimit: 5 * time.Second},
 		})
 		if err != nil {
 			return false

@@ -170,8 +170,8 @@ type PlanResult struct {
 	Slots      []intent.Timeslot
 	Conflicts  int
 	Makespan   int
-	// Method records which backend produced the plan ("solver",
-	// "heuristic", or "cp").
+	// Method records which backend produced the plan ("solver" or
+	// "heuristic").
 	Method string
 	// Discovery is the schedule discovery time.
 	Discovery time.Duration

@@ -22,7 +22,7 @@ func TestSolveContextCancelled(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := SolveContext(ctx, m, SolveOptions{Contract: true, Split: true})
+	_, err := SolveContext(ctx, m, SolveOptions{})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want wrapped context.Canceled", err)
 	}
@@ -41,7 +41,7 @@ func TestSolveContextPropagatesWorkerError(t *testing.T) {
 			{Name: "per-pool", Sets: [][]int{{0, 1, 2}, {3, 4, 5, 6, 7}}, Cap: 1},
 		},
 	}
-	_, err := SolveContext(context.Background(), m, SolveOptions{Split: true})
+	_, err := SolveContext(context.Background(), m, SolveOptions{})
 	if !errors.Is(err, solver.ErrInfeasible) {
 		t.Fatalf("err = %v, want wrapped solver.ErrInfeasible", err)
 	}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"testing"
-	"time"
 
 	"cornet/internal/plan/model"
 	"cornet/internal/plan/solver"
@@ -24,105 +23,6 @@ func all(n int) []int {
 		out[i] = i
 	}
 	return out
-}
-
-func TestContractMergesGroups(t *testing.T) {
-	m := &model.Model{
-		Name:       "c",
-		Items:      items(6),
-		NumSlots:   4,
-		RequireAll: true,
-		SameSlot:   [][]int{{0, 1}, {2, 3, 4}},
-		Capacities: []model.Capacity{{Name: "g", Sets: [][]int{all(6)}, Cap: 3}},
-		Forbidden:  [][]int{{0}, nil, nil, nil, nil, nil},
-		ConflictSlots: [][]int{
-			nil, {1}, nil, nil, nil, nil,
-		},
-	}
-	c, expand, err := Contract(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(c.Items) != 3 {
-		t.Fatalf("contracted items = %d", len(c.Items))
-	}
-	// Weights: group {0,1}=2, {2,3,4}=3, singleton=1.
-	weights := map[int]bool{}
-	for i := range c.Items {
-		weights[c.Weight(i)] = true
-	}
-	if !weights[2] || !weights[3] || !weights[1] {
-		t.Fatalf("weights = %+v", c.Items)
-	}
-	// Forbidden and conflicts propagate to the super-item of members 0,1.
-	if len(c.Forbidden[0]) != 1 || len(c.ConflictSlots[0]) != 1 {
-		t.Fatalf("super-item constraints: forb=%v confl=%v", c.Forbidden[0], c.ConflictSlots[0])
-	}
-	// Solve the contracted model; expansion must satisfy the original.
-	s, err := solver.SolveContext(context.Background(), c, solver.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	orig := expand(s)
-	if v := m.Check(orig.Slots); len(v) > 0 {
-		t.Fatalf("expanded violations: %v", v)
-	}
-	if orig.Slots[0] != orig.Slots[1] || orig.Slots[2] != orig.Slots[4] {
-		t.Fatalf("consistency broken after expansion: %v", orig.Slots)
-	}
-}
-
-func TestContractOverlappingGroupsUnion(t *testing.T) {
-	m := &model.Model{
-		Items:    items(4),
-		NumSlots: 2,
-		SameSlot: [][]int{{0, 1}, {1, 2}}, // overlapping -> one group {0,1,2}
-	}
-	c, _, err := Contract(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(c.Items) != 2 {
-		t.Fatalf("items = %+v", c.Items)
-	}
-}
-
-func TestContractEquivalentToNativeGrouping(t *testing.T) {
-	// The CP solver contracts SameSlot groups internally (it searches per
-	// block), so the explicit Contract pre-pass must produce the same
-	// search effort and cost; the pre-pass exists for the heuristic and
-	// scale pipelines that consume contracted models directly.
-	n := 24
-	m := &model.Model{
-		Name:       "speed",
-		Items:      items(n),
-		NumSlots:   6,
-		RequireAll: true,
-		Capacities: []model.Capacity{{Name: "g", Sets: [][]int{all(n)}, Cap: 6}},
-	}
-	for i := 0; i < n; i += 4 {
-		m.SameSlot = append(m.SameSlot, []int{i, i + 1, i + 2, i + 3})
-	}
-	raw, err := solver.SolveContext(context.Background(), m, solver.Options{MaxNodes: 500_000, TimeLimit: 20 * time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, expand, err := Contract(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cs, err := solver.SolveContext(context.Background(), c, solver.Options{MaxNodes: 500_000, TimeLimit: 20 * time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := expand(cs)
-	if v := m.Check(got.Slots); len(v) > 0 {
-		t.Fatalf("violations: %v", v)
-	}
-	if cs.Nodes != raw.Nodes || got.Cost != raw.Cost {
-		t.Fatalf("contract deviates from native grouping: %d/%d nodes, cost %d/%d",
-			cs.Nodes, raw.Nodes, got.Cost, raw.Cost)
-	}
 }
 
 func TestConsistencyGroupingShrinksSearch(t *testing.T) {
@@ -238,7 +138,7 @@ func TestSolvePipelineMatchesDirect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec, err := SolveContext(context.Background(), m, SolveOptions{Contract: true, Split: true, Parallelism: 3})
+	dec, err := SolveContext(context.Background(), m, SolveOptions{Parallelism: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,65 +169,44 @@ func TestSolveWithoutDecomposition(t *testing.T) {
 	}
 }
 
-func TestSolveContextWarmSeedThroughContract(t *testing.T) {
+func TestSolveContextPartialWarmSeed(t *testing.T) {
+	// One global capacity set keeps the model in one component, so the
+	// seed reaches the solver whole, disagreeing group included.
 	m := &model.Model{
 		Name:       "warmc",
 		Items:      items(8),
 		NumSlots:   4,
-		RequireAll: true,
 		SameSlot:   [][]int{{0, 1}, {2, 3}},
 		Capacities: []model.Capacity{{Name: "g", Sets: [][]int{all(8)}, Cap: 3}},
 	}
-	opt := SolveOptions{Contract: true, Split: true}
-	cold, err := SolveContext(context.Background(), m, opt)
+	cold, err := SolveContext(context.Background(), m, SolveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cold.Warm {
 		t.Fatal("cold solve flagged Warm")
 	}
-	// Seed in the ORIGINAL item space: contraction must translate it to
-	// the synthetic grp(...) items, not drop it.
 	seed := map[string]int{}
 	for i := range m.Items {
 		seed[m.Items[i].ID] = cold.Slots[i]
 	}
-	wopt := opt
-	wopt.Solver.WarmSlots = seed
-	warm, err := SolveContext(context.Background(), m, wopt)
+	var opt SolveOptions
+	opt.Solver.WarmSlots = seed
+	warm, err := SolveContext(context.Background(), m, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !warm.Warm {
-		t.Fatal("seed did not survive contraction")
+	if !warm.Warm || warm.Cost != cold.Cost {
+		t.Fatalf("warm=%v cost %d from the cold optimum, cold cost %d", warm.Warm, warm.Cost, cold.Cost)
 	}
-	if warm.Cost != cold.Cost {
-		t.Fatalf("warm cost %d != cold cost %d", warm.Cost, cold.Cost)
-	}
-	// A seed that splits a consistency group must leave that super-item
-	// unseeded but still warm-start feasibly when leftovers are allowed.
-	m2 := &model.Model{
-		Name:     "warmc2",
-		Items:    items(8),
-		NumSlots: 4,
-		SameSlot: [][]int{{0, 1}, {2, 3}},
-	}
-	cold2, err := SolveContext(context.Background(), m2, opt)
+	// A seed that splits a consistency group leaves that group unseeded
+	// and still warm-starts from the rest.
+	seed["n000"] = (seed["n001"] + 1) % 4
+	warm, err = SolveContext(context.Background(), m, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	seed2 := map[string]int{}
-	for i := range m2.Items {
-		seed2[m2.Items[i].ID] = cold2.Slots[i]
-	}
-	seed2["n000"] = (seed2["n001"] + 1) % 4 // disagree within group {0,1}
-	wopt2 := opt
-	wopt2.Solver.WarmSlots = seed2
-	warm2, err := SolveContext(context.Background(), m2, wopt2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !warm2.Warm {
-		t.Fatal("partially-disagreeing seed rejected outright")
+	if !warm.Warm || warm.Cost != cold.Cost {
+		t.Fatalf("partially-disagreeing seed: warm=%v cost %d, cold cost %d", warm.Warm, warm.Cost, cold.Cost)
 	}
 }

@@ -97,50 +97,19 @@ func fromSchedule(req *Request, sched model.Schedule, st *Stats) Result {
 	}
 }
 
-// CPBackend solves the raw constraint model with the branch-and-bound
-// solver, with no decomposition preprocessing. Useful for ablation and
-// for models small enough that contraction overhead is not worth it.
-type CPBackend struct{}
+// DecomposedBackend is the paper's model-driven pipeline: independent
+// components solved in parallel by the CP solver, which schedules each
+// consistency group as one block. It is named "solver" because it is the
+// planner's model-driven path as seen by callers.
+type DecomposedBackend struct{}
 
-func (CPBackend) Name() string { return "cp" }
-
-func (CPBackend) Supports(req *Request) bool { return req.Model != nil }
-
-func (CPBackend) Solve(ctx context.Context, req *Request, opt Options) (Result, Stats, error) {
-	st := Stats{Backend: "cp"}
-	sopt := opt.Solver
-	sopt.TimeLimit = softBudget(ctx, sopt.TimeLimit)
-	if sopt.Parallelism == 0 {
-		sopt.Parallelism = opt.Parallelism
-	}
-	sopt.OnIncumbent = chainIncumbent(sopt.OnIncumbent, opt.incumbent)
-	sopt.OnSteal = chainSteal(sopt.OnSteal, opt.steal)
-	start := time.Now()
-	sched, err := solver.SolveContext(ctx, req.Model, sopt)
-	st.Wall = time.Since(start)
-	if err != nil {
-		return Result{}, st, err
-	}
-	return fromSchedule(req, sched, &st), st, nil
-}
-
-// DecomposedBackend is the paper's model-driven pipeline: consistency
-// contraction, independent-component splitting, and per-component CP
-// solving. It is named "solver" because it is the planner's model-driven
-// path as seen by callers.
-type DecomposedBackend struct {
-	// Contract enables consistency contraction.
-	Contract bool
-	// Split enables independent-component parallel solving.
-	Split bool
-	// Parallelism bounds concurrent component solves (default 4).
-	Parallelism int
-}
-
+// Name reports the backend as "solver".
 func (DecomposedBackend) Name() string { return "solver" }
 
+// Supports reports whether the request carries a constraint model.
 func (DecomposedBackend) Supports(req *Request) bool { return req.Model != nil }
 
+// Solve solves each independent component of the request's model.
 func (b DecomposedBackend) Solve(ctx context.Context, req *Request, opt Options) (Result, Stats, error) {
 	st := Stats{Backend: b.Name()}
 	sopt := opt.Solver
@@ -151,12 +120,7 @@ func (b DecomposedBackend) Solve(ctx context.Context, req *Request, opt Options)
 	sopt.OnIncumbent = chainIncumbent(sopt.OnIncumbent, opt.incumbent)
 	sopt.OnSteal = chainSteal(sopt.OnSteal, opt.steal)
 	start := time.Now()
-	sched, err := decompose.SolveContext(ctx, req.Model, decompose.SolveOptions{
-		Solver:      sopt,
-		Contract:    b.Contract,
-		Split:       b.Split,
-		Parallelism: b.Parallelism,
-	})
+	sched, err := decompose.SolveContext(ctx, req.Model, decompose.SolveOptions{Solver: sopt})
 	st.Wall = time.Since(start)
 	if err != nil {
 		return Result{}, st, err
@@ -168,10 +132,13 @@ func (b DecomposedBackend) Solve(ctx context.Context, req *Request, opt Options)
 // request's attribute-grouped instance.
 type HeuristicBackend struct{}
 
+// Name reports the backend as "heuristic".
 func (HeuristicBackend) Name() string { return "heuristic" }
 
+// Supports reports whether the request carries a heuristic instance.
 func (HeuristicBackend) Supports(req *Request) bool { return req.Instance != nil }
 
+// Solve runs the local search on the request's instance.
 func (HeuristicBackend) Solve(ctx context.Context, req *Request, opt Options) (Result, Stats, error) {
 	inst := *req.Instance
 	inst.TimeLimit = softBudget(ctx, inst.TimeLimit)

@@ -99,7 +99,7 @@ type Result struct {
 
 // Stats reports one backend's search effort in uniform terms.
 type Stats struct {
-	// Backend names the implementation ("cp", "solver", "heuristic").
+	// Backend names the implementation ("solver" or "heuristic").
 	Backend string
 	// Wall is the backend's wall-clock solve time.
 	Wall time.Duration
@@ -194,13 +194,13 @@ type Engine struct {
 // New assembles the default engine: the decomposed CP solver and the
 // Algorithm-1 heuristic.
 func New() *Engine {
-	return &Engine{Solver: DecomposedBackend{Contract: true, Split: true}, Heuristic: HeuristicBackend{}}
+	return &Engine{Solver: DecomposedBackend{}, Heuristic: HeuristicBackend{}}
 }
 
 func (e *Engine) backends() (solverB, heurB Backend) {
 	solverB, heurB = e.Solver, e.Heuristic
 	if solverB == nil {
-		solverB = DecomposedBackend{Contract: true, Split: true}
+		solverB = DecomposedBackend{}
 	}
 	if heurB == nil {
 		heurB = HeuristicBackend{}

@@ -247,21 +247,6 @@ func TestPortfolioSingleRepresentationDegenerates(t *testing.T) {
 	}
 }
 
-func TestCPBackendSolvesRawModel(t *testing.T) {
-	var b CPBackend
-	req := &Request{Model: testModel(6, 3), Size: 6}
-	res, st, err := b.Solve(context.Background(), req, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Backend != "cp" || st.Nodes == 0 {
-		t.Fatalf("stats = %+v, want cp nodes > 0", st)
-	}
-	if len(res.Assignment) != 6 {
-		t.Fatalf("result = %+v", res)
-	}
-}
-
 func TestFromScheduleCopiesStealCounters(t *testing.T) {
 	req := &Request{Model: testModel(4, 2)}
 	sched := model.Schedule{

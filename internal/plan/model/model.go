@@ -18,8 +18,8 @@ import (
 	"strings"
 )
 
-// Item is one schedulable unit (an ESA instance, or a contracted
-// consistency group after decomposition). Weight is the number of
+// Item is one schedulable unit (an ESA instance, or every element that
+// shares one value of the schedulable attribute). Weight is the number of
 // underlying elements it represents: capacity consumption and completion
 // time are weighted by it. Duration is the change's length in maintenance
 // windows (Table 1: node re-tuning averages ~4 MWs): an item placed at

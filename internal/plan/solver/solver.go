@@ -136,7 +136,7 @@ func SolveContext(ctx context.Context, m *model.Model, opt Options) (model.Sched
 	s := newState(m, opt)
 	s.ctx = ctx
 	if len(opt.WarmSlots) > 0 {
-		if slots, cost, ok := warmIncumbent(m, opt.WarmSlots); ok {
+		if slots, cost, ok := warmIncumbent(m, s.blocks, opt.WarmSlots); ok {
 			s.bestSlots, s.bestCost, s.warm = slots, cost, true
 		}
 	}
@@ -187,11 +187,14 @@ func SolveContext(ctx context.Context, m *model.Model, opt Options) (model.Sched
 
 // warmIncumbent maps a cached item-ID assignment onto m's item order and
 // validates it as a feasible schedule for m. Items absent from the seed
-// (or mapped to -1) stay unscheduled. Reports ok=false — warm start
-// skipped — when the seed violates any of m's constraints, which covers
-// every delta the re-planning path can produce: RequireAll models missing
-// an item, shrunk windows, new forbidden slots, tightened capacities.
-func warmIncumbent(m *model.Model, seed map[string]int) ([]int, int64, bool) {
+// (or mapped to -1) stay unscheduled, and so does every member of a block
+// whose members the seed puts in different slots: a partly edited
+// consistency group starts unseeded instead of contradicting itself.
+// Reports ok=false — warm start skipped — when the seed violates any of
+// m's constraints, which covers every delta the re-planning path can
+// produce: RequireAll models missing an item, shrunk windows, new
+// forbidden slots, tightened capacities.
+func warmIncumbent(m *model.Model, blocks []block, seed map[string]int) ([]int, int64, bool) {
 	slots := make([]int, len(m.Items))
 	for i := range m.Items {
 		t, ok := seed[m.Items[i].ID]
@@ -199,6 +202,16 @@ func warmIncumbent(m *model.Model, seed map[string]int) ([]int, int64, bool) {
 			t = -1
 		}
 		slots[i] = t
+	}
+	for _, b := range blocks {
+		for _, i := range b.items[1:] {
+			if slots[i] != slots[b.items[0]] {
+				for _, j := range b.items {
+					slots[j] = -1
+				}
+				break
+			}
+		}
 	}
 	if len(m.Check(slots)) > 0 {
 		return nil, 0, false

@@ -249,7 +249,7 @@ func TestSolveForbiddenAndFrozen(t *testing.T) {
 }
 
 func TestSolveWeightedCapacity(t *testing.T) {
-	// A contracted group of weight 3 plus singletons, cap 3 per slot.
+	// An item of weight 3 plus singletons, cap 3 per slot.
 	m := &model.Model{
 		Name: "weighted",
 		Items: []model.Item{
