@@ -20,14 +20,15 @@ fmt-check:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
 	fi
 
-# Every package under the race detector, once. Two suites race by design
+# Every package under the race detector, once. Three suites race by design
 # and run four times: the composer's seal paths (window timer, batch,
 # cohort, stop — and internal/compose/serve, which drives those seals
-# through Submit), and plan admission (a worker's claim against the
-# submitter's abandon, Stop against Submit).
+# through Submit), plan admission (a worker's claim against the
+# submitter's abandon, Stop against Submit), and the reconcile loop (a
+# requeue timer firing against Stop and context cancellation).
 race:
 	$(GO) test -race ./...
-	$(GO) test -race -count=4 ./internal/compose/... ./internal/plan/serve
+	$(GO) test -race -count=4 ./internal/compose/... ./internal/plan/serve ./internal/reconcile
 
 # Documentation hygiene: formatting, vet, and a go/ast walk asserting that
 # every exported identifier in the execution-facing packages carries a doc
@@ -35,7 +36,7 @@ race:
 doccheck: vet fmt-check
 	$(GO) run ./tools/doccheck ./internal/orchestrator ./internal/orchestrator/resilience \
 		./internal/workflow ./internal/testbed \
-		./internal/controller ./internal/controller/reconcile ./internal/changelog \
+		./internal/reconcile ./internal/changelog \
 		./internal/plan/serve ./internal/plan/cache ./internal/plan/engine ./internal/plan/decompose \
 		./internal/plan/solver ./internal/compose ./internal/compose/serve \
 		./internal/obs/events ./internal/obs/slo ./internal/obs/tenants

@@ -6,8 +6,8 @@ import (
 	"strconv"
 	"strings"
 
-	"cornet/internal/controller/reconcile"
 	"cornet/internal/inventory"
+	"cornet/internal/reconcile"
 	"cornet/internal/testbed"
 )
 

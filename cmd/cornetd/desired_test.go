@@ -3,14 +3,13 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"testing"
 	"time"
 
-	"cornet/internal/changelog"
-	"cornet/internal/controller"
-	"cornet/internal/controller/reconcile"
+	"cornet/internal/reconcile"
 )
 
 // startReconciler runs the server's reconcile manager for the duration of
@@ -84,7 +83,7 @@ func TestDesiredStateConvergesOverHTTP(t *testing.T) {
 	}
 
 	got := waitFleet(t, srv, "vce-east", func(f reconcile.Fleet) bool {
-		return controller.ConditionIs(f.Status.Conditions, controller.ConditionSynced, controller.ConditionTrue)
+		return reconcile.ConditionIs(f.Status.Conditions, reconcile.ConditionSynced, reconcile.ConditionTrue)
 	})
 	if got.Status.ObservedGeneration != 1 || got.Status.Applied == 0 || got.Status.Failed != 0 {
 		t.Fatalf("status = %+v", got.Status)
@@ -109,7 +108,7 @@ func TestDesiredStateConvergesOverHTTP(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rresp.Body.Close()
-	var revs []changelog.Revision
+	var revs []reconcile.Revision
 	if err := json.NewDecoder(rresp.Body).Decode(&revs); err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +116,7 @@ func TestDesiredStateConvergesOverHTTP(t *testing.T) {
 		t.Fatalf("journal has %d revisions, applied %d", len(revs), got.Status.Applied)
 	}
 	for _, r := range revs {
-		if r.Outcome != changelog.OutcomeApplied || r.To != "v3" || r.Generation != 1 {
+		if r.Outcome != reconcile.OutcomeApplied || r.To != "v3" || r.Generation != 1 {
 			t.Fatalf("revision %+v", r)
 		}
 	}
@@ -164,8 +163,8 @@ func TestDesiredStateRetriesThroughInjectedFault(t *testing.T) {
 
 	// Phase 1: every change attempt fails against the faulted testbed.
 	failed := waitFleet(t, srv, "vgw-all", func(f reconcile.Fleet) bool {
-		c, ok := controller.GetCondition(f.Status.Conditions, controller.ConditionSynced)
-		return ok && c.Status == controller.ConditionFalse && c.Reason == "ExecutionFailed"
+		c, ok := reconcile.GetCondition(f.Status.Conditions, reconcile.ConditionSynced)
+		return ok && c.Status == reconcile.ConditionFalse && c.Reason == "ExecutionFailed"
 	})
 	if failed.Status.Applied != 0 || failed.Status.Failed == 0 {
 		t.Fatalf("faulted status = %+v", failed.Status)
@@ -179,7 +178,7 @@ func TestDesiredStateRetriesThroughInjectedFault(t *testing.T) {
 	}
 	cresp.Body.Close()
 	waitFleet(t, srv, "vgw-all", func(f reconcile.Fleet) bool {
-		return controller.ConditionIs(f.Status.Conditions, controller.ConditionSynced, controller.ConditionTrue)
+		return reconcile.ConditionIs(f.Status.Conditions, reconcile.ConditionSynced, reconcile.ConditionTrue)
 	})
 	for _, nf := range s.tb.All() {
 		if nf.Type == "vGW" && nf.ActiveVersion() != "v2" {
@@ -227,5 +226,26 @@ func TestDesiredEndpointValidation(t *testing.T) {
 	rresp.Body.Close()
 	if rresp.StatusCode != http.StatusMethodNotAllowed {
 		t.Fatalf("POST /api/revisions = %s", rresp.Status)
+	}
+}
+
+// TestRevisionsEmptyIsArray: a fresh daemon's journal, whole or filtered
+// to an unknown fleet, answers the JSON array [] — the shape
+// /api/desired already uses — rather than null.
+func TestRevisionsEmptyIsArray(t *testing.T) {
+	_, srv := testServer(t)
+	for _, url := range []string{"/api/revisions", "/api/revisions?fleet=nope", "/api/desired"} {
+		resp, err := http.Get(srv.URL + url)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK || string(body) != "[]\n" {
+			t.Fatalf("GET %s = %s %q, want 200 \"[]\\n\"", url, resp.Status, body)
+		}
 	}
 }

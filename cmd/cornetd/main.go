@@ -27,7 +27,6 @@ import (
 	"cornet/internal/catalog"
 	"cornet/internal/compose"
 	composeserve "cornet/internal/compose/serve"
-	"cornet/internal/controller/reconcile"
 	"cornet/internal/core"
 	"cornet/internal/inventory"
 	"cornet/internal/netgen"
@@ -37,6 +36,7 @@ import (
 	"cornet/internal/plan/engine"
 	"cornet/internal/plan/intent"
 	planserve "cornet/internal/plan/serve"
+	"cornet/internal/reconcile"
 	"cornet/internal/testbed"
 	"cornet/internal/workflow"
 )

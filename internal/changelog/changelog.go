@@ -3,7 +3,9 @@
 // Table 6 (duration reform with CORNET), Fig. 1/5 (staggered network-wide
 // deployment curves), Fig. 12 (change-duration histogram across scheduling
 // requests), and the ticketing-system conflict tables consumed by the
-// schedule planner.
+// schedule planner. Its ChangeType also classifies the drift the
+// reconciler repairs; the audit journal of changes the running system
+// made lives with the reconciler (internal/reconcile).
 package changelog
 
 import (

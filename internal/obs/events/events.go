@@ -187,7 +187,8 @@ func (s *Subscription) deliver(e Event) {
 // Journal is a bounded, append-only ring of lifecycle events, safe for
 // concurrent publishers, readers, and subscribers. When full, the oldest
 // events are overwritten — the journal is an operational window, not an
-// audit log (internal/changelog is the durable record).
+// audit log (the reconciler's revision journal, internal/reconcile, is
+// the audit record of the changes it drives).
 type Journal struct {
 	mu     sync.Mutex
 	buf    []Event

@@ -1,4 +1,4 @@
-package controller
+package reconcile
 
 import "time"
 

@@ -1,8 +1,10 @@
-package changelog
+package reconcile
 
 import (
 	"sync"
 	"time"
+
+	"cornet/internal/changelog"
 )
 
 // Outcome classifies how a journaled change attempt ended.
@@ -17,12 +19,12 @@ const (
 	OutcomeSkipped Outcome = "skipped"
 )
 
-// Revision is one audit-trail entry for a change the reconciliation
-// controller drove (or attempted to drive) against one element. Unlike the
-// synthetic Records above — which model the operator's historical ticket
-// feed — revisions are produced by the running system itself, giving
-// operations the post-hoc view of what CORNET changed, when, and under
-// which declared fleet generation.
+// Revision is one audit-trail entry for a change the reconciler drove (or
+// attempted to drive) against one element. Unlike changelog's synthetic
+// Records — which model the operator's historical ticket feed — revisions
+// are produced by the running system itself, giving operations the
+// post-hoc view of what CORNET changed, when, and under which declared
+// fleet generation.
 type Revision struct {
 	// Seq is the journal-assigned monotonically increasing sequence number.
 	Seq int `json:"seq"`
@@ -35,7 +37,7 @@ type Revision struct {
 	// Element is the inventory element the change targeted.
 	Element string `json:"element"`
 	// Type is the change class (software-upgrade, config-change, ...).
-	Type ChangeType `json:"type"`
+	Type changelog.ChangeType `json:"type"`
 	// Attr, From, To describe the attribute transition the change applied
 	// or would have applied.
 	Attr string `json:"attr"`
@@ -51,39 +53,55 @@ type Revision struct {
 	Detail string `json:"detail,omitempty"`
 }
 
-// Journal is a concurrency-safe, append-only log of revisions. The zero
-// value is ready to use.
+// journalCapacity is how many revisions a Journal retains: the newest
+// ones, the same window as the event journal's default capacity. A fleet
+// failing under a persistent fault appends one revision per drifted
+// element on every backoff pass, so an unbounded journal would grow for
+// the life of the daemon.
+const journalCapacity = 4096
+
+// Journal is a concurrency-safe log of the newest 4096 revisions. Seq
+// keeps counting past the bound, so the first retained revision's Seq says
+// where the window starts. The zero value is ready to use.
 type Journal struct {
 	mu   sync.Mutex
+	seq  int
 	revs []Revision
 }
 
 // Append records a revision, assigning its sequence number and timestamp
-// (rev.Time is preserved when already set, for tests with fake clocks).
-// It returns the stored revision.
+// (rev.Time is preserved when already set, for tests with fake clocks),
+// and drops the oldest revision once the journal is full. It returns the
+// stored revision.
 func (j *Journal) Append(rev Revision) Revision {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	rev.Seq = len(j.revs) + 1
+	j.seq++
+	rev.Seq = j.seq
 	if rev.Time.IsZero() {
 		rev.Time = time.Now()
+	}
+	if len(j.revs) == journalCapacity {
+		j.revs = j.revs[1:]
 	}
 	j.revs = append(j.revs, rev)
 	return rev
 }
 
-// List returns a copy of all revisions in append order.
+// List returns a copy of the retained revisions in append order; it is
+// empty, not nil, when there are none.
 func (j *Journal) List() []Revision {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return append([]Revision(nil), j.revs...)
+	return append([]Revision{}, j.revs...)
 }
 
-// ByFleet returns the revisions recorded for one fleet, in append order.
+// ByFleet returns the retained revisions recorded for one fleet, in append
+// order; it is empty, not nil, when there are none.
 func (j *Journal) ByFleet(fleet string) []Revision {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	var out []Revision
+	out := []Revision{}
 	for _, r := range j.revs {
 		if r.Fleet == fleet {
 			out = append(out, r)
@@ -92,7 +110,7 @@ func (j *Journal) ByFleet(fleet string) []Revision {
 	return out
 }
 
-// Len reports the number of revisions recorded.
+// Len reports the number of revisions retained.
 func (j *Journal) Len() int {
 	j.mu.Lock()
 	defer j.mu.Unlock()

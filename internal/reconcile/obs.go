@@ -1,10 +1,11 @@
-package controller
+package reconcile
 
 import "cornet/internal/obs"
 
-// Controller-runtime metrics, named per the PR-3/PR-5 cornet_* scheme and
-// exposed by cmd/cornetd at GET /metrics. The controller label carries the
-// name given to New; the daemon runs one controller, "reconcile".
+// Reconciliation metrics, exposed by cmd/cornetd at GET /metrics. The
+// cornet_controller_* series of the loop carry controller="reconcile"
+// (loopName); the rest cover the reconciler's own domain: drift discovery
+// and the change executions it drives.
 var (
 	metricReconciles = obs.Default.CounterVec("cornet_controller_reconciles_total",
 		"Reconcile passes by controller and result (success|requeue|error).", "controller", "result")
@@ -14,4 +15,12 @@ var (
 		"Rate-limited backoff requeues, by controller.", "controller")
 	metricReconcileDuration = obs.Default.HistogramVec("cornet_controller_reconcile_seconds",
 		"Reconcile pass latency by controller.", obs.DefBuckets(), "controller")
+	metricDriftDetected = obs.Default.CounterVec(
+		"cornet_controller_drift_detected_total",
+		"Drifted (element, attribute) pairs found by reconcile passes.",
+		"fleet")
+	metricChanges = obs.Default.CounterVec(
+		"cornet_reconcile_changes_total",
+		"Change executions driven by the reconciler, by outcome.",
+		"fleet", "outcome")
 )

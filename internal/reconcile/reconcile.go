@@ -1,18 +1,20 @@
 // Package reconcile is the declarative layer over CORNET's imperative
 // pipeline: operators declare desired fleet state ("every vGW in market-7
 // runs software >= v2 with mtu=9000") instead of submitting one-shot
-// change requests, and a reconciliation controller continuously drives the
+// change requests, and a reconciliation loop continuously drives the
 // network toward the declaration.
 //
 // Each pass diffs the declared spec against the live inventory, plans the
 // drifted elements through the schedule planner (internal/plan/engine),
 // executes the generated change workflows through the orchestrator's
-// resilience layer, records an audit revision per change in the changelog
-// journal, and updates the fleet's status conditions and observed
-// generation. Failed passes requeue with the controller runtime's
-// per-fleet exponential backoff, so transient testbed faults heal without
-// operator involvement — the change-management analogue of the
-// Kubernetes controller pattern.
+// resilience layer, records an audit revision per change in the bounded
+// revision journal, and updates the fleet's status conditions and
+// observed generation. The Manager runs the passes on one goroutine over
+// a queue of fleet names — watch, diff, apply, requeue, the ops-loop
+// primitive of "Service Provider DevOps" (John et al.). A failed pass
+// requeues its fleet with exponential backoff, so transient testbed
+// faults heal without operator involvement; a fleet in sync is re-diffed
+// periodically to catch out-of-band drift.
 package reconcile
 
 import (
@@ -23,7 +25,6 @@ import (
 	"time"
 
 	"cornet/internal/changelog"
-	"cornet/internal/controller"
 	"cornet/internal/core"
 	"cornet/internal/inventory"
 	"cornet/internal/obs"
@@ -41,43 +42,28 @@ type Config struct {
 	// Inventory is the live element state the differ reads and the
 	// reconciler writes back applied changes to. Required.
 	Inventory *inventory.Inventory
-	// Store holds the declared fleets; nil creates an empty one.
-	Store *Store
-	// Journal records one revision per driven change; nil creates one.
-	Journal *changelog.Journal
-	// Workers bounds concurrent reconcile passes (default 1: fleets are
-	// few and passes are heavyweight).
-	Workers int
 	// MaxParallel caps concurrent change executions within a pass and is
 	// the planner's per-slot concurrency capacity. Default 4.
 	MaxParallel int
-	// Resync is the steady-state re-diff interval for in-sync fleets, so
-	// out-of-band drift (a config change behind CORNET's back) is caught.
-	// Default 30s.
-	Resync time.Duration
-	// PlanTimeout bounds the planning step of one pass (0: none).
-	PlanTimeout time.Duration
-	// Clock abstracts time for tests; defaults to time.Now.
-	Clock func() time.Time
-	// Limiter overrides the requeue backoff schedule (tests use a fast one).
-	Limiter *controller.RateLimiter
 	// Log receives reconcile-pass records; nil stays silent.
 	Log *slog.Logger
 }
 
-// Manager owns the reconcile controller: the store subscription that
-// enqueues changed fleets, the worker loop, and the per-fleet reconcile
-// logic.
+// Manager owns the declared fleets, the revision journal, and the loop
+// that reconciles them: the store's change notifications queue a fleet,
+// one goroutine runs its passes.
 type Manager struct {
-	cfg  Config
-	ctrl *controller.Controller
+	cfg     Config
+	store   *Store
+	journal *Journal
+	loop    *loop
 
 	depMu sync.Mutex
 	deps  map[string]*workflow.Deployment
 }
 
 // New builds a Manager over the given configuration and subscribes it to
-// the store; call Start to begin reconciling.
+// its store; call Start to begin reconciling.
 func New(cfg Config) (*Manager, error) {
 	if cfg.Framework == nil {
 		return nil, fmt.Errorf("reconcile: Config.Framework is required")
@@ -85,67 +71,53 @@ func New(cfg Config) (*Manager, error) {
 	if cfg.Inventory == nil {
 		return nil, fmt.Errorf("reconcile: Config.Inventory is required")
 	}
-	if cfg.Store == nil {
-		cfg.Store = NewStore()
-	}
-	if cfg.Journal == nil {
-		cfg.Journal = &changelog.Journal{}
-	}
-	if cfg.Workers <= 0 {
-		cfg.Workers = 1
-	}
 	if cfg.MaxParallel <= 0 {
 		cfg.MaxParallel = 4
 	}
-	if cfg.Resync <= 0 {
-		cfg.Resync = 30 * time.Second
+	if cfg.Log == nil {
+		cfg.Log = obs.NopLogger()
 	}
-	if cfg.Clock == nil {
-		cfg.Clock = time.Now
-	}
-	m := &Manager{cfg: cfg, deps: map[string]*workflow.Deployment{}}
-	m.ctrl = controller.New("reconcile", m.Reconcile, controller.Options{
-		Workers: cfg.Workers, Limiter: cfg.Limiter, Log: cfg.Log,
-	})
-	cfg.Store.Subscribe(func(name string) { m.ctrl.Add(name) })
+	m := &Manager{cfg: cfg, store: NewStore(), journal: &Journal{},
+		deps: map[string]*workflow.Deployment{}}
+	m.loop = newLoop(m.Reconcile, cfg.Log)
+	m.store.Subscribe(func(name string) { m.loop.add(name) })
 	return m, nil
 }
 
 // Store returns the fleet store the manager reconciles from.
-func (m *Manager) Store() *Store { return m.cfg.Store }
+func (m *Manager) Store() *Store { return m.store }
 
 // Journal returns the revision journal the manager records into.
-func (m *Manager) Journal() *changelog.Journal { return m.cfg.Journal }
+func (m *Manager) Journal() *Journal { return m.journal }
 
-// Start launches the reconcile workers and enqueues every already-declared
-// fleet. Cancelling ctx stops the controller.
+// Start launches the reconcile goroutine and queues every already-declared
+// fleet. Passes run under ctx; cancelling it stops the loop as Stop does.
+// Only the first call starts anything.
 func (m *Manager) Start(ctx context.Context) {
-	m.ctrl.Start(ctx)
-	for _, f := range m.cfg.Store.List() {
-		m.ctrl.Add(f.Spec.Name)
+	m.loop.start(ctx)
+	for _, f := range m.store.List() {
+		m.loop.add(f.Spec.Name)
 	}
 }
 
-// Stop drains ready work and waits for in-flight passes to finish.
-func (m *Manager) Stop() { m.ctrl.Stop() }
+// Stop refuses further work and cancels pending requeues, then waits for
+// the pass in flight to finish and the queued fleets to drain.
+func (m *Manager) Stop() { m.loop.stop() }
 
-// Enqueue schedules an immediate reconcile pass for one fleet.
-func (m *Manager) Enqueue(name string) { m.ctrl.Add(name) }
-
-// Requeues reports the backoff requeue count for a fleet (tests and
-// status endpoints).
-func (m *Manager) Requeues(name string) int { return m.ctrl.Requeues(name) }
+// Requeues reports a fleet's consecutive failed passes, each of which
+// requeued it with backoff; a successful pass resets it to zero.
+func (m *Manager) Requeues(name string) int { return m.loop.requeues(name) }
 
 // Reconcile is one pass over one fleet: diff, plan, execute, record. It
-// is the function the controller runs; the runtime handles backoff requeues
-// on error and periodic resync via RequeueAfter.
-func (m *Manager) Reconcile(ctx context.Context, name string) (controller.Result, error) {
-	fleet, ok := m.cfg.Store.Get(name)
+// is the pass the loop runs: an error requeues the fleet with backoff, and
+// requeueAfter > 0 re-diffs it after that delay.
+func (m *Manager) Reconcile(ctx context.Context, name string) (requeueAfter time.Duration, err error) {
+	fleet, ok := m.store.Get(name)
 	if !ok {
 		// Deleted declaration: nothing to drive, drop the key.
-		return controller.Result{}, nil
+		return 0, nil
 	}
-	now := m.cfg.Clock()
+	now := time.Now()
 	// The fleet's generation change id scopes everything this pass does;
 	// "fleet.<name>" is the tenant work is attributed to.
 	ctx = obs.WithChangeID(ctx, fleet.ChangeID)
@@ -157,22 +129,20 @@ func (m *Manager) Reconcile(ctx context.Context, name string) (controller.Result
 	drifts, err := DiffFleet(fleet.Spec, m.cfg.Inventory)
 	if err != nil {
 		m.setConditions(name, fleet.Generation, 0, now,
-			controller.Condition{Type: controller.ConditionReady, Status: controller.ConditionFalse,
+			Condition{Type: ConditionReady, Status: ConditionFalse,
 				Reason: "SelectorError", Message: err.Error()},
-			controller.Condition{Type: controller.ConditionSynced, Status: controller.ConditionUnknown,
+			Condition{Type: ConditionSynced, Status: ConditionUnknown,
 				Reason: "SelectorError"})
-		return controller.Result{}, err
+		return 0, err
 	}
 	span.SetAttr("drift", len(drifts))
 	metricDriftDetected.With(name).Add(float64(len(drifts)))
-	ready := controller.Condition{Type: controller.ConditionReady, Status: controller.ConditionTrue,
-		Reason: "SelectorResolved"}
+	ready := Condition{Type: ConditionReady, Status: ConditionTrue, Reason: "SelectorResolved"}
 	if len(drifts) == 0 {
 		m.setConditions(name, fleet.Generation, 0, now, ready,
-			controller.Condition{Type: controller.ConditionSynced, Status: controller.ConditionTrue,
-				Reason: "InSync"})
-		m.logger().LogAttrs(ctx, slog.LevelDebug, "fleet in sync", slog.String("fleet", name))
-		return controller.Result{RequeueAfter: m.cfg.Resync}, nil
+			Condition{Type: ConditionSynced, Status: ConditionTrue, Reason: "InSync"})
+		m.cfg.Log.LogAttrs(ctx, slog.LevelDebug, "fleet in sync", slog.String("fleet", name))
+		return resync, nil
 	}
 	span.Event("drift-detected", "count", len(drifts))
 	events.Default.Publish(events.Event{
@@ -181,41 +151,41 @@ func (m *Manager) Reconcile(ctx context.Context, name string) (controller.Result
 		Fields: map[string]any{"fleet": name, "generation": fleet.Generation, "drift": len(drifts)},
 	})
 	m.setConditions(name, fleet.Generation, len(drifts), now, ready,
-		controller.Condition{Type: controller.ConditionSynced, Status: controller.ConditionFalse,
+		Condition{Type: ConditionSynced, Status: ConditionFalse,
 			Reason: "DriftDetected", Message: fmt.Sprintf("%d attribute(s) out of spec", len(drifts))})
-	m.logger().LogAttrs(ctx, slog.LevelInfo, "fleet drifted",
+	m.cfg.Log.LogAttrs(ctx, slog.LevelInfo, "fleet drifted",
 		slog.String("fleet", name), slog.Int64("generation", fleet.Generation),
 		slog.Int("drift", len(drifts)))
 
 	changes, byKey, err := m.planChanges(ctx, fleet, drifts)
 	if err != nil {
 		m.setConditions(name, fleet.Generation, len(drifts), now, ready,
-			controller.Condition{Type: controller.ConditionSynced, Status: controller.ConditionFalse,
+			Condition{Type: ConditionSynced, Status: ConditionFalse,
 				Reason: "PlanFailed", Message: err.Error()})
-		return controller.Result{}, err
+		return 0, err
 	}
 	span.Event("planned", "changes", len(changes))
 
 	applied, failed := m.execute(ctx, fleet, changes, byKey)
 	span.Event("executed", "applied", applied, "failed", failed)
-	m.cfg.Store.UpdateStatus(name, func(st *Status) {
+	m.store.UpdateStatus(name, func(st *Status) {
 		st.Applied += applied
 		st.Failed += failed
-		st.LastReconcile = m.cfg.Clock()
+		st.LastReconcile = time.Now()
 	})
 	if failed > 0 {
 		err := fmt.Errorf("reconcile: fleet %s: %d of %d changes failed", name, failed, len(changes))
 		m.setConditions(name, fleet.Generation, len(drifts), now, ready,
-			controller.Condition{Type: controller.ConditionSynced, Status: controller.ConditionFalse,
+			Condition{Type: ConditionSynced, Status: ConditionFalse,
 				Reason: "ExecutionFailed", Message: err.Error()})
-		return controller.Result{}, err
+		return 0, err
 	}
 	m.setConditions(name, fleet.Generation, 0, now, ready,
-		controller.Condition{Type: controller.ConditionSynced, Status: controller.ConditionTrue,
+		Condition{Type: ConditionSynced, Status: ConditionTrue,
 			Reason: "Converged", Message: fmt.Sprintf("applied %d change(s)", applied)})
-	m.logger().LogAttrs(ctx, slog.LevelInfo, "fleet converged",
+	m.cfg.Log.LogAttrs(ctx, slog.LevelInfo, "fleet converged",
 		slog.String("fleet", name), slog.Int("applied", applied))
-	return controller.Result{RequeueAfter: m.cfg.Resync}, nil
+	return resync, nil
 }
 
 // changeKey identifies one planned change so execution results can be
@@ -242,7 +212,7 @@ func (m *Manager) planChanges(ctx context.Context, fleet Fleet, drifts []Drift) 
 		}
 	}
 	slots := (len(ids) + m.cfg.MaxParallel - 1) / m.cfg.MaxParallel
-	start := m.cfg.Clock().UTC().Truncate(time.Hour)
+	start := time.Now().UTC().Truncate(time.Hour)
 	req := &intent.Request{
 		SchedulingWindow: intent.Window{
 			Start:       start.Format(intent.TimeLayout),
@@ -260,13 +230,7 @@ func (m *Manager) planChanges(ctx context.Context, fleet Fleet, drifts []Drift) 
 	if err := req.Validate(); err != nil {
 		return nil, nil, err
 	}
-	pctx := ctx
-	if m.cfg.PlanTimeout > 0 {
-		var cancel context.CancelFunc
-		pctx, cancel = context.WithTimeout(ctx, m.cfg.PlanTimeout)
-		defer cancel()
-	}
-	plan, err := m.cfg.Framework.PlanScheduleRequestContext(pctx, req,
+	plan, err := m.cfg.Framework.PlanScheduleRequestContext(ctx, req,
 		m.cfg.Inventory.Subset(ids), core.PlanOptions{RequireAll: true})
 	if err != nil {
 		return nil, nil, fmt.Errorf("reconcile: plan fleet %s: %w", fleet.Spec.Name, err)
@@ -333,29 +297,28 @@ func (m *Manager) execute(ctx context.Context, fleet Fleet, changes []orchestrat
 		if !ok {
 			continue
 		}
-		rev := changelog.Revision{
+		rev := Revision{
 			Fleet: fleet.Spec.Name, Generation: fleet.Generation,
 			ChangeID: fleet.ChangeID,
 			Element:  drift.Element, Type: drift.Type,
 			Attr: drift.Attr, From: drift.From, To: drift.To,
-			Time: m.cfg.Clock(),
 		}
 		if ok, detail := changeApplied(drift, res); ok {
 			if err := m.cfg.Inventory.SetAttr(drift.Element, drift.Attr, drift.To); err != nil {
-				rev.Outcome, rev.Detail = changelog.OutcomeFailed, err.Error()
+				rev.Outcome, rev.Detail = OutcomeFailed, err.Error()
 				failed++
 			} else {
-				rev.Outcome = changelog.OutcomeApplied
+				rev.Outcome = OutcomeApplied
 				applied++
 			}
 		} else {
-			rev.Outcome, rev.Detail = changelog.OutcomeFailed, detail
+			rev.Outcome, rev.Detail = OutcomeFailed, detail
 			failed++
 		}
 		metricChanges.With(fleet.Spec.Name, string(rev.Outcome)).Inc()
-		m.cfg.Journal.Append(rev)
+		m.journal.Append(rev)
 		evType := events.TypeDriftRepaired
-		if rev.Outcome != changelog.OutcomeApplied {
+		if rev.Outcome != OutcomeApplied {
 			evType = events.TypeChangeFailed
 		}
 		events.Default.Publish(events.Event{
@@ -421,20 +384,12 @@ func (m *Manager) deployment(build func() *workflow.Workflow, wfName, nfType str
 
 // setConditions stamps the observed generation, drift gauge, and the given
 // conditions onto a fleet's status.
-func (m *Manager) setConditions(name string, gen int64, drift int, now time.Time, conds ...controller.Condition) {
-	m.cfg.Store.UpdateStatus(name, func(st *Status) {
+func (m *Manager) setConditions(name string, gen int64, drift int, now time.Time, conds ...Condition) {
+	m.store.UpdateStatus(name, func(st *Status) {
 		st.ObservedGeneration = gen
 		st.Drift = drift
 		for _, c := range conds {
-			st.Conditions = controller.SetCondition(st.Conditions, c, now)
+			st.Conditions = SetCondition(st.Conditions, c, now)
 		}
 	})
-}
-
-// logger returns the configured logger or a no-op.
-func (m *Manager) logger() *slog.Logger {
-	if m.cfg.Log != nil {
-		return m.cfg.Log
-	}
-	return obs.NopLogger()
 }

@@ -9,7 +9,6 @@ import (
 
 	"cornet/internal/catalog"
 	"cornet/internal/changelog"
-	"cornet/internal/controller"
 	"cornet/internal/core"
 	"cornet/internal/inventory"
 	"cornet/internal/orchestrator"
@@ -17,7 +16,7 @@ import (
 )
 
 // newTestRig builds a testbed fleet of vGW NFs (half in market dfw, half
-// in nyc), its inventory mirror, and a reconcile manager with fast backoff.
+// in nyc), its inventory mirror, and a reconcile manager.
 func newTestRig(t *testing.T, count int) (*testbed.Testbed, *inventory.Inventory, *Manager) {
 	t.Helper()
 	return newTestRigInvoking(t, count, func(tb *testbed.Testbed) orchestrator.Invoker { return tb })
@@ -42,8 +41,7 @@ func newTestRigInvoking(t *testing.T, count int, wrap func(*testbed.Testbed) orc
 	}, core.WithInvoker(wrap(tb)))
 	m, err := New(Config{
 		Framework: f, Inventory: inv,
-		MaxParallel: 2, Resync: time.Minute,
-		Limiter: controller.NewRateLimiter(2*time.Millisecond, 50*time.Millisecond),
+		MaxParallel: 2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -85,12 +83,12 @@ func TestReconcileConvergesDeclaredVersion(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := waitStatus(t, m.Store(), "vgw-dfw", func(f Fleet) bool {
-		return controller.ConditionIs(f.Status.Conditions, controller.ConditionSynced, controller.ConditionTrue)
+		return ConditionIs(f.Status.Conditions, ConditionSynced, ConditionTrue)
 	})
 	if got.Status.ObservedGeneration != fleet.Generation {
 		t.Fatalf("observed generation %d, want %d", got.Status.ObservedGeneration, fleet.Generation)
 	}
-	if !controller.ConditionIs(got.Status.Conditions, controller.ConditionReady, controller.ConditionTrue) {
+	if !ConditionIs(got.Status.Conditions, ConditionReady, ConditionTrue) {
 		t.Fatalf("Ready condition not true: %+v", got.Status.Conditions)
 	}
 	if got.Status.Applied == 0 || got.Status.Failed != 0 {
@@ -127,7 +125,7 @@ func TestReconcileConvergesDeclaredVersion(t *testing.T) {
 		t.Fatalf("journal has %d revisions, want %d", len(revs), dfw)
 	}
 	for _, r := range revs {
-		if r.Outcome != changelog.OutcomeApplied || r.Generation != fleet.Generation ||
+		if r.Outcome != OutcomeApplied || r.Generation != fleet.Generation ||
 			r.Type != changelog.SoftwareUpgrade || r.To != "v2" {
 			t.Fatalf("revision %+v", r)
 		}
@@ -137,7 +135,7 @@ func TestReconcileConvergesDeclaredVersion(t *testing.T) {
 // TestReconcileRetriesThroughFault is the acceptance-criteria e2e: with a
 // testbed fault making every call fail, the reconcile pass fails, the
 // fleet reports Synced=False with backoff requeues, and — once the fault
-// clears — the controller's automatic retry converges the fleet without
+// clears — the loop's backoff retry converges the fleet without
 // any operator action.
 func TestReconcileRetriesThroughFault(t *testing.T) {
 	tb, inv, m := newTestRig(t, 2)
@@ -154,19 +152,19 @@ func TestReconcileRetriesThroughFault(t *testing.T) {
 	}
 	// Phase 1: the fault defeats every change; the pass fails and requeues.
 	failedOnce := waitStatus(t, m.Store(), "vgw-all", func(f Fleet) bool {
-		c, ok := controller.GetCondition(f.Status.Conditions, controller.ConditionSynced)
-		return ok && c.Status == controller.ConditionFalse && c.Reason == "ExecutionFailed" &&
+		c, ok := GetCondition(f.Status.Conditions, ConditionSynced)
+		return ok && c.Status == ConditionFalse && c.Reason == "ExecutionFailed" &&
 			f.Status.Failed > 0
 	})
 	if failedOnce.Status.Applied != 0 {
 		t.Fatalf("changes applied through a total fault: %+v", failedOnce.Status)
 	}
-	if !controller.ConditionIs(failedOnce.Status.Conditions, controller.ConditionReady, controller.ConditionTrue) {
+	if !ConditionIs(failedOnce.Status.Conditions, ConditionReady, ConditionTrue) {
 		t.Fatal("Ready should stay true through execution failures")
 	}
 	var sawFailedRev bool
 	for _, r := range m.Journal().ByFleet("vgw-all") {
-		if r.Outcome == changelog.OutcomeFailed && r.Detail != "" {
+		if r.Outcome == OutcomeFailed && r.Detail != "" {
 			sawFailedRev = true
 		}
 	}
@@ -177,7 +175,7 @@ func TestReconcileRetriesThroughFault(t *testing.T) {
 	// Phase 2: clear the fault; the backoff requeue converges on its own.
 	tb.ClearFaults()
 	waitStatus(t, m.Store(), "vgw-all", func(f Fleet) bool {
-		return controller.ConditionIs(f.Status.Conditions, controller.ConditionSynced, controller.ConditionTrue) &&
+		return ConditionIs(f.Status.Conditions, ConditionSynced, ConditionTrue) &&
 			f.Status.Drift == 0
 	})
 	for _, nf := range tb.All() {
@@ -210,7 +208,7 @@ func TestReconcileConfigDriftAndDeletion(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitStatus(t, m.Store(), "vgw-cfg", func(f Fleet) bool {
-		return controller.ConditionIs(f.Status.Conditions, controller.ConditionSynced, controller.ConditionTrue)
+		return ConditionIs(f.Status.Conditions, ConditionSynced, ConditionTrue)
 	})
 	for _, nf := range tb.All() {
 		if nf.Type != "vGW" {
@@ -246,8 +244,8 @@ func TestReconcileUnknownMarketSurfacesReadyFalse(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := waitStatus(t, m.Store(), "ghost", func(f Fleet) bool {
-		c, ok := controller.GetCondition(f.Status.Conditions, controller.ConditionReady)
-		return ok && c.Status == controller.ConditionFalse && c.Reason == "SelectorError"
+		c, ok := GetCondition(f.Status.Conditions, ConditionReady)
+		return ok && c.Status == ConditionFalse && c.Reason == "SelectorError"
 	})
 	if got.Status.ObservedGeneration != got.Generation {
 		t.Fatalf("selector errors must still observe the generation: %+v", got.Status)
@@ -288,7 +286,7 @@ func TestReconcileAccountsForHaltedConfigChanges(t *testing.T) {
 	for _, r := range revs {
 		if strings.Contains(r.Detail, "not dispatched") {
 			halted++
-			if r.Outcome != changelog.OutcomeFailed || !strings.Contains(r.Detail, orchestrator.ErrHalted.Error()) {
+			if r.Outcome != OutcomeFailed || !strings.Contains(r.Detail, orchestrator.ErrHalted.Error()) {
 				t.Fatalf("unreached change journaled as %+v", r)
 			}
 		}
@@ -299,8 +297,8 @@ func TestReconcileAccountsForHaltedConfigChanges(t *testing.T) {
 }
 
 // TestManagerLeavesNoGoroutines converges one fleet — which leaves a resync
-// timer pending in the queue's delay heap — and stops: the workers, the
-// controller's lifecycle goroutine and the delay-heap waker must all exit.
+// timer pending — and stops: the loop's goroutine must exit and the timer
+// must not fire a pass.
 func TestManagerLeavesNoGoroutines(t *testing.T) {
 	before := runtime.NumGoroutine()
 	_, _, m := newTestRig(t, 2)
@@ -309,7 +307,7 @@ func TestManagerLeavesNoGoroutines(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitStatus(t, m.Store(), "vgw-all", func(f Fleet) bool {
-		return controller.ConditionIs(f.Status.Conditions, controller.ConditionSynced, controller.ConditionTrue)
+		return ConditionIs(f.Status.Conditions, ConditionSynced, ConditionTrue)
 	})
 	m.Stop()
 	deadline := time.Now().Add(2 * time.Second)

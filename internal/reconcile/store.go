@@ -6,7 +6,6 @@ import (
 	"sync"
 	"time"
 
-	"cornet/internal/controller"
 	"cornet/internal/obs"
 )
 
@@ -77,7 +76,7 @@ type Status struct {
 	ObservedGeneration int64 `json:"observed_generation"`
 	// Conditions report Ready (the selector resolves) and Synced (observed
 	// state matches declared state).
-	Conditions []controller.Condition `json:"conditions,omitempty"`
+	Conditions []Condition `json:"conditions,omitempty"`
 	// Drift is the number of drifted (element, attribute) pairs the last
 	// pass found.
 	Drift int `json:"drift"`
@@ -90,7 +89,7 @@ type Status struct {
 
 // clone deep-copies the status.
 func (s Status) clone() Status {
-	s.Conditions = append([]controller.Condition(nil), s.Conditions...)
+	s.Conditions = append([]Condition(nil), s.Conditions...)
 	return s
 }
 
@@ -130,7 +129,7 @@ func NewStore() *Store {
 
 // Subscribe registers the change callback invoked (outside the store lock)
 // with the fleet name after every Apply and Delete — the watch feed the
-// reconcile controller enqueues from. Only one subscriber is supported.
+// reconcile loop queues from. Only one subscriber is supported.
 func (s *Store) Subscribe(fn func(name string)) {
 	s.mu.Lock()
 	s.onChange = fn
