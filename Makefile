@@ -20,15 +20,17 @@ fmt-check:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
 	fi
 
-# Every package under the race detector, once. Three suites race by design
+# Every package under the race detector, once. Four suites race by design
 # and run four times: the composer's seal paths (window timer, batch,
 # cohort, stop — and internal/compose/serve, which drives those seals
 # through Submit), plan admission (a worker's claim against the
-# submitter's abandon, Stop against Submit), and the reconcile loop (a
-# requeue timer firing against Stop and context cancellation).
+# submitter's abandon, Stop against Submit), the reconcile loop (a
+# requeue timer firing against Stop and context cancellation), and the
+# solver's component split (one component's failure cancelling the
+# others while they complete).
 race:
 	$(GO) test -race ./...
-	$(GO) test -race -count=4 ./internal/compose/... ./internal/plan/serve ./internal/reconcile
+	$(GO) test -race -count=4 ./internal/compose/... ./internal/plan/serve ./internal/reconcile ./internal/plan/solver
 
 # Documentation hygiene: formatting, vet, and a go/ast walk asserting that
 # every exported identifier in the execution-facing packages carries a doc
@@ -37,7 +39,7 @@ doccheck: vet fmt-check
 	$(GO) run ./tools/doccheck ./internal/orchestrator ./internal/orchestrator/resilience \
 		./internal/workflow ./internal/testbed \
 		./internal/reconcile ./internal/changelog \
-		./internal/plan/serve ./internal/plan/cache ./internal/plan/engine ./internal/plan/decompose \
+		./internal/plan/serve ./internal/plan/cache ./internal/plan/engine \
 		./internal/plan/solver ./internal/compose ./internal/compose/serve \
 		./internal/obs/events ./internal/obs/slo ./internal/obs/tenants
 

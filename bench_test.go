@@ -17,7 +17,6 @@ import (
 	"cornet/internal/kpigen"
 	"cornet/internal/netgen"
 	"cornet/internal/orchestrator"
-	"cornet/internal/plan/decompose"
 	"cornet/internal/plan/engine"
 	"cornet/internal/plan/heuristic"
 	"cornet/internal/plan/intent"
@@ -148,8 +147,8 @@ func benchPlanner(b *testing.B, n int, constraints string) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := decompose.SolveContext(context.Background(), tr.Model, decompose.SolveOptions{
-			Solver: solver.Options{TimeLimit: 5 * time.Second, MaxNodes: 300_000},
+		if _, err := solver.SolveContext(context.Background(), tr.Model, solver.Options{
+			TimeLimit: 5 * time.Second, MaxNodes: 300_000,
 		}); err != nil {
 			b.Fatal(err)
 		}
@@ -246,16 +245,15 @@ func BenchmarkPlannerScaleSolver10K(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := decompose.SolveContext(context.Background(), tr.Model, decompose.SolveOptions{
-			Solver:      solver.Options{FirstSolutionOnly: true},
-			Parallelism: 8,
+		if _, err := solver.SolveContext(context.Background(), tr.Model, solver.Options{
+			FirstSolutionOnly: true,
 		}); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-// BenchmarkPlannerScalePortfolio10K races the decomposed solver and the
+// BenchmarkPlannerScalePortfolio10K races the CP solver and the
 // heuristic on the same 10K-node request through the planning engine; the
 // first feasible schedule wins and the loser is cancelled, so portfolio
 // latency tracks the faster backend rather than paying for both.
@@ -465,47 +463,6 @@ func BenchmarkAblationConsistency(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := solver.SolveContext(context.Background(), m, solver.Options{MaxNodes: 200_000}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// AblationDecompose measures split-into-components (decompose) against one
-// monolithic solve of a separable per-pool problem.
-func BenchmarkAblationDecompose(b *testing.B) {
-	build := func() *model.Model {
-		m := &model.Model{Name: "split", NumSlots: 8, RequireAll: true}
-		var sets [][]int
-		for p := 0; p < 8; p++ {
-			var set []int
-			for k := 0; k < 8; k++ {
-				set = append(set, len(m.Items))
-				m.Items = append(m.Items, model.Item{ID: fmt.Sprintf("p%d-%d", p, k)})
-			}
-			sets = append(sets, set)
-		}
-		m.Capacities = []model.Capacity{{Name: "per-pool", Sets: sets, Cap: 1}}
-		return m
-	}
-	for _, split := range []bool{false, true} {
-		name := "monolithic"
-		if split {
-			name = "split"
-		}
-		b.Run(name, func(b *testing.B) {
-			m := build()
-			opt := solver.Options{MaxNodes: 500_000}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				var err error
-				if split {
-					_, err = decompose.SolveContext(context.Background(), m, decompose.SolveOptions{Solver: opt, Parallelism: 8})
-				} else {
-					_, err = solver.SolveContext(context.Background(), m, opt)
-				}
-				if err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -17,7 +17,6 @@ import (
 	"cornet/internal/kpigen"
 	"cornet/internal/netgen"
 	"cornet/internal/orchestrator"
-	"cornet/internal/plan/decompose"
 	"cornet/internal/plan/heuristic"
 	"cornet/internal/plan/intent"
 	"cornet/internal/plan/solver"
@@ -205,9 +204,7 @@ func runEvalPlanner(quick bool) error {
 			if err != nil {
 				return err
 			}
-			sched, err := decompose.SolveContext(context.Background(), tr.Model, decompose.SolveOptions{
-				Solver: solver.Options{TimeLimit: 3 * time.Second, MaxNodes: 300_000},
-			})
+			sched, err := solver.SolveContext(context.Background(), tr.Model, solver.Options{TimeLimit: 3 * time.Second, MaxNodes: 300_000})
 			elapsed := time.Since(start)
 			if err != nil {
 				fmt.Printf(" %13s", "infeasible")
@@ -307,10 +304,8 @@ func runEvalScale(quick bool) error {
 		if err != nil {
 			return err
 		}
-		sched, err := decompose.SolveContext(context.Background(), tr.Model, decompose.SolveOptions{
-			Solver:      solver.Options{FirstSolutionOnly: true, TimeLimit: 60 * time.Second, MaxNodes: 50_000_000},
-			Parallelism: 8,
-		})
+		sched, err := solver.SolveContext(context.Background(), tr.Model,
+			solver.Options{FirstSolutionOnly: true, TimeLimit: 60 * time.Second, MaxNodes: 50_000_000})
 		if err != nil {
 			return err
 		}

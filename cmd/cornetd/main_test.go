@@ -278,6 +278,9 @@ func TestPlanEndpointValidation(t *testing.T) {
 		{"parallelism over cap", "?parallelism=300", doc, http.StatusBadRequest},
 		{"bad tenant", "?tenant=no/slash", doc, http.StatusBadRequest},
 		{"data after the document", "", doc + " trailing {", http.StatusUnprocessableEntity},
+		// 2^51 hours wraps a time.Duration around to 0s: a step that never
+		// advances the slot loop.
+		{"overflowing granularity", "", strings.Replace(doc, `"metric":"day","value":1`, `"metric":"hour","value":2251799813685248`, 1), http.StatusUnprocessableEntity},
 	}
 	for _, tc := range cases {
 		resp, err := http.Post(srv.URL+"/api/plan"+tc.query, "application/json", strings.NewReader(tc.body))

@@ -16,7 +16,6 @@ import (
 
 	"cornet/internal/inventory"
 	"cornet/internal/netgen"
-	"cornet/internal/plan/decompose"
 	"cornet/internal/plan/heuristic"
 	"cornet/internal/plan/intent"
 	"cornet/internal/plan/solver"
@@ -63,8 +62,8 @@ func TestSolverHeuristicCrossValidation(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		sched, err := decompose.SolveContext(context.Background(), tr.Model, decompose.SolveOptions{
-			Solver: solver.Options{MaxNodes: 300_000, TimeLimit: 5 * time.Second},
+		sched, err := solver.SolveContext(context.Background(), tr.Model, solver.Options{
+			MaxNodes: 300_000, TimeLimit: 5 * time.Second,
 		})
 		if err != nil {
 			return false

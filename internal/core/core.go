@@ -36,7 +36,7 @@ type Framework struct {
 	Engine   *orchestrator.Engine
 	Registry *kpi.Registry
 	// Planner dispatches schedule planning onto pluggable backends; nil
-	// means the default engine (decomposed solver + Algorithm 1 heuristic).
+	// means the default engine (CP solver + Algorithm 1 heuristic).
 	Planner *engine.Engine
 	// ScaleThreshold is the instance count above which the default
 	// Threshold policy switches from the generic model-driven solver to

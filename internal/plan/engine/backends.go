@@ -4,7 +4,6 @@ import (
 	"context"
 	"time"
 
-	"cornet/internal/plan/decompose"
 	"cornet/internal/plan/heuristic"
 	"cornet/internal/plan/model"
 	"cornet/internal/plan/solver"
@@ -97,20 +96,19 @@ func fromSchedule(req *Request, sched model.Schedule, st *Stats) Result {
 	}
 }
 
-// DecomposedBackend is the paper's model-driven pipeline: independent
-// components solved in parallel by the CP solver, which schedules each
-// consistency group as one block. It is named "solver" because it is the
-// planner's model-driven path as seen by callers.
-type DecomposedBackend struct{}
+// SolverBackend is the paper's model-driven pipeline: the CP solver,
+// which solves independent components separately and schedules each
+// consistency group as one block.
+type SolverBackend struct{}
 
 // Name reports the backend as "solver".
-func (DecomposedBackend) Name() string { return "solver" }
+func (SolverBackend) Name() string { return "solver" }
 
 // Supports reports whether the request carries a constraint model.
-func (DecomposedBackend) Supports(req *Request) bool { return req.Model != nil }
+func (SolverBackend) Supports(req *Request) bool { return req.Model != nil }
 
-// Solve solves each independent component of the request's model.
-func (b DecomposedBackend) Solve(ctx context.Context, req *Request, opt Options) (Result, Stats, error) {
+// Solve solves the request's model.
+func (b SolverBackend) Solve(ctx context.Context, req *Request, opt Options) (Result, Stats, error) {
 	st := Stats{Backend: b.Name()}
 	sopt := opt.Solver
 	sopt.TimeLimit = softBudget(ctx, sopt.TimeLimit)
@@ -120,7 +118,7 @@ func (b DecomposedBackend) Solve(ctx context.Context, req *Request, opt Options)
 	sopt.OnIncumbent = chainIncumbent(sopt.OnIncumbent, opt.incumbent)
 	sopt.OnSteal = chainSteal(sopt.OnSteal, opt.steal)
 	start := time.Now()
-	sched, err := decompose.SolveContext(ctx, req.Model, decompose.SolveOptions{Solver: sopt})
+	sched, err := solver.SolveContext(ctx, req.Model, sopt)
 	st.Wall = time.Since(start)
 	if err != nil {
 		return Result{}, st, err

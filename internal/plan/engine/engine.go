@@ -164,7 +164,7 @@ type Options struct {
 	// it per backend run to emit trace events and metrics.
 	incumbent func(kv ...any)
 	// steal receives work-stealing totals from parallel solver searches
-	// (once per search; a decomposed solve reports per component).
+	// (once per search; a split solve reports per component).
 	// Unexported: the engine sets it per backend run to emit the
 	// steal-rate trace event and update the solver steal metrics.
 	steal func(steals, splits, replayNodes int64)
@@ -184,23 +184,23 @@ type Backend interface {
 
 // Engine dispatches planning requests onto pluggable backends.
 type Engine struct {
-	// Solver is the model-driven backend (default: DecomposedBackend).
+	// Solver is the model-driven backend (default: SolverBackend).
 	Solver Backend
 	// Heuristic is the attribute-grouped backend (default:
 	// HeuristicBackend).
 	Heuristic Backend
 }
 
-// New assembles the default engine: the decomposed CP solver and the
+// New assembles the default engine: the CP solver and the
 // Algorithm-1 heuristic.
 func New() *Engine {
-	return &Engine{Solver: DecomposedBackend{}, Heuristic: HeuristicBackend{}}
+	return &Engine{Solver: SolverBackend{}, Heuristic: HeuristicBackend{}}
 }
 
 func (e *Engine) backends() (solverB, heurB Backend) {
 	solverB, heurB = e.Solver, e.Heuristic
 	if solverB == nil {
-		solverB = DecomposedBackend{}
+		solverB = SolverBackend{}
 	}
 	if heurB == nil {
 		heurB = HeuristicBackend{}

@@ -48,7 +48,7 @@ func runBackend(ctx context.Context, b Backend, req *Request, opt Options) (Resu
 		})
 	}
 	opt.steal = func(steals, splits, replayNodes int64) {
-		// May fire once per component on a decomposed solve; counters
+		// May fire once per component on a split solve; counters
 		// accumulate and the span keeps one event per search.
 		if steals > 0 {
 			metricSolverSteals.With(name).Add(float64(steals))

@@ -20,6 +20,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strings"
 	"time"
@@ -35,22 +36,24 @@ type Granularity struct {
 	Value  int    `json:"value"`
 }
 
-// Duration converts the granularity to a time.Duration.
+// Duration converts the granularity to a time.Duration. A value too large
+// for a time.Duration is an error, not a wrapped-around step.
 func (g Granularity) Duration() (time.Duration, error) {
-	v := g.Value
-	if v <= 0 {
-		v = 1
-	}
+	var unit time.Duration
 	switch strings.ToLower(g.Metric) {
 	case "hour", "hours":
-		return time.Duration(v) * time.Hour, nil
+		unit = time.Hour
 	case "day", "days", "":
-		return time.Duration(v) * 24 * time.Hour, nil
+		unit = 24 * time.Hour
 	case "week", "weeks":
-		return time.Duration(v) * 7 * 24 * time.Hour, nil
+		unit = 7 * 24 * time.Hour
 	default:
 		return 0, fmt.Errorf("intent: unknown granularity metric %q", g.Metric)
 	}
+	if v := int64(max(g.Value, 1)); v <= math.MaxInt64/int64(unit) {
+		return time.Duration(v) * unit, nil
+	}
+	return 0, fmt.Errorf("intent: granularity %+v overflows a duration", g)
 }
 
 // Window is a [start, end] absolute time interval.
@@ -288,6 +291,9 @@ func Parse(data []byte) (*Request, error) {
 // Validate checks the request invariants.
 func (r *Request) Validate() error {
 	if _, _, err := r.windowTimes(); err != nil {
+		return err
+	}
+	if _, err := r.SchedulingWindow.Granularity.Duration(); err != nil {
 		return err
 	}
 	if r.SchedulableAttribute == "" {

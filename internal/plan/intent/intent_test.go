@@ -2,6 +2,7 @@ package intent
 
 import (
 	"encoding/json"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -210,6 +211,12 @@ func TestValidationErrors(t *testing.T) {
 		{"unknown template", func(m map[string]any) {
 			m["constraints"].([]any)[5].(map[string]any)["name"] = "mystery"
 		}},
+		{"overflowing granularity", func(m map[string]any) {
+			m["scheduling_window"].(map[string]any)["granularity"] = map[string]any{"metric": "hour", "value": 1 << 51}
+		}},
+		{"unknown granularity metric", func(m map[string]any) {
+			m["scheduling_window"].(map[string]any)["granularity"] = map[string]any{"metric": "fortnight", "value": 1}
+		}},
 		{"duplicate conflict handling", func(m map[string]any) {
 			cs := m["constraints"].([]any)
 			m["constraints"] = append(cs, map[string]any{"name": "conflict_handling", "value": "zero-conflicts"})
@@ -262,6 +269,11 @@ func TestGranularityDuration(t *testing.T) {
 		{Granularity{"week", 1}, "168h0m0s", true},
 		{Granularity{"", 0}, "24h0m0s", true}, // defaults
 		{Granularity{"fortnight", 1}, "", false},
+		{Granularity{"hour", 2562047}, "2562047h0m0s", true}, // the largest that fits
+		{Granularity{"hour", 2562048}, "", false},
+		{Granularity{"hour", 1 << 51}, "", false}, // wrapped around to 0s
+		{Granularity{"week", 1 << 62}, "", false},
+		{Granularity{"day", math.MaxInt}, "", false},
 	}
 	for _, tc := range cases {
 		d, err := tc.g.Duration()

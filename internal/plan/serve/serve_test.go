@@ -57,7 +57,7 @@ func newFixture(t *testing.T, delay time.Duration, cfg Config) *fixture {
 	f.SolverOptions = solver.Options{FirstSolutionOnly: true}
 	var calls atomic.Int64
 	f.Planner = &engine.Engine{Solver: countingBackend{
-		inner: engine.DecomposedBackend{},
+		inner: engine.SolverBackend{},
 		calls: &calls, delay: delay,
 	}}
 	enbs := net.Inv.ByAttr("nf_type", "eNodeB")

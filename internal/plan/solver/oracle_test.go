@@ -318,19 +318,23 @@ func checkPartials(t *testing.T, seed int64, rng *rand.Rand, m *model.Model) (co
 
 // TestSolverOracle is the admissibility and equivalence oracle: on random
 // models small enough to enumerate, the solver's cost is the exhaustive
-// optimum, two and four workers return the sequential cost and slot
-// vector, a warm seed (the optimum itself, or a first feasible schedule)
-// changes nothing, and no bound ever exceeds the best completion.
+// optimum (also when the model splits into independent components), two
+// and four workers return the sequential cost, slot vector and error, a
+// warm seed (the optimum itself, or a first feasible schedule) changes
+// nothing, and no bound ever exceeds the best completion.
 func TestSolverOracle(t *testing.T) {
 	limits := Options{MaxNodes: 5_000_000, TimeLimit: time.Minute}
 	free := make([]int, 7)
 	for i := range free {
 		free[i] = -2
 	}
-	feasible, covering := 0, 0
+	feasible, covering, split := 0, 0, 0
 	for seed := int64(1); seed <= oracleModels; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		m := oracleModel(rng)
+		if components(m) != nil {
+			split++
+		}
 		want, _, found := exhaustive(m, free[:len(m.Items)])
 
 		seqOpt := limits
@@ -388,5 +392,8 @@ func TestSolverOracle(t *testing.T) {
 	}
 	if covering < oracleModels/5 || covering > oracleModels*4/5 {
 		t.Fatalf("%d of %d models have a covering set: the generator no longer mixes packing-bound on and off", covering, oracleModels)
+	}
+	if split < oracleModels/10 {
+		t.Fatalf("%d of %d models split into components: the oracle no longer checks the split", split, oracleModels)
 	}
 }

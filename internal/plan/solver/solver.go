@@ -17,6 +17,10 @@
 // matches Listing 2: BigM * conflicts + weighted completion time + skip
 // penalties, so conflict count is lexicographically minimized first.
 //
+// Both of Section 3.3's scale ideas live here: a consistency group is one
+// search block, and a model whose items fall into independent components
+// is solved per component and merged (split.go).
+//
 // As in the paper, dense constraint templates (uniformity, localize) make
 // the search work much harder than sparse capacity rows; Section 4.2's
 // discovery-time blow-up reproduces directly from this behaviour.
@@ -65,7 +69,8 @@ type Options struct {
 	// rank-ordered incumbent bound and balance load by work stealing:
 	// busy workers publish open subtrees into per-worker deques and idle
 	// workers steal, replaying the stolen prefix onto their own state.
-	// 0 means GOMAXPROCS; 1 runs the classic sequential search. Results
+	// 0 means GOMAXPROCS; 1 runs the classic sequential search. On a model
+	// that splits into components it is the whole call's budget. Results
 	// are parallelism-invariant: a completed search reports the same
 	// cost and slot vector at every worker count.
 	Parallelism int
@@ -100,6 +105,9 @@ func (o Options) withDefaults() Options {
 	if o.TimeLimit == 0 {
 		o.TimeLimit = 10 * time.Second
 	}
+	if o.Parallelism <= 0 {
+		o.Parallelism = runtime.GOMAXPROCS(0)
+	}
 	return o
 }
 
@@ -107,7 +115,8 @@ func (o Options) withDefaults() Options {
 // explored space (only proven when the search completes).
 var ErrInfeasible = errors.New("solver: model is infeasible")
 
-// SolveContext searches the model and returns the best schedule found.
+// SolveContext searches the model and returns the best schedule found,
+// per independent component when the model has several (solveSplit).
 //
 // The search honours two distinct time bounds: Options.TimeLimit expiry
 // returns the best incumbent found so far (soft budget), while ctx
@@ -133,6 +142,14 @@ func SolveContext(ctx context.Context, m *model.Model, opt Options) (model.Sched
 	if err := m.Validate(); err != nil {
 		return model.Schedule{}, err
 	}
+	if comps := components(m); comps != nil {
+		return solveSplit(ctx, m, comps, opt)
+	}
+	return solveWhole(ctx, m, opt)
+}
+
+// solveWhole searches a normalized, valid m as one problem (opt defaulted).
+func solveWhole(ctx context.Context, m *model.Model, opt Options) (model.Schedule, error) {
 	s := newState(m, opt)
 	s.ctx = ctx
 	if len(opt.WarmSlots) > 0 {
@@ -148,38 +165,37 @@ func SolveContext(ctx context.Context, m *model.Model, opt Options) (model.Sched
 			s.deadline = soft
 		}
 	}
-	workers := opt.Parallelism
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if opt.FirstSolutionOnly {
-		workers = 1 // keep the greedy incumbent deterministic
-	}
 	// A root the bound already closes is a one-node search: run it here
-	// instead of cloning a state per worker to prune the same node.
-	if workers > 1 && len(s.order) > 0 && !s.rootClosed() {
-		return solveParallel(ctx, m, opt, s, workers)
+	// instead of cloning a state per worker to prune the same node. The
+	// greedy first solution stays sequential, so it stays deterministic.
+	if opt.Parallelism > 1 && !opt.FirstSolutionOnly && len(s.order) > 0 && !s.rootClosed() {
+		return solveParallel(ctx, m, opt, s, opt.Parallelism)
 	}
 	s.search(0)
-	if s.ctxErr != nil {
-		return model.Schedule{}, fmt.Errorf("solver: search aborted after %d nodes: %w", s.nodes, s.ctxErr)
+	return answer(m, s.bestSlots, s.ctxErr, model.Schedule{
+		Optimal: s.complete, Nodes: s.nodes, Workers: 1, DomainPrunes: s.domPrunes, Warm: s.warm,
+	})
+}
+
+// answer turns a finished search into SolveContext's result: an abort or
+// no incumbent is an error, else slots evaluated and checked on m, with
+// the search totals of tot (whose Optimal says the search completed).
+func answer(m *model.Model, slots []int, ctxErr error, tot model.Schedule) (model.Schedule, error) {
+	switch {
+	case ctxErr != nil:
+		return model.Schedule{}, fmt.Errorf("solver: search aborted after %d nodes: %w", tot.Nodes, ctxErr)
+	case slots == nil && tot.Optimal:
+		return model.Schedule{}, ErrInfeasible
+	case slots == nil:
+		return model.Schedule{}, fmt.Errorf("solver: no feasible solution within limits (%d nodes)", tot.Nodes)
 	}
-	if s.bestSlots == nil {
-		if s.complete {
-			return model.Schedule{}, ErrInfeasible
-		}
-		return model.Schedule{}, fmt.Errorf("solver: no feasible solution within limits (%d nodes)", s.nodes)
-	}
-	sched, err := m.Evaluate(s.bestSlots)
+	sched, err := m.Evaluate(slots)
 	if err != nil {
 		return model.Schedule{}, err
 	}
-	sched.Optimal = s.complete
-	sched.Nodes = s.nodes
-	sched.Workers = 1
-	sched.DomainPrunes = s.domPrunes
-	sched.Warm = s.warm
-	if v := m.Check(s.bestSlots); len(v) > 0 {
+	sched.Optimal, sched.Nodes, sched.Workers, sched.Warm = tot.Optimal, tot.Nodes, tot.Workers, tot.Warm
+	sched.DomainPrunes, sched.Steals, sched.Splits, sched.ReplayNodes = tot.DomainPrunes, tot.Steals, tot.Splits, tot.ReplayNodes
+	if v := m.Check(slots); len(v) > 0 {
 		return model.Schedule{}, fmt.Errorf("solver: internal error, produced infeasible schedule: %v", v[0])
 	}
 	return sched, nil
@@ -260,49 +276,26 @@ func solveParallel(ctx context.Context, m *model.Model, opt Options, base *state
 		}(ws)
 	}
 	wg.Wait()
-	nodes := sh.nodes.Load()
-	complete := true
+	tot := model.Schedule{Optimal: true, Nodes: sh.nodes.Load(), Workers: workers, Warm: base.warm}
 	var ctxErr error
-	var prunes, steals, splits, replay int64
 	for _, ws := range states {
-		complete = complete && ws.complete
-		prunes += ws.domPrunes
-		steals += ws.steals
-		splits += ws.splits
-		replay += ws.replayNodes
-		if ws.ctxErr != nil && ctxErr == nil {
+		tot.Optimal = tot.Optimal && ws.complete
+		tot.DomainPrunes += ws.domPrunes
+		tot.Steals += ws.steals
+		tot.Splits += ws.splits
+		tot.ReplayNodes += ws.replayNodes
+		if ctxErr == nil {
 			ctxErr = ws.ctxErr
 		}
 	}
 	if opt.OnSteal != nil {
-		opt.OnSteal(steals, splits, replay)
+		opt.OnSteal(tot.Steals, tot.Splits, tot.ReplayNodes)
 	}
-	if ctxErr != nil {
-		return model.Schedule{}, fmt.Errorf("solver: search aborted after %d nodes: %w", nodes, ctxErr)
+	var slots []int
+	if rec := sh.rec.Load(); rec != nil {
+		slots = rec.slots
 	}
-	rec := sh.rec.Load()
-	if rec == nil {
-		if complete {
-			return model.Schedule{}, ErrInfeasible
-		}
-		return model.Schedule{}, fmt.Errorf("solver: no feasible solution within limits (%d nodes)", nodes)
-	}
-	sched, err := m.Evaluate(rec.slots)
-	if err != nil {
-		return model.Schedule{}, err
-	}
-	sched.Optimal = complete
-	sched.Nodes = nodes
-	sched.Workers = workers
-	sched.DomainPrunes = prunes
-	sched.Steals = steals
-	sched.Splits = splits
-	sched.ReplayNodes = replay
-	sched.Warm = base.warm
-	if v := m.Check(rec.slots); len(v) > 0 {
-		return model.Schedule{}, fmt.Errorf("solver: internal error, produced infeasible schedule: %v", v[0])
-	}
-	return sched, nil
+	return answer(m, slots, ctxErr, tot)
 }
 
 // block is the search unit: a consistency group or a singleton item.
@@ -504,51 +497,19 @@ func newState(m *model.Model, opt Options) *state {
 	n := len(m.Items)
 	T := m.NumSlots
 
-	// Build blocks from SameSlot groups via union-find so overlapping
-	// consistency groups merge into one block (the union semantics the
-	// constraint promises); remaining items are singletons. Blocks are
-	// numbered by first member and list their members in index order.
-	parent := make([]int, n)
-	for i := range parent {
-		parent[i] = i
-	}
-	find := func(x int) int {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
-	}
+	// Merge SameSlot groups so overlapping consistency groups become one
+	// block (the union semantics the constraint promises); remaining items
+	// are singletons. Blocks are numbered by first member and list their
+	// members in index order.
+	u := newUnionFind(n)
 	for _, grp := range m.SameSlot {
-		for i := 1; i < len(grp); i++ {
-			ra, rb := find(grp[0]), find(grp[i])
-			if ra != rb {
-				parent[rb] = ra
-			}
-		}
+		u.join(grp)
 	}
-	blockOf := make([]int, n) // by root; -1 until the root's first member is seen
-	for i := range blockOf {
-		blockOf[i] = -1
-	}
-	var size []int
-	for i := 0; i < n; i++ {
-		r := find(i)
-		if blockOf[r] < 0 {
-			blockOf[r] = len(size)
-			size = append(size, 0)
-		}
-		size[blockOf[r]]++
-	}
-	nb := len(size)
+	classes := u.classes()
+	nb := len(classes)
 	blocks := make([]block, nb)
-	itemSlab := make([]int, n)
-	for bi := range blocks {
-		blocks[bi].items = carve(&itemSlab, size[bi])[:0]
-	}
-	for i := 0; i < n; i++ {
-		b := &blocks[blockOf[find(i)]]
-		b.items = append(b.items, i)
+	for bi, items := range classes {
+		blocks[bi].items = items
 	}
 
 	// Per-item membership lists for constraint bookkeeping, and the flat
@@ -930,12 +891,12 @@ func (s *state) clone() *state {
 	for i, g := range s.gcActiveGroups {
 		c.gcActiveGroups[i] = append([]int(nil), g...)
 	}
-	c.uniLo = cloneF64(s.uniLo)
-	c.uniHi = cloneF64(s.uniHi)
-	c.uniHas = cloneBool(s.uniHas)
-	c.locLo = cloneInt(s.locLo)
-	c.locHi = cloneInt(s.locHi)
-	c.locHas = cloneBool(s.locHas)
+	c.uniLo = cloneRows(s.uniLo)
+	c.uniHi = cloneRows(s.uniHi)
+	c.uniHas = cloneRows(s.uniHas)
+	c.locLo = cloneRows(s.locLo)
+	c.locHi = cloneRows(s.locHi)
+	c.locHas = cloneRows(s.locHas)
 	c.assigned = append([]int(nil), s.assigned...)
 	c.satMask = make([][]uint64, len(s.satMask))
 	for i, m := range s.satMask {
@@ -956,26 +917,10 @@ func (s *state) clone() *state {
 	return c
 }
 
-func cloneF64(xs [][]float64) [][]float64 {
-	out := make([][]float64, len(xs))
+func cloneRows[E any](xs [][]E) [][]E {
+	out := make([][]E, len(xs))
 	for i, x := range xs {
-		out[i] = append([]float64(nil), x...)
-	}
-	return out
-}
-
-func cloneInt(xs [][]int) [][]int {
-	out := make([][]int, len(xs))
-	for i, x := range xs {
-		out[i] = append([]int(nil), x...)
-	}
-	return out
-}
-
-func cloneBool(xs [][]bool) [][]bool {
-	out := make([][]bool, len(xs))
-	for i, x := range xs {
-		out[i] = append([]bool(nil), x...)
+		out[i] = append([]E(nil), x...)
 	}
 	return out
 }
@@ -1646,16 +1591,8 @@ func (s *state) flushNodes() {
 // and node-limit checks, plus — for parallel workers — node-count flushing
 // and stop-flag propagation to and from the other workers.
 func (s *state) checkBudget() {
-	if err := s.ctx.Err(); err != nil {
-		s.ctxErr = err
-		s.stopped = true
-		s.complete = false
-		if s.shared != nil {
-			s.shared.stop.Store(true)
-		}
-		return
-	}
-	if time.Now().After(s.deadline) {
+	if err := s.ctx.Err(); err != nil || time.Now().After(s.deadline) {
+		s.ctxErr = err // nil when only the deadline passed
 		s.stopped = true
 		s.complete = false
 		if s.shared != nil {

@@ -90,14 +90,15 @@ func (m *Manager) Store() *Store { return m.store }
 // Journal returns the revision journal the manager records into.
 func (m *Manager) Journal() *Journal { return m.journal }
 
-// Start launches the reconcile goroutine and queues every already-declared
-// fleet. Passes run under ctx; cancelling it stops the loop as Stop does.
-// Only the first call starts anything.
+// Start queues every already-declared fleet, then launches the reconcile
+// goroutine: queued before the worker runs, a fleet a notification already
+// queued is not run twice. Passes run under ctx; cancelling it stops the
+// loop as Stop does. Only the first call starts anything.
 func (m *Manager) Start(ctx context.Context) {
-	m.loop.start(ctx)
 	for _, f := range m.store.List() {
 		m.loop.add(f.Spec.Name)
 	}
+	m.loop.start(ctx)
 }
 
 // Stop refuses further work and cancels pending requeues, then waits for
