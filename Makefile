@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet fmt-check race bench bench-miss bench-exec bench-serve bench-compose bench-e2e cover check doccheck metriccheck
+.PHONY: all build test vet fmt-check race bench bench-miss bench-exec bench-serve bench-compose bench-e2e cover check doccheck metriccheck reachcheck
 
 all: check
 
@@ -49,6 +49,13 @@ doccheck: vet fmt-check
 metriccheck:
 	$(GO) run ./tools/metriccheck ./internal ./cmd
 
+# Dead-code hygiene: builds every main package with inlining off and fails
+# when a non-test function is linked into no binary and is not on
+# tools/reachcheck/allow.txt, or when an allowlist entry is stale
+# (tools/reachcheck).
+reachcheck:
+	$(GO) run ./tools/reachcheck
+
 cover:
 	$(GO) test -coverprofile=coverage.out ./...
 	$(GO) tool cover -func=coverage.out | tail -1
@@ -91,4 +98,4 @@ bench-compose:
 bench-e2e:
 	$(GO) run ./bench
 
-check: build vet fmt-check test race doccheck metriccheck
+check: build vet fmt-check test race doccheck metriccheck reachcheck

@@ -51,7 +51,8 @@ func BenchmarkTable1ChangeLog(b *testing.B) {
 // --- F1/F5: deployment curve simulation ------------------------------------
 
 func BenchmarkFig5DeploymentCurves(b *testing.B) {
-	sim := changelog.DefaultDeployment(60000, 1)
+	sim := changelog.DeploymentSim{Seed: 1, Nodes: 60000, FFADays: 5, FFAFraction: 0.01,
+		AssessDays: 4, Capacity: 3000}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = sim.CORNETCurve()

@@ -24,6 +24,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 
@@ -37,34 +38,44 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout, os.Args[1:]); err != nil {
+		fmt.Fprintln(os.Stderr, "cornet-plan:", err)
+		os.Exit(1)
+	}
+}
+
+// run is the command: it parses args (the command line after the program
+// name) and writes the report to w. Flag errors and -h exit the process as
+// the flag package does for a command line.
+func run(w io.Writer, args []string) error {
+	fs := flag.NewFlagSet(os.Args[0], flag.ExitOnError)
 	var (
-		intentPath = flag.String("intent", "", "path to the intent JSON (required)")
-		invKind    = flag.String("inventory", "ran", "synthetic inventory: ran | vpn | sdwan")
-		size       = flag.Int("size", 400, "approximate inventory size")
-		render     = flag.Bool("render", false, "print the generated constraint model")
-		backend    = flag.String("backend", "auto", "planning backend: auto | solver | heuristic | portfolio")
-		force      = flag.String("force", "", "deprecated alias of -backend: solver | heuristic")
-		timeout    = flag.Duration("timeout", 0, "schedule discovery deadline (0 = backend defaults)")
-		showStats  = flag.Bool("stats", false, "print per-backend search statistics")
-		seed       = flag.Int64("seed", 1, "generator seed")
-		parallel   = flag.Int("parallelism", 0, "search workers per backend (0 = all CPUs, 1 = sequential)")
-		maxShow    = flag.Int("show", 8, "max elements to list per timeslot")
-		tracePath  = flag.String("trace", "", "write the discovery trace span tree (JSON) to this file")
+		intentPath = fs.String("intent", "", "path to the intent JSON (required)")
+		invKind    = fs.String("inventory", "ran", "synthetic inventory: ran | vpn | sdwan")
+		size       = fs.Int("size", 400, "approximate inventory size")
+		render     = fs.Bool("render", false, "print the generated constraint model")
+		backend    = fs.String("backend", "auto", "planning backend: auto | solver | heuristic | portfolio")
+		timeout    = fs.Duration("timeout", 0, "schedule discovery deadline (0 = backend defaults)")
+		showStats  = fs.Bool("stats", false, "print per-backend search statistics")
+		seed       = fs.Int64("seed", 1, "generator seed")
+		parallel   = fs.Int("parallelism", 0, "search workers per backend (0 = all CPUs, 1 = sequential)")
+		maxShow    = fs.Int("show", 8, "max elements to list per timeslot")
+		tracePath  = fs.String("trace", "", "write the discovery trace span tree (JSON) to this file")
 	)
-	flag.Parse()
+	_ = fs.Parse(args) // ExitOnError: a bad flag or -h has already exited
 	if *intentPath == "" {
 		fmt.Fprintln(os.Stderr, "cornet-plan: -intent is required")
-		flag.Usage()
+		fs.Usage()
 		os.Exit(2)
 	}
 	doc, err := os.ReadFile(*intentPath)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 
 	net, err := buildNetwork(*invKind, *size, *seed)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	// Plan over the edge elements (base stations / CEs / vGWs), not the
 	// transport and core substrate.
@@ -73,7 +84,7 @@ func main() {
 		return layer == "edge"
 	})
 	sub := net.Inv.Subset(targets)
-	fmt.Printf("inventory: %s, %d schedulable elements (of %d total)\n",
+	fmt.Fprintf(w, "inventory: %s, %d schedulable elements (of %d total)\n",
 		*invKind, sub.Len(), net.Inv.Len())
 
 	f := core.New(map[string]catalog.ImplKind{},
@@ -84,13 +95,9 @@ func main() {
 		Seed:        *seed,
 		Parallelism: *parallel,
 	}
-	spec := *backend
-	if *force != "" {
-		spec = *force
-	}
-	policy, err := engine.ParsePolicy(spec)
+	policy, err := engine.ParsePolicy(*backend)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	opt.Policy = policy
 
@@ -114,17 +121,17 @@ func main() {
 		if jerr != nil {
 			fmt.Fprintln(os.Stderr, "cornet-plan: write trace:", jerr)
 		} else {
-			fmt.Printf("trace written to %s\n", *tracePath)
+			fmt.Fprintf(w, "trace written to %s\n", *tracePath)
 		}
 	}
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	timedOut := ""
 	if res.TimedOut {
 		timedOut = " timed_out=true"
 	}
-	fmt.Printf("method=%s discovery=%v makespan=%d conflicts=%d scheduled=%d leftovers=%d%s\n",
+	fmt.Fprintf(w, "method=%s discovery=%v makespan=%d conflicts=%d scheduled=%d leftovers=%d%s\n",
 		res.Method, res.Discovery, res.Makespan, res.Conflicts,
 		len(res.Assignment), len(res.Leftovers), timedOut)
 	if *showStats {
@@ -154,7 +161,7 @@ func main() {
 			if st.Err != "" {
 				line += " err=" + st.Err
 			}
-			fmt.Println(line)
+			fmt.Fprintln(w, line)
 		}
 	}
 
@@ -180,15 +187,16 @@ func main() {
 			shown = ids[:*maxShow]
 			suffix = fmt.Sprintf(" ... (+%d)", len(ids)-*maxShow)
 		}
-		fmt.Printf("  window %2d %s: %d nodes: %v%s\n", s, when, len(ids), shown, suffix)
+		fmt.Fprintf(w, "  window %2d %s: %d nodes: %v%s\n", s, when, len(ids), shown, suffix)
 	}
 	if len(res.Leftovers) > 0 {
-		fmt.Printf("  leftovers (%d): resubmit in the next scheduling window\n", len(res.Leftovers))
+		fmt.Fprintf(w, "  leftovers (%d): resubmit in the next scheduling window\n", len(res.Leftovers))
 	}
 	if *render {
-		fmt.Println("\n--- generated constraint model ---")
-		fmt.Println(res.ModelText)
+		fmt.Fprintln(w, "\n--- generated constraint model ---")
+		fmt.Fprintln(w, res.ModelText)
 	}
+	return nil
 }
 
 func buildNetwork(kind string, size int, seed int64) (*netgen.Network, error) {
@@ -203,9 +211,4 @@ func buildNetwork(kind string, size int, seed int64) (*netgen.Network, error) {
 	default:
 		return nil, fmt.Errorf("unknown inventory kind %q", kind)
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "cornet-plan:", err)
-	os.Exit(1)
 }

@@ -15,6 +15,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -30,41 +31,52 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout, os.Args[1:]); err != nil {
+		fmt.Fprintln(os.Stderr, "cornet-verify:", err)
+		os.Exit(1)
+	}
+}
+
+// run is the command: it parses args (the command line after the program
+// name) and writes the report to w. Flag errors and -h exit the process as
+// the flag package does for a command line.
+func run(w io.Writer, args []string) error {
+	fs := flag.NewFlagSet(os.Args[0], flag.ExitOnError)
 	var (
-		nodes     = flag.Int("nodes", 400, "approximate RAN size")
-		impact    = flag.String("impact", "degradation", "impact to inject: degradation | improvement | none")
-		group     = flag.String("kpis", "scorecard", "KPI group: scorecard | level-1 | level-2 | level-3")
-		criterion = flag.String("control", "2nd-minus-1st", "control group criterion")
-		attrsFlag = flag.String("attrs", "market", "comma-separated drill-down attributes")
-		seed      = flag.Int64("seed", 1, "generator seed")
-		studyN    = flag.Int("study", 30, "study group size")
-		timeout   = flag.Duration("timeout", 0, "verification deadline (0 = unbounded)")
-		tracePath = flag.String("trace", "", "write the verification trace span tree (JSON) to this file")
+		nodes     = fs.Int("nodes", 400, "approximate RAN size")
+		impact    = fs.String("impact", "degradation", "impact to inject: degradation | improvement | none")
+		group     = fs.String("kpis", "scorecard", "KPI group: scorecard | level-1 | level-2 | level-3")
+		criterion = fs.String("control", "2nd-minus-1st", "control group criterion")
+		attrsFlag = fs.String("attrs", "market", "comma-separated drill-down attributes")
+		seed      = fs.Int64("seed", 1, "generator seed")
+		studyN    = fs.Int("study", 30, "study group size")
+		timeout   = fs.Duration("timeout", 0, "verification deadline (0 = unbounded)")
+		tracePath = fs.String("trace", "", "write the verification trace span tree (JSON) to this file")
 	)
-	flag.Parse()
+	_ = fs.Parse(args) // ExitOnError: a bad flag or -h has already exited
 
 	net, err := netgen.Cellular(netgen.DefaultCellular(*nodes, *seed))
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	enbs := net.Inv.ByAttr(inventory.AttrNFType, "eNodeB")
 	if len(enbs) < *studyN {
-		fatal(fmt.Errorf("inventory too small: %d eNodeBs", len(enbs)))
+		return fmt.Errorf("inventory too small: %d eNodeBs", len(enbs))
 	}
 	study := enbs[:*studyN]
 
 	f := core.New(map[string]catalog.ImplKind{})
 	if err := kpi.SeedCatalog(f.Registry, 0); err != nil {
-		fatal(err)
+		return err
 	}
-	fmt.Printf("KPI catalog: %d equations; verifying group %q\n", f.Registry.Len(), *group)
+	fmt.Fprintf(w, "KPI catalog: %d equations; verifying group %q\n", f.Registry.Len(), *group)
 
 	control, err := f.ControlGroup(net.Topo, net.Inv, study,
 		groups.Criterion(*criterion), groups.Options{MaxSize: 2 * *studyN})
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	fmt.Printf("study=%d control=%d (%s)\n", len(study), len(control), *criterion)
+	fmt.Fprintf(w, "study=%d control=%d (%s)\n", len(study), len(control), *criterion)
 
 	// Generate counter data covering the seeded catalog; inject the
 	// requested impact on the first scorecard KPI's counters.
@@ -82,12 +94,12 @@ func main() {
 		factor = 1.4
 	case "none":
 	default:
-		fatal(fmt.Errorf("unknown -impact %q", *impact))
+		return fmt.Errorf("unknown -impact %q", *impact)
 	}
 	target := kpi.Group(*group)
 	defs := f.Registry.ByGroup(target)
 	if len(defs) == 0 {
-		fatal(fmt.Errorf("unknown KPI group %q", *group))
+		return fmt.Errorf("unknown KPI group %q", *group)
 	}
 	if factor != 0 {
 		// Hit the success counter of the group's first KPI.
@@ -98,7 +110,7 @@ func main() {
 						Instance: id, Counter: c, At: changeSample, Factor: factor,
 					})
 				}
-				fmt.Printf("injected %s (x%.1f) on %s via counter %s\n",
+				fmt.Fprintf(w, "injected %s (x%.1f) on %s via counter %s\n",
 					*impact, factor, defs[0].Name, c)
 				break
 			}
@@ -111,7 +123,7 @@ func main() {
 		MissingProb: 0.01,
 	}, impacts)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 
 	rule := verifier.Rule{
@@ -143,17 +155,17 @@ func main() {
 		if jerr != nil {
 			fmt.Fprintln(os.Stderr, "cornet-verify: write trace:", jerr)
 		} else {
-			fmt.Printf("trace written to %s\n", *tracePath)
+			fmt.Fprintf(w, "trace written to %s\n", *tracePath)
 		}
 	}
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	counts := rep.CountVerdicts()
-	fmt.Printf("\nverdicts: %d improvement, %d degradation, %d no-impact, %d inconclusive (elapsed %v)\n",
+	fmt.Fprintf(w, "\nverdicts: %d improvement, %d degradation, %d no-impact, %d inconclusive (elapsed %v)\n",
 		counts[verifier.Improvement], counts[verifier.Degradation],
 		counts[verifier.NoImpact], counts[verifier.Inconclusive], rep.Elapsed)
-	fmt.Printf("go/no-go: %v\n\n", rep.Go)
+	fmt.Fprintf(w, "go/no-go: %v\n\n", rep.Go)
 	// Print only the flagged KPIs to keep large groups readable.
 	shown := 0
 	for _, r := range rep.Results {
@@ -162,14 +174,10 @@ func main() {
 			if r.Unexpected {
 				flag = "  << UNEXPECTED"
 			}
-			fmt.Printf("  %-22s %-12s p=%.4f shift=%+.1f%%%s\n",
+			fmt.Fprintf(w, "  %-22s %-12s p=%.4f shift=%+.1f%%%s\n",
 				r.KPI, r.Verdict, r.PValue, 100*r.Shift, flag)
 			shown++
 		}
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "cornet-verify:", err)
-	os.Exit(1)
+	return nil
 }

@@ -5,7 +5,9 @@ import (
 	"context"
 	"encoding/json"
 	"net/http"
+	"runtime"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -107,24 +109,39 @@ func decodeComposed(t *testing.T, resp *http.Response) composedResp {
 
 // submitPair fires two composed submissions into one window (the second
 // only after the first has joined) and returns both responses.
-func submitPair(t *testing.T, s *server, srv string,
+func submitPair(t *testing.T, srv string,
 	first, second func() *http.Response) (a, b *http.Response) {
 	t.Helper()
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() { defer wg.Done(); a = first() }()
-	waitPending(t, s, 1)
+	waitPending(t, 1)
 	wg.Add(1)
 	go func() { defer wg.Done(); b = second() }()
 	wg.Wait()
 	return a, b
 }
 
-func waitPending(t *testing.T, s *server, n int) {
+// waitPending spins until n composed submissions wait in the composer:
+// goroutines blocked in compose.Composer.Submit, joined and without an
+// outcome yet.
+func waitPending(t *testing.T, n int) {
 	t.Helper()
+	parked := func() int {
+		buf := make([]byte, 1<<20)
+		buf = buf[:runtime.Stack(buf, true)]
+		k := 0
+		for _, g := range strings.Split(string(buf), "\n\n") {
+			header, frames, _ := strings.Cut(g, "\n")
+			if strings.Contains(header, "[select") && strings.HasPrefix(frames, "cornet/internal/compose.(*Composer).Submit(") {
+				k++
+			}
+		}
+		return k
+	}
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
-		if s.comp.Pending() >= n {
+		if parked() >= n {
 			return
 		}
 		time.Sleep(time.Millisecond)
@@ -137,8 +154,12 @@ func waitPending(t *testing.T, s *server, n int) {
 // match.
 func directUnionMakespan(t *testing.T, ids []string) int {
 	t.Helper()
-	ref, _ := testServerCompose(t, composeserve.Settings{})
-	served, err := ref.planSrv.Plan(context.Background(), "direct", ref.comp.Intent(),
+	var settings composeserve.Settings
+	if err := settings.Normalize(); err != nil {
+		t.Fatal(err)
+	}
+	ref, _ := testServerCompose(t, settings)
+	served, err := ref.planSrv.Plan(context.Background(), "direct", composeserve.NewIntent(settings.Slots, settings.Capacity),
 		ref.fleetInv.Subset(ids), core.PlanOptions{RequireAll: true})
 	if err != nil {
 		t.Fatal(err)
@@ -154,7 +175,7 @@ func directUnionMakespan(t *testing.T, ids []string) int {
 // path (the second join completes the remembered cohort) and must cost
 // the same.
 func TestComposeDisjointMerge(t *testing.T) {
-	s, srv := testServerCompose(t, composeserve.Settings{Window: 250 * time.Millisecond})
+	_, srv := testServerCompose(t, composeserve.Settings{Window: 250 * time.Millisecond})
 	api := deployWorkflow(t, srv.URL, "software-upgrade", "vCE")
 	want := directUnionMakespan(t, []string{"vce-000", "vce-001"})
 
@@ -176,7 +197,7 @@ func TestComposeDisjointMerge(t *testing.T) {
 		{[2]string{"vce-000", "vce-001"}, "cohort"},
 	} {
 		ids := []string{"chg-dm-a" + strconv.Itoa(round), "chg-dm-b" + strconv.Itoa(round)}
-		ra, rb := submitPair(t, s, srv.URL,
+		ra, rb := submitPair(t, srv.URL,
 			submit(ids[0], "team-a", tc.order[0]), submit(ids[1], "team-b", tc.order[1]))
 		a, b := decodeComposed(t, ra), decodeComposed(t, rb)
 		if a.ComposedID != b.ComposedID {
@@ -212,10 +233,10 @@ func TestComposeDisjointMerge(t *testing.T) {
 // naming the colliding node and the refusing strategy, while the first
 // change still completes.
 func TestComposeConflictRejected(t *testing.T) {
-	s, srv := testServerCompose(t, composeserve.Settings{Window: 250 * time.Millisecond})
+	_, srv := testServerCompose(t, composeserve.Settings{Window: 250 * time.Millisecond})
 	api := deployWorkflow(t, srv.URL, "software-upgrade", "vCE")
 
-	ra, rb := submitPair(t, s, srv.URL,
+	ra, rb := submitPair(t, srv.URL,
 		func() *http.Response {
 			return composePost(t, srv.URL, "chg-cr-a", "team-a", map[string]any{
 				"api":     api,
@@ -263,10 +284,10 @@ func TestComposeConflictRejected(t *testing.T) {
 // TestComposeQueueMode asserts a conflicting queue-mode submission parks
 // behind the open generation and completes in the next one.
 func TestComposeQueueMode(t *testing.T) {
-	s, srv := testServerCompose(t, composeserve.Settings{Window: 250 * time.Millisecond})
+	_, srv := testServerCompose(t, composeserve.Settings{Window: 250 * time.Millisecond})
 	api := deployWorkflow(t, srv.URL, "software-upgrade", "vCE")
 
-	ra, rb := submitPair(t, s, srv.URL,
+	ra, rb := submitPair(t, srv.URL,
 		func() *http.Response {
 			return composePost(t, srv.URL, "chg-qm-a", "team-a", map[string]any{
 				"api":     api,
@@ -300,7 +321,7 @@ func TestComposeQueueMode(t *testing.T) {
 // writing different attributes compose under the attribute strategy, and
 // the same attribute written differently is refused naming the attribute.
 func TestComposeAttributeGranularity(t *testing.T) {
-	s, srv := testServerCompose(t, composeserve.Settings{
+	_, srv := testServerCompose(t, composeserve.Settings{
 		Strategy: "attribute", Window: 250 * time.Millisecond,
 	})
 	api := deployWorkflow(t, srv.URL, "software-upgrade", "vCE")
@@ -317,7 +338,7 @@ func TestComposeAttributeGranularity(t *testing.T) {
 			})
 		}
 	}
-	ra, rb := submitPair(t, s, srv.URL,
+	ra, rb := submitPair(t, srv.URL,
 		submit("chg-at-a", map[string]string{"cfg_dns": "10.0.0.1"}),
 		submit("chg-at-b", map[string]string{"cfg_mtu": "1400"}))
 	a, b := decodeComposed(t, ra), decodeComposed(t, rb)
@@ -332,7 +353,7 @@ func TestComposeAttributeGranularity(t *testing.T) {
 		}
 	}
 
-	rc, rd := submitPair(t, s, srv.URL,
+	rc, rd := submitPair(t, srv.URL,
 		submit("chg-at-c", map[string]string{"cfg_mtu": "1400"}),
 		submit("chg-at-d", map[string]string{"cfg_mtu": "9000"}))
 	decodeComposed(t, rc)
@@ -364,7 +385,7 @@ func TestComposeAttributeGranularity(t *testing.T) {
 // inputs execute — one dispatch per distinct payload, not one per node —
 // and each member's timeline carries its own execution.
 func TestComposeAttributeDistinctPayloads(t *testing.T) {
-	s, srv := testServerCompose(t, composeserve.Settings{
+	_, srv := testServerCompose(t, composeserve.Settings{
 		Strategy: "attribute", Window: 250 * time.Millisecond,
 	})
 	api := deployWorkflow(t, srv.URL, "software-upgrade", "vCE")
@@ -384,7 +405,7 @@ func TestComposeAttributeDistinctPayloads(t *testing.T) {
 			})
 		}
 	}
-	ra, rb := submitPair(t, s, srv.URL,
+	ra, rb := submitPair(t, srv.URL,
 		submit(idA, "v7", map[string]string{"cfg_dns": "10.0.0.1"}),
 		submit(idB, "v8", map[string]string{"cfg_mtu": "1400"}))
 	a, b := decodeComposed(t, ra), decodeComposed(t, rb)
@@ -412,14 +433,14 @@ func TestComposeAttributeDistinctPayloads(t *testing.T) {
 // cross-link through compose.merged events and that member executions
 // journal under their own change ids.
 func TestComposeTimelineLinks(t *testing.T) {
-	s, srv := testServerCompose(t, composeserve.Settings{Window: 250 * time.Millisecond})
+	_, srv := testServerCompose(t, composeserve.Settings{Window: 250 * time.Millisecond})
 	api := deployWorkflow(t, srv.URL, "software-upgrade", "vCE")
 
 	// The event journal is process-global; unique ids keep a -count=N rerun
 	// from reading the previous run's timeline.
 	idA := "chg-tl-a-" + strconv.FormatInt(time.Now().UnixNano(), 36)
 	idB := "chg-tl-b-" + strconv.FormatInt(time.Now().UnixNano(), 36)
-	ra, rb := submitPair(t, s, srv.URL,
+	ra, rb := submitPair(t, srv.URL,
 		func() *http.Response {
 			return composePost(t, srv.URL, idA, "team-a", map[string]any{
 				"api":     api,
@@ -479,7 +500,7 @@ func TestComposeTimelineLinks(t *testing.T) {
 // One attribute-level change stays pending for the whole table (a window
 // nobody else ends) so the last row can resubmit its id with other inputs.
 func TestComposeScopeValidation(t *testing.T) {
-	s, srv := testServerCompose(t, composeserve.Settings{Window: time.Minute})
+	_, srv := testServerCompose(t, composeserve.Settings{Window: time.Minute})
 	api := deployWorkflow(t, srv.URL, "software-upgrade", "vCE")
 	mtu := map[string]any{
 		"scope": []string{"vce-000"},
@@ -499,7 +520,7 @@ func TestComposeScopeValidation(t *testing.T) {
 		}
 	}()
 	defer func() { cancel(); <-withdrawn }()
-	waitPending(t, s, 1)
+	waitPending(t, 1)
 
 	cases := []struct {
 		name     string

@@ -281,6 +281,8 @@ func TestPlanEndpointValidation(t *testing.T) {
 		// 2^51 hours wraps a time.Duration around to 0s: a step that never
 		// advances the slot loop.
 		{"overflowing granularity", "", strings.Replace(doc, `"metric":"day","value":1`, `"metric":"hour","value":2251799813685248`, 1), http.StatusUnprocessableEntity},
+		// A ten-year hourly window: 87,648 slots, past intent.MaxWindowSteps.
+		{"window over the step cap", "", strings.Replace(strings.Replace(doc, `"metric":"day"`, `"metric":"hour"`, 1), "2022-03-15", "2032-03-01", 1), http.StatusUnprocessableEntity},
 	}
 	for _, tc := range cases {
 		resp, err := http.Post(srv.URL+"/api/plan"+tc.query, "application/json", strings.NewReader(tc.body))

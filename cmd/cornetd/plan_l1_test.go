@@ -108,7 +108,13 @@ func TestPlanHitThroughTheL1(t *testing.T) {
 	if want := []events.Type{events.TypeCacheHit, events.TypePlanServed}; !reflect.DeepEqual(types, want) {
 		t.Fatalf("journal events of the hit = %v, want %v", types, want)
 	}
-	if u, _ := tenants.Default.Get("l1-hot"); u.PlanRequests != 1 || u.CacheHits != 1 || u.CacheMisses != 0 || u.SolveWallNS != 0 {
+	var u tenants.Usage
+	for _, acct := range tenants.Default.Snapshot() {
+		if acct.Tenant == "l1-hot" {
+			u = acct
+		}
+	}
+	if u.PlanRequests != 1 || u.CacheHits != 1 || u.CacheMisses != 0 || u.SolveWallNS != 0 {
 		t.Fatalf("hit tenant account = %+v", u)
 	}
 }

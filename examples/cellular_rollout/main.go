@@ -10,8 +10,11 @@ package main
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"sort"
 	"time"
 
@@ -27,6 +30,12 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(w io.Writer) error {
 	// --- A RAN with a few thousand base stations. ------------------------
 	net, err := netgen.Cellular(netgen.CellularConfig{
 		Seed: 21, Markets: 6, TACsPerMarket: 8, USIDsPerTAC: 40,
@@ -34,12 +43,12 @@ func main() {
 		Vendors: []string{"vendorA", "vendorB"},
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	enbs := net.Inv.ByAttr(inventory.AttrNFType, "eNodeB")
 	gnbs := net.Inv.ByAttr(inventory.AttrNFType, "gNodeB")
 	bases := append(append([]string{}, enbs...), gnbs...)
-	fmt.Printf("RAN: %d eNodeBs + %d gNodeBs across %d markets\n",
+	fmt.Fprintf(w, "RAN: %d eNodeBs + %d gNodeBs across %d markets\n",
 		len(enbs), len(gnbs), len(net.Inv.AttrValues(inventory.AttrMarket)))
 
 	f := core.New(map[string]catalog.ImplKind{
@@ -67,9 +76,9 @@ func main() {
 	defer cancelPlan()
 	plan, err := f.PlanScheduleContext(planCtx, []byte(intentDoc), sub, core.PlanOptions{Seed: 5})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("plan: method=%s, %d scheduled / %d leftover, makespan=%d windows, discovery=%v\n",
+	fmt.Fprintf(w, "plan: method=%s, %d scheduled / %d leftover, makespan=%d windows, discovery=%v\n",
 		plan.Method, len(plan.Assignment), len(plan.Leftovers), plan.Makespan,
 		plan.Discovery.Round(1000000))
 
@@ -85,7 +94,7 @@ func main() {
 			}
 		}
 	}
-	fmt.Printf("USID consistency spot-check: %d split sites (want 0)\n", split)
+	fmt.Fprintf(w, "USID consistency spot-check: %d split sites (want 0)\n", split)
 
 	// --- FFA: verify the first maintenance window with drill-down. -------
 	// The study group is whatever the plan put in window 0 (the heuristic
@@ -97,14 +106,14 @@ func main() {
 		}
 	}
 	if len(study) == 0 {
-		log.Fatal("no FFA study group in window 0")
+		return errors.New("no FFA study group in window 0")
 	}
 	control, err := f.ControlGroup(net.Topo, net.Inv, study, groups.SecondMinusFirst,
 		groups.Options{MaxSize: 60})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("FFA verification: study=%d control=%d (2nd-minus-1st tier)\n", len(study), len(control))
+	fmt.Fprintf(w, "FFA verification: study=%d control=%d (2nd-minus-1st tier)\n", len(study), len(control))
 
 	// KPIs: accessibility and throughput.
 	mustDefine(f, "rrc-success-rate", "100 * rrc_success / rrc_attempts", true)
@@ -132,14 +141,14 @@ func main() {
 			})
 		}
 	}
-	fmt.Printf("injected degradation on hardware version %s only\n", badHW)
+	fmt.Fprintf(w, "injected degradation on hardware version %s only\n", badHW)
 	all := append(append([]string{}, study...), control...)
 	ds, err := kpigen.Generate(all, kpigen.Config{
 		Seed: 33, Days: 14, SamplesPerDay: 24,
 		Counters: kpigen.DefaultCellularCounters(),
 	}, impacts)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	rep, err := f.VerifyImpactContext(context.Background(), ds, net.Inv, verifier.Rule{
@@ -150,26 +159,27 @@ func main() {
 		PreWindow:  120,
 	}, study, changeAt, control)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Print(rep.Summary())
+	fmt.Fprint(w, rep.Summary())
 	for _, res := range rep.Results {
 		if per, ok := res.PerAttribute[inventory.AttrHWVersion]; ok {
-			fmt.Printf("  %s per hardware version:\n", res.KPI)
+			fmt.Fprintf(w, "  %s per hardware version:\n", res.KPI)
 			hws := make([]string, 0, len(per))
 			for hw := range per {
 				hws = append(hws, hw)
 			}
 			sort.Strings(hws)
 			for _, hw := range hws {
-				fmt.Printf("    %-14s %s\n", hw, per[hw])
+				fmt.Fprintf(w, "    %-14s %s\n", hw, per[hw])
 			}
 		}
 	}
 	if !rep.Go {
-		fmt.Println("decision: HALT roll-out for the degraded configuration;")
-		fmt.Println("          continue for clean carriers while the patch is developed (§5.2)")
+		fmt.Fprintln(w, "decision: HALT roll-out for the degraded configuration;")
+		fmt.Fprintln(w, "          continue for clean carriers while the patch is developed (§5.2)")
 	}
+	return nil
 }
 
 func mustDefine(f *core.Framework, name, eq string, higher bool) {

@@ -26,7 +26,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"sync"
 	"time"
 
@@ -42,21 +44,27 @@ import (
 
 // printRun shows one generation's shared result: the single union plan and
 // every dispatch with the member change that owned it.
-func printRun(m *composeserve.Member) {
+func printRun(w io.Writer, m *composeserve.Member) {
 	res := m.Run.Plan.Result
-	fmt.Printf("  solved once: %d elements, makespan %d window(s), method %s\n",
+	fmt.Fprintf(w, "  solved once: %d elements, makespan %d window(s), method %s\n",
 		len(m.Run.Owners), res.Makespan, res.Method)
 	for _, r := range m.Run.Results {
 		status := "ok"
 		if r.Err != nil {
 			status = r.Err.Error()
 		}
-		fmt.Printf("    window %d  %-8s owner %-12s %s\n",
+		fmt.Fprintf(w, "    window %d  %-8s owner %-12s %s\n",
 			r.Timeslot, r.Instance, r.ChangeID, status)
 	}
 }
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(w io.Writer) error {
 	// An SDWAN edge fleet: vCEs split across two markets, mirrored into
 	// the inventory scopes are resolved against.
 	tb := testbed.New(23)
@@ -71,7 +79,7 @@ func main() {
 		core.WithInvoker(tb))
 	dep, err := f.DeployWorkflow(workflow.SoftwareUpgrade(), "vCE")
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	east := []string{"vce-000", "vce-002", "vce-004"}
 	west := []string{"vce-001", "vce-003", "vce-005"}
@@ -120,41 +128,41 @@ func main() {
 	}
 
 	// --- Phase 1: disjoint markets merge into one schedule ------------
-	fmt.Println("--- phase 1: two tenants, disjoint markets, one composed schedule ---")
+	fmt.Fprintln(w, "--- phase 1: two tenants, disjoint markets, one composed schedule ---")
 	teamA := change("chg-east", "team-a", "v7", "v1", composeserve.Scope{Scope: east})
 	teamB := change("chg-west", "team-b", "v8", "v1", composeserve.Scope{Scope: west})
 	a, _, err := pair(c, teamA, teamB, compose.Reject)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	printRun(a)
-	fmt.Printf("  both submissions received composed change %s (members %v, strategy %s, parallelism %s)\n\n",
+	printRun(w, a)
+	fmt.Fprintf(w, "  both submissions received composed change %s (members %v, strategy %s, parallelism %s)\n\n",
 		a.Outcome.ComposedID, a.Outcome.Members, a.Outcome.Strategy, a.Outcome.Parallelism)
 
 	// --- Phase 2: a colliding change is rejected with a diagnosis -----
-	fmt.Println("--- phase 2: conflicting scope, rejected with a diagnosis ---")
+	fmt.Fprintln(w, "--- phase 2: conflicting scope, rejected with a diagnosis ---")
 	late := change("chg-late", "team-c", "v9", "v7", composeserve.Scope{Scope: []string{"vce-000", "vce-002"}})
 	a, _, rejected := pair(c, teamA, late, compose.Reject)
-	printRun(a)
+	printRun(w, a)
 	var cerr *compose.ConflictError
 	if !errors.As(rejected, &cerr) {
-		log.Fatalf("expected a conflict, got %v", rejected)
+		return fmt.Errorf("expected a conflict, got %v", rejected)
 	}
 	diag, _ := json.MarshalIndent(cerr.Diagnosis, "  ", "  ")
-	fmt.Printf("  %v\n  diagnosis: %s\n\n", cerr, diag)
+	fmt.Fprintf(w, "  %v\n  diagnosis: %s\n\n", cerr, diag)
 
 	// --- Phase 3: queue disposition parks and retries -----------------
-	fmt.Println("--- phase 3: same change with on_conflict=queue lands in the next generation ---")
+	fmt.Fprintln(w, "--- phase 3: same change with on_conflict=queue lands in the next generation ---")
 	a, queued, err := pair(c, teamA, late, compose.Queue)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	printRun(a)
-	printRun(queued)
-	fmt.Printf("  queued change completed as %s (members %v)\n\n", queued.Outcome.ComposedID, queued.Outcome.Members)
+	printRun(w, a)
+	printRun(w, queued)
+	fmt.Fprintf(w, "  queued change completed as %s (members %v)\n\n", queued.Outcome.ComposedID, queued.Outcome.Members)
 
 	// --- Phase 4: attribute granularity shares a node -----------------
-	fmt.Println("--- phase 4: attribute strategy merges different attributes of one node ---")
+	fmt.Fprintln(w, "--- phase 4: attribute strategy merges different attributes of one node ---")
 	ca := newService("attribute")
 	defer ca.Stop()
 	node := []string{"vce-000"}
@@ -164,9 +172,10 @@ func main() {
 		Attrs: map[string]map[string]string{"vce-000": {"cfg_mtu": "1400"}}})
 	a, _, err = pair(ca, dns, mtu, compose.Reject)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	printRun(a)
-	fmt.Printf("  merged as %s (members %v, parallelism %s: shared-node changes execute serially)\n",
+	printRun(w, a)
+	fmt.Fprintf(w, "  merged as %s (members %v, parallelism %s: shared-node changes execute serially)\n",
 		a.Outcome.ComposedID, a.Outcome.Members, a.Outcome.Parallelism)
+	return nil
 }

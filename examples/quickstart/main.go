@@ -7,7 +7,9 @@ package main
 import (
 	"context"
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"cornet/internal/catalog"
 	"cornet/internal/core"
@@ -16,6 +18,12 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(w io.Writer) error {
 	// A testbed with one virtualized customer-edge router running v1.
 	tb := testbed.New(42)
 	tb.MustAdd(testbed.NewNF("vce-001", "vCE", "v1"))
@@ -25,45 +33,46 @@ func main() {
 	f := core.New(map[string]catalog.ImplKind{"vCE": catalog.ImplScript},
 		core.WithInvoker(tb))
 
-	fmt.Printf("catalog: %d building blocks registered\n", f.Catalog.Len())
+	fmt.Fprintf(w, "catalog: %d building blocks registered\n", f.Catalog.Len())
 
 	// Design-time verification (zombie check + parameter flow), then
 	// deployment: CORNET generates the artifact and its REST API.
 	wf := workflow.SoftwareUpgrade()
 	dep, err := f.DeployWorkflow(wf, "vCE")
 	if err != nil {
-		log.Fatalf("deploy: %v", err)
+		return fmt.Errorf("deploy: %w", err)
 	}
-	fmt.Printf("deployed %q for vCE at %s\n", dep.WorkflowName, dep.API)
+	fmt.Fprintf(w, "deployed %q for vCE at %s\n", dep.WorkflowName, dep.API)
 
 	// Execute the upgrade to v2.
 	exec, err := f.Execute(context.Background(), dep, map[string]string{
 		"instance": "vce-001", "sw_version": "v2", "prior_version": "v1",
 	})
 	if err != nil {
-		log.Fatalf("execute: %v", err)
+		return fmt.Errorf("execute: %w", err)
 	}
-	fmt.Printf("execution status: %s\n", exec.Status)
+	fmt.Fprintf(w, "execution status: %s\n", exec.Status)
 	for _, l := range exec.Logs {
-		fmt.Printf("  block %-22s %-8s %v\n", l.Block, l.Status, l.Duration)
+		fmt.Fprintf(w, "  block %-22s %-8s %v\n", l.Block, l.Status, l.Duration)
 	}
 	nf, _ := tb.Get("vce-001")
-	fmt.Printf("vce-001 now runs %s (reboots: %d)\n", nf.ActiveVersion(), nf.RebootCount())
+	fmt.Fprintf(w, "vce-001 now runs %s (reboots: %d)\n", nf.ActiveVersion(), nf.RebootCount())
 
 	// Second upgrade, but this time the new image degrades packet
 	// discards: the pre/post comparison fails and the workflow rolls back
 	// automatically (the "no" branch of Fig. 4).
-	fmt.Println("\n--- upgrade to a bad image (v3) ---")
+	fmt.Fprintln(w, "\n--- upgrade to a bad image (v3) ---")
 	tb.MarkBadImage("v3", 4.0)
 	execution, err := f.Execute(context.Background(), dep, map[string]string{
 		"instance": "vce-001", "sw_version": "v3", "prior_version": "v2",
 	})
 	if err != nil {
-		log.Fatalf("execute: %v", err)
+		return fmt.Errorf("execute: %w", err)
 	}
-	fmt.Printf("execution status: %s\n", execution.Status)
+	fmt.Fprintf(w, "execution status: %s\n", execution.Status)
 	for _, l := range execution.Logs {
-		fmt.Printf("  block %-22s %-8s\n", l.Block, l.Status)
+		fmt.Fprintf(w, "  block %-22s %-8s\n", l.Block, l.Status)
 	}
-	fmt.Printf("vce-001 rolled back to %s\n", nf.ActiveVersion())
+	fmt.Fprintf(w, "vce-001 rolled back to %s\n", nf.ActiveVersion())
+	return nil
 }

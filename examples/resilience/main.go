@@ -14,7 +14,9 @@ package main
 import (
 	"context"
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"time"
 
 	"cornet/internal/catalog"
@@ -26,6 +28,12 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(w io.Writer) error {
 	tb := testbed.New(42)
 	tb.MustAdd(testbed.NewNF("vce-001", "vCE", "v1"))
 
@@ -46,25 +54,25 @@ func main() {
 
 	dep, err := f.DeployWorkflow(workflow.SoftwareUpgrade(), "vCE")
 	if err != nil {
-		log.Fatalf("deploy: %v", err)
+		return fmt.Errorf("deploy: %w", err)
 	}
 
 	// --- Scenario 1: transient faults absorbed by retries -------------
-	fmt.Println("--- scenario 1: 30% transient error rate, retried success ---")
+	fmt.Fprintln(w, "--- scenario 1: 30% transient error rate, retried success ---")
 	if err := tb.SetFault(testbed.FaultTargetAll, testbed.FaultSpec{ErrorRate: 0.3}); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	exec, err := f.Execute(context.Background(), dep, map[string]string{
 		"instance": "vce-001", "sw_version": "v2", "prior_version": "v1",
 	})
 	if err != nil {
-		log.Fatalf("execute: %v", err)
+		return fmt.Errorf("execute: %w", err)
 	}
-	printLogs(exec)
+	printLogs(w, exec)
 	tb.ClearFaults()
 
 	// --- Scenario 2: blackhole → breaker trip → rollback --------------
-	fmt.Println("\n--- scenario 2: blackholed NF, breaker trips, automatic roll-back ---")
+	fmt.Fprintln(w, "\n--- scenario 2: blackholed NF, breaker trips, automatic roll-back ---")
 	// A focused upgrade-only workflow: short per-attempt timeouts on the
 	// upgrade block, roll back when the budget is gone. Four attempts
 	// against a breaker threshold of three means the last attempt is
@@ -84,19 +92,19 @@ func main() {
 	wf2.AddEdge("start", "upgrade", "").AddEdge("upgrade", "end", "")
 	dep2, err := f.DeployWorkflow(wf2, "vCE")
 	if err != nil {
-		log.Fatalf("deploy: %v", err)
+		return fmt.Errorf("deploy: %w", err)
 	}
 	if err := tb.SetFault("vce-001", testbed.FaultSpec{Mode: testbed.FaultModeBlackhole}); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	exec, err = f.Execute(context.Background(), dep2, map[string]string{
 		"instance": "vce-001", "sw_version": "v3",
 	})
-	fmt.Printf("status: %s (err: %v)\n", exec.Status, err)
-	fmt.Printf("last failure action: %s\n", exec.LastAction())
+	fmt.Fprintf(w, "status: %s (err: %v)\n", exec.Status, err)
+	fmt.Fprintf(w, "last failure action: %s\n", exec.LastAction())
 	// The compensation ran while the box was still dark, so its log
 	// entry shows a failure too — exactly what an operator would triage.
-	printLogs(exec)
+	printLogs(w, exec)
 	tb.ClearFaults()
 	// The upgrade API's breaker is still open from the trip; the operator
 	// force-closes it after repairing the box rather than waiting out the
@@ -104,7 +112,7 @@ func main() {
 	f.Engine.Breakers.Reset(dep2.BlockAPIs[catalog.BBSoftwareUpg])
 
 	// --- Scenario 3: pause, repair, resume ----------------------------
-	fmt.Println("\n--- scenario 3: hard failure, pause for the operator, resume ---")
+	fmt.Fprintln(w, "\n--- scenario 3: hard failure, pause for the operator, resume ---")
 	wf3 := workflow.SoftwareUpgrade()
 	for i := range wf3.Nodes {
 		if wf3.Nodes[i].Block == catalog.BBSoftwareUpg {
@@ -116,19 +124,19 @@ func main() {
 	}
 	dep3, err := f.DeployWorkflow(wf3, "vCE")
 	if err != nil {
-		log.Fatalf("deploy: %v", err)
+		return fmt.Errorf("deploy: %w", err)
 	}
 	// Flap windows of three calls: calls 0-2 pass, 3-5 fail, 6-8 pass.
 	// The health check takes call 0; two warm-up invocations burn the
 	// rest of the up window so both upgrade attempts (calls 3 and 4)
 	// land in the down window and the workflow pauses.
 	if err := tb.SetFault("vce-001", testbed.FaultSpec{Mode: testbed.FaultModeFlap, FlapPeriod: 3}); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	for i := 0; i < 2; i++ {
 		if _, err := tb.Invoke(context.Background(), dep3.BlockAPIs[catalog.BBHealthCheck],
 			map[string]string{"instance": "vce-001"}); err != nil {
-			log.Fatal(err)
+			return err
 		}
 	}
 	execution, done := f.Engine.Start(context.Background(), dep3, map[string]string{
@@ -137,18 +145,19 @@ func main() {
 	for !execution.Paused() {
 		time.Sleep(5 * time.Millisecond)
 	}
-	fmt.Println("workflow paused; operator repairs the NF and resumes")
+	fmt.Fprintln(w, "workflow paused; operator repairs the NF and resumes")
 	tb.ClearFaults() // the repair
 	execution.Resume()
 	<-done
-	fmt.Printf("status after resume: %s\n", execution.Status)
-	printLogs(execution)
+	fmt.Fprintf(w, "status after resume: %s\n", execution.Status)
+	printLogs(w, execution)
 
 	nf, _ := tb.Get("vce-001")
-	fmt.Printf("\nvce-001 now runs %s\n", nf.ActiveVersion())
+	fmt.Fprintf(w, "\nvce-001 now runs %s\n", nf.ActiveVersion())
+	return nil
 }
 
-func printLogs(exec *orchestrator.Execution) {
+func printLogs(w io.Writer, exec *orchestrator.Execution) {
 	for _, l := range exec.Logs {
 		attempts := ""
 		if l.Attempts > 1 {
@@ -158,6 +167,6 @@ func printLogs(exec *orchestrator.Execution) {
 		if l.Action != "" && l.Action != resilience.ActionContinue {
 			action = fmt.Sprintf(" [action: %s]", l.Action)
 		}
-		fmt.Printf("  block %-22s %-10s%s%s\n", l.Block, l.Status, attempts, action)
+		fmt.Fprintf(w, "  block %-22s %-10s%s%s\n", l.Block, l.Status, attempts, action)
 	}
 }

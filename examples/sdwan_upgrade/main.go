@@ -15,7 +15,9 @@ package main
 import (
 	"context"
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"sort"
 
 	"cornet/internal/catalog"
@@ -29,13 +31,19 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(w io.Writer) error {
 	net, err := netgen.SDWAN(netgen.SDWANConfig{Seed: 13, CloudZones: 3, GatewaysPerZone: 6, CPEs: 36})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	vgws := net.Inv.ByAttr(inventory.AttrNFType, "vGW")
 	portals := net.Inv.ByAttr(inventory.AttrNFType, "portal")
-	fmt.Printf("SDWAN: %d elements, %d vGWs, %d portals, %d service chains\n",
+	fmt.Fprintf(w, "SDWAN: %d elements, %d vGWs, %d portals, %d service chains\n",
 		net.Inv.Len(), len(vgws), len(portals), len(net.Topo.Chains()))
 
 	tb := testbed.New(13)
@@ -71,9 +79,9 @@ func main() {
 		Topology: net.Topo, RequireAll: true,
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("plan: method=%s makespan=%d conflicts=%d\n", plan.Method, plan.Makespan, plan.Conflicts)
+	fmt.Fprintf(w, "plan: method=%s makespan=%d conflicts=%d\n", plan.Method, plan.Makespan, plan.Conflicts)
 
 	// Consistency check: each zone's functions share one window.
 	byZone := map[string][]int{}
@@ -95,7 +103,7 @@ func main() {
 				same = false
 			}
 		}
-		fmt.Printf("  %s: %d functions on window %d (consistent=%v)\n", z, len(slots), slots[0], same)
+		fmt.Fprintf(w, "  %s: %d functions on window %d (consistent=%v)\n", z, len(slots), slots[0], same)
 	}
 
 	// --- Execute the single upgrade workflow per the plan. ---------------
@@ -111,7 +119,7 @@ func main() {
 	for _, nfType := range []string{"vGW", "portal"} {
 		d, err := f.DeployWorkflow(workflow.SoftwareUpgrade(), nfType)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		deps[nfType] = d
 	}
@@ -133,31 +141,32 @@ func main() {
 			for _, b := range r.Exec.FailedBlocks() {
 				for _, l := range r.Exec.Logs {
 					if l.NodeID == b {
-						fmt.Printf("  fall-out: %s block %s: %s\n", r.Instance, l.Block, l.Err)
+						fmt.Fprintf(w, "  fall-out: %s block %s: %s\n", r.Instance, l.Block, l.Err)
 					}
 				}
 			}
 		}
 	}
-	fmt.Printf("upgrades: %d clean, %d with fall-outs %v\n", okCount, len(failed), failed)
+	fmt.Fprintf(w, "upgrades: %d clean, %d with fall-outs %v\n", okCount, len(failed), failed)
 
 	// Manual (out-of-band) repair, then retry just the failed instance.
 	if len(failed) == 1 && failed[0] == broken {
-		fmt.Println("restoring out-of-band access and retrying...")
+		fmt.Fprintln(w, "restoring out-of-band access and retrying...")
 		nf.SetReachable(true)
 		exec, err := f.Execute(context.Background(), deps["vGW"], map[string]string{
 			"instance": broken, "sw_version": "sdwan-2.5", "prior_version": "sdwan-2.4",
 		})
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		fmt.Printf("retry status: %s, %s now runs %s\n", exec.Status, broken, nf.ActiveVersion())
+		fmt.Fprintf(w, "retry status: %s, %s now runs %s\n", exec.Status, broken, nf.ActiveVersion())
 	}
 
 	// Work-time model of §5.1: 30 min manual vs ~4 min automated per
 	// instance.
 	manual := 30.0 * float64(len(targets))
 	auto := 4.0 * float64(len(targets))
-	fmt.Printf("work time: manual %.0f min -> automated %.0f min (%.0f%% reduction)\n",
+	fmt.Fprintf(w, "work time: manual %.0f min -> automated %.0f min (%.0f%% reduction)\n",
 		manual, auto, 100*(1-auto/manual))
+	return nil
 }

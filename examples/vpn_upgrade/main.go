@@ -14,7 +14,9 @@ package main
 import (
 	"context"
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"cornet/internal/catalog"
 	"cornet/internal/core"
@@ -30,13 +32,19 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(w io.Writer) error {
 	// --- Substrate: a VPN network with 60 sites, half virtualized. ------
 	net, err := netgen.VPN(netgen.VPNConfig{Seed: 7, Sites: 60, VirtualFraction: 0.5})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	vces := net.Inv.ByAttr(inventory.AttrNFType, "vCE")
-	fmt.Printf("network: %d elements, %d vCE routers\n", net.Inv.Len(), len(vces))
+	fmt.Fprintf(w, "network: %d elements, %d vCE routers\n", net.Inv.Len(), len(vces))
 
 	tb := testbed.New(7)
 	for _, id := range vces {
@@ -49,7 +57,7 @@ func main() {
 	// --- Workflow 1: download + install across the whole fleet. ---------
 	dl, err := f.DeployWorkflow(workflow.DownloadInstall(), "vCE")
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	var installs []orchestrator.ScheduledChange
 	for _, id := range vces {
@@ -60,7 +68,7 @@ func main() {
 	}
 	results, err := f.Dispatch(context.Background(), dl, installs, 16)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	ok := 0
 	for _, r := range results {
@@ -68,7 +76,7 @@ func main() {
 			ok++
 		}
 	}
-	fmt.Printf("workflow 1 (download-install): %d/%d succeeded\n", ok, len(results))
+	fmt.Fprintf(w, "workflow 1 (download-install): %d/%d succeeded\n", ok, len(results))
 
 	// --- Plan workflow 2 avoiding cross-layer server conflicts. ---------
 	// The underlying servers have their own maintenance on night 1; the
@@ -87,15 +95,15 @@ func main() {
 		Topology: net.Topo, RequireAll: true,
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("workflow 2 plan: method=%s makespan=%d windows, conflicts=%d, discovery=%v\n",
+	fmt.Fprintf(w, "workflow 2 plan: method=%s makespan=%d windows, conflicts=%d, discovery=%v\n",
 		plan.Method, plan.Makespan, plan.Conflicts, plan.Discovery.Round(1000))
 
 	// --- Execute workflow 2 per the plan. --------------------------------
 	av, err := f.DeployWorkflow(workflow.ActivateVerify(), "vCE")
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	var activations []orchestrator.ScheduledChange
 	for id, slot := range plan.Assignment {
@@ -106,7 +114,7 @@ func main() {
 	}
 	results, err = f.Dispatch(context.Background(), av, activations, 8)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	ok = 0
 	for _, r := range results {
@@ -114,7 +122,7 @@ func main() {
 			ok++
 		}
 	}
-	fmt.Printf("workflow 2 (activate-verify): %d/%d succeeded\n", ok, len(results))
+	fmt.Fprintf(w, "workflow 2 (activate-verify): %d/%d succeeded\n", ok, len(results))
 
 	// --- Impact verification over router metrics. ------------------------
 	// Synthetic series mirror the §5.1 findings: discards improve 40%,
@@ -145,7 +153,7 @@ func main() {
 		},
 	}, impacts)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	rep, err := f.VerifyImpactContext(context.Background(), ds, net.Inv, verifier.Rule{
 		Name: "vce-16.4-upgrade",
@@ -159,10 +167,11 @@ func main() {
 		PreWindow:  96,
 	}, study, changeAt, control)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Println("\nimpact verification:")
-	fmt.Print(rep.Summary())
+	fmt.Fprintln(w, "\nimpact verification:")
+	fmt.Fprint(w, rep.Summary())
+	return nil
 }
 
 // serverConflicts renders conflict-table entries: every vCE's hosting

@@ -16,6 +16,7 @@ import (
 	"cornet/internal/kpigen"
 	"cornet/internal/netgen"
 	"cornet/internal/orchestrator"
+	"cornet/internal/plan/intent"
 	"cornet/internal/plan/solver"
 	"cornet/internal/testbed"
 	"cornet/internal/verify/groups"
@@ -70,7 +71,7 @@ func TestEndToEndChangeManagement(t *testing.T) {
 	}
 
 	// The proposed plan also passes the manual-schedule checker.
-	req, _ := core.ParseIntent([]byte(intentDoc))
+	req, _ := intent.Parse([]byte(intentDoc))
 	problems, err := f.CheckScheduleContext(context.Background(), req, sub, plan.Assignment, core.PlanOptions{})
 	if err != nil {
 		t.Fatal(err)

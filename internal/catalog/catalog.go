@@ -10,7 +10,6 @@
 package catalog
 
 import (
-	"encoding/json"
 	"fmt"
 	"sort"
 	"strings"
@@ -27,14 +26,13 @@ const (
 	PhaseVerify   Phase = "impact-verification"
 )
 
-// ImplKind records how a building block is implemented. The paper supports
-// Ansible playbooks, NetConf, Chef recipes, Python scripts, and vendor CLIs.
+// ImplKind records how a building block is implemented. The paper's blocks
+// are Ansible playbooks, NetConf, Chef recipes, Python scripts and vendor
+// CLIs; the constants name the kinds this repository's catalog seeds.
 type ImplKind string
 
 const (
 	ImplAnsible   ImplKind = "ansible"
-	ImplNetConf   ImplKind = "netconf"
-	ImplChef      ImplKind = "chef"
 	ImplScript    ImplKind = "script" // command-line / Python scripts
 	ImplVendorCLI ImplKind = "vendor-cli"
 	ImplNative    ImplKind = "native" // data-analytic BBs implemented in-process
@@ -176,14 +174,6 @@ func (c *Catalog) Lookup(name, nfType string) (*BuildingBlock, error) {
 	return nil, fmt.Errorf("catalog: no building block %q for NF type %q", name, nfType)
 }
 
-// Get returns the block stored under an exact key.
-func (c *Catalog) Get(key string) (*BuildingBlock, bool) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	b, ok := c.blocks[key]
-	return b, ok
-}
-
 // List returns all blocks sorted by phase then key.
 func (c *Catalog) List() []*BuildingBlock {
 	c.mu.RLock()
@@ -201,40 +191,9 @@ func (c *Catalog) List() []*BuildingBlock {
 	return out
 }
 
-// ByPhase returns the blocks of one phase, sorted by key.
-func (c *Catalog) ByPhase(p Phase) []*BuildingBlock {
-	var out []*BuildingBlock
-	for _, b := range c.List() {
-		if b.Phase == p {
-			out = append(out, b)
-		}
-	}
-	return out
-}
-
 // Len reports the number of registered blocks.
 func (c *Catalog) Len() int {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	return len(c.blocks)
-}
-
-// CountByAgnostic returns (nfAgnostic, nfSpecific) block counts; the
-// code-reuse evaluation of Section 4 is built on this split.
-func (c *Catalog) CountByAgnostic() (agnostic, specific int) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	for _, b := range c.blocks {
-		if b.NFAgnostic {
-			agnostic++
-		} else {
-			specific++
-		}
-	}
-	return agnostic, specific
-}
-
-// MarshalJSON serializes the catalog deterministically.
-func (c *Catalog) MarshalJSON() ([]byte, error) {
-	return json.Marshal(c.List())
 }

@@ -13,8 +13,6 @@ import (
 	"math"
 	"math/rand"
 	"sort"
-
-	"cornet/internal/plan/intent"
 )
 
 // ChangeType enumerates the four change classes of Table 1.
@@ -209,23 +207,4 @@ func DurationHistogram(records []Record) map[int]int {
 		out[r.DurationMW]++
 	}
 	return out
-}
-
-// ConflictTable converts a change log into the planner's conflict-table
-// input: per node, the [start, end) maintenance windows already occupied.
-// baseDay maps MW index 0 to a calendar date rendered with intent's layout.
-func ConflictTable(records []Record, baseDay string) (map[string][]intent.ConflictEntry, error) {
-	base, err := parseDay(baseDay)
-	if err != nil {
-		return nil, err
-	}
-	out := map[string][]intent.ConflictEntry{}
-	for _, r := range records {
-		out[r.Node] = append(out[r.Node], intent.ConflictEntry{
-			Start:   fmtDay(base, r.StartMW),
-			End:     fmtDay(base, r.StartMW+r.DurationMW),
-			Tickets: []string{r.ID},
-		})
-	}
-	return out, nil
 }

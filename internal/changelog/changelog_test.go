@@ -117,32 +117,8 @@ func TestDurationHistogram(t *testing.T) {
 	}
 }
 
-func TestConflictTable(t *testing.T) {
-	recs := []Record{
-		{ID: "CHG1", Node: "a", StartMW: 0, DurationMW: 2},
-		{ID: "CHG2", Node: "a", StartMW: 5, DurationMW: 1},
-		{ID: "CHG3", Node: "b", StartMW: 3, DurationMW: 1},
-	}
-	ct, err := ConflictTable(recs, "2020-07-01")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ct["a"]) != 2 || len(ct["b"]) != 1 {
-		t.Fatalf("table = %v", ct)
-	}
-	if ct["a"][0].Start != "2020-07-01 00:00:00" || ct["a"][0].End != "2020-07-03 00:00:00" {
-		t.Fatalf("entry = %+v", ct["a"][0])
-	}
-	if ct["a"][0].Tickets[0] != "CHG1" {
-		t.Fatalf("tickets = %v", ct["a"][0].Tickets)
-	}
-	if _, err := ConflictTable(recs, "bogus"); err == nil {
-		t.Fatal("bad base day accepted")
-	}
-}
-
 func TestDeploymentCurves(t *testing.T) {
-	sim := DefaultDeployment(10000, 3)
+	sim := DeploymentSim{Seed: 3, Nodes: 10000, FFADays: 5, FFAFraction: 0.01, AssessDays: 4, Capacity: 500}
 	cornet := sim.CORNETCurve()
 	manual := sim.ManualCurve()
 	for _, curve := range [][]float64{cornet, manual} {
@@ -178,7 +154,7 @@ func TestDeploymentEdgeCases(t *testing.T) {
 	if got := CompletionWindow([]float64{0.1, 0.5}, 0.99); got != -1 {
 		t.Fatalf("incomplete curve window = %d", got)
 	}
-	small := DefaultDeployment(10, 1)
+	small := DeploymentSim{Seed: 1, Nodes: 10, FFADays: 5, FFAFraction: 0.01, AssessDays: 4, Capacity: 1}
 	c := small.CORNETCurve()
 	if c[len(c)-1] < 0.999 {
 		t.Fatalf("small fleet incomplete: %v", c)

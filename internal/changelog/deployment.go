@@ -1,7 +1,6 @@
 package changelog
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"time"
@@ -25,16 +24,6 @@ type DeploymentSim struct {
 	AssessDays int
 	// Capacity is the maximum nodes deployable per window in the run phase.
 	Capacity int
-}
-
-// DefaultDeployment mirrors the paper's shape for a fleet of n nodes.
-func DefaultDeployment(n int, seed int64) DeploymentSim {
-	cap := n / 20
-	if cap < 1 {
-		cap = 1
-	}
-	return DeploymentSim{Seed: seed, Nodes: n, FFADays: 5, FFAFraction: 0.01,
-		AssessDays: 4, Capacity: cap}
 }
 
 // CORNETCurve simulates a deployment planned by CORNET: after FFA and
@@ -190,18 +179,4 @@ func maxInt(a, b int) int {
 		return a
 	}
 	return b
-}
-
-// --- calendar helpers (shared with ConflictTable) --------------------------
-
-func parseDay(s string) (time.Time, error) {
-	t, err := time.Parse("2006-01-02", s)
-	if err != nil {
-		return time.Time{}, fmt.Errorf("changelog: bad base day %q: %w", s, err)
-	}
-	return t, nil
-}
-
-func fmtDay(base time.Time, offset int) string {
-	return base.AddDate(0, 0, offset).Format("2006-01-02 15:04:05")
 }

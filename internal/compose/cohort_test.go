@@ -6,7 +6,9 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -114,17 +116,32 @@ func submitAsync(ctx context.Context, c *Composer, d *Delta) <-chan submitted {
 	return ch
 }
 
-// waitPending spins until the open generation holds exactly n members.
-func waitPending(t *testing.T, c *Composer, n int) {
+// parkedSubmits counts the goroutines blocked in Composer.Submit waiting
+// for their generation: submissions that joined and have no outcome yet.
+func parkedSubmits() int {
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	n := 0
+	for _, g := range strings.Split(string(buf), "\n\n") {
+		header, frames, _ := strings.Cut(g, "\n")
+		if strings.Contains(header, "[select") && strings.HasPrefix(frames, "cornet/internal/compose.(*Composer).Submit(") {
+			n++
+		}
+	}
+	return n
+}
+
+// waitPending spins until exactly n submissions wait in Submit.
+func waitPending(t *testing.T, n int) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
-		if c.Pending() == n {
+		if parkedSubmits() == n {
 			return
 		}
 		time.Sleep(time.Millisecond)
 	}
-	t.Fatalf("open generation has %d members, want %d", c.Pending(), n)
+	t.Fatalf("%d submissions wait in Submit, want %d", parkedSubmits(), n)
 }
 
 // sealed receives a submission's outcome and checks what closed its
@@ -163,7 +180,7 @@ func round(t *testing.T, c *Composer, ids []string, paths ...Path) []<-chan subm
 	for i, p := range paths {
 		chs[i] = submitAsync(context.Background(), c, node(ids[i], "t", p))
 		if i < len(paths)-1 {
-			waitPending(t, c, i+1)
+			waitPending(t, i+1)
 		}
 	}
 	return chs
@@ -174,10 +191,10 @@ func round(t *testing.T, c *Composer, ids []string, paths ...Path) []<-chan subm
 func rememberAB(t *testing.T, c *Composer, k *fakeClock) {
 	t.Helper()
 	chs := round(t, c, []string{"a1", "b1"}, teamA, teamB)
-	waitPending(t, c, 2)
+	waitPending(t, 2)
 	k.advance(testWindow - time.Nanosecond)
-	if c.Pending() != 2 || k.timersFired() != 0 {
-		t.Fatalf("cold generation sealed before its window: pending %d, timers fired %d", c.Pending(), k.timersFired())
+	if len(chs[0]) != 0 || len(chs[1]) != 0 || k.timersFired() != 0 {
+		t.Fatalf("cold generation sealed before its window: timers fired %d", k.timersFired())
 	}
 	k.advance(time.Nanosecond)
 	out := sealed(t, chs[0], SealWindow, "a1", "b1")
@@ -222,9 +239,9 @@ func TestCohortMissingPartner(t *testing.T) {
 	rememberAB(t, c, k)
 
 	a2 := submitAsync(context.Background(), c, node("a2", "t", teamA))
-	waitPending(t, c, 1)
+	waitPending(t, 1)
 	k.advance(testWindow - time.Nanosecond)
-	if c.Pending() != 1 {
+	if len(a2) != 0 {
 		t.Fatal("generation missing a cohort member sealed before its window")
 	}
 	k.advance(time.Nanosecond)
@@ -255,7 +272,7 @@ func TestCohortNewcomer(t *testing.T) {
 
 	// {a, b} alone no longer cover: the generation stays open until c is in.
 	chs = round(t, c, []string{"a3", "b3"}, teamA, teamB)
-	waitPending(t, c, 2)
+	waitPending(t, 2)
 	chs = append(chs, submitAsync(context.Background(), c, node("c3", "t", teamC)))
 	for _, ch := range chs {
 		sealed(t, ch, SealCohort, "a3", "b3", "c3")
@@ -275,7 +292,7 @@ func TestCohortWithdraw(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	a2 := submitAsync(ctx, c, node("a2", "t", teamA))
-	waitPending(t, c, 1)
+	waitPending(t, 1)
 	cancel()
 	if s := <-a2; !errors.Is(s.err, context.Canceled) {
 		t.Fatalf("canceled Submit returned %v, want context.Canceled", s.err)
@@ -289,7 +306,7 @@ func TestCohortWithdraw(t *testing.T) {
 
 	// b alone does not cover {a, b}; the withdrawn a2 must not count.
 	b2 := submitAsync(context.Background(), c, node("b2", "t", teamB))
-	waitPending(t, c, 1)
+	waitPending(t, 1)
 	a3 := submitAsync(context.Background(), c, node("a3", "t", teamA))
 	sealed(t, b2, SealCohort, "a3", "b2")
 	sealed(t, a3, SealCohort, "a3", "b2")
@@ -312,7 +329,7 @@ func TestCohortMaxBatchCapsFirst(t *testing.T) {
 	rec := &solveRecorder{}
 	c, k := fakeTimed(t, Config{Solve: rec.solve})
 	chs := round(t, c, []string{"a1", "b1", "c1"}, teamA, teamB, teamC)
-	waitPending(t, c, 3)
+	waitPending(t, 3)
 	k.advance(testWindow)
 	for _, ch := range chs {
 		sealed(t, ch, SealWindow, "a1", "b1", "c1")
@@ -512,9 +529,6 @@ func runScript(t *testing.T, strategy Strategy, maxBatch int, steps []scriptStep
 		default:
 			k.advance(s.dt)
 		}
-	}
-	if c.Pending() != 0 {
-		t.Errorf("%d members still pending after the final window", c.Pending())
 	}
 	for _, g := range gens {
 		select {

@@ -182,18 +182,6 @@ func NewComposer(cfg Config) *Composer {
 // Strategy exposes the composer's configured strategy.
 func (c *Composer) Strategy() Strategy { return c.cfg.Strategy }
 
-// Pending reports how many member changes the open (unsealed) generation
-// has gathered — 0 when no window is open. Callers can use it to observe
-// an in-flight batch (tests synchronize on it).
-func (c *Composer) Pending() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.cur == nil {
-		return 0
-	}
-	return len(c.cur.deltas)
-}
-
 // Submit offers one change's delta for composition and blocks until the
 // generation it joined completes (or ctx is done). A delta that conflicts
 // with the open generation is handled per mode: Reject fails immediately

@@ -146,12 +146,6 @@ func New(cfg Config) (*Service, error) {
 	return s, nil
 }
 
-// Intent is the fixed intent composed scopes translate and plan under.
-func (s *Service) Intent() *intent.Request { return s.intent }
-
-// Pending reports how many member changes wait in the open generation.
-func (s *Service) Pending() int { return s.composer.Pending() }
-
 // Stop seals the open generation and refuses further submissions.
 func (s *Service) Stop() { s.composer.Stop() }
 

@@ -233,7 +233,7 @@ func TestSolveAttribution(t *testing.T) {
 	var members []*compose.Delta
 	for _, ch := range changes {
 		sig := PayloadSig(ch.Deployment.API, ch.Inputs)
-		d, err := Delta(ch.ID, ch.Tenant, h.Intent(), h.cfg.Inventory, ch.Scope, sig)
+		d, err := Delta(ch.ID, ch.Tenant, h.intent, h.cfg.Inventory, ch.Scope, sig)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -295,7 +295,7 @@ func TestHaltedDispatchFailsTheMember(t *testing.T) {
 	h.onRun = cancel
 	ch := h.change("chg-east", "v7", Scope{Markets: []string{"east"}}) // vce-000, -002, -004 in slots 0, 1, 2
 	sig := PayloadSig(ch.Deployment.API, ch.Inputs)
-	d, err := Delta(ch.ID, ch.Tenant, h.Intent(), h.cfg.Inventory, ch.Scope, sig)
+	d, err := Delta(ch.ID, ch.Tenant, h.intent, h.cfg.Inventory, ch.Scope, sig)
 	if err != nil {
 		t.Fatal(err)
 	}

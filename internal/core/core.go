@@ -79,11 +79,6 @@ func WithBreakers(cfg resilience.BreakerConfig) Option {
 	}
 }
 
-// WithScaleThreshold overrides the solver/heuristic switch point.
-func WithScaleThreshold(n int) Option {
-	return func(f *Framework) { f.ScaleThreshold = n }
-}
-
 // WithSolverOptions overrides search limits.
 func WithSolverOptions(o solver.Options) Option {
 	return func(f *Framework) { f.SolverOptions = o }
@@ -496,10 +491,4 @@ func (f *Framework) CheckScheduleContext(ctx context.Context, req *intent.Reques
 	}
 	sort.Strings(problems)
 	return problems, nil
-}
-
-// ParseIntent parses a Listing 1 scheduling-intent document; exposed so
-// framework users need not import the internal intent package directly.
-func ParseIntent(doc []byte) (*intent.Request, error) {
-	return intent.Parse(doc)
 }

@@ -252,7 +252,7 @@ func TestPlanScheduleContextCancelled(t *testing.T) {
 
 func mustParseIntent(t *testing.T, doc []byte) *intent.Request {
 	t.Helper()
-	req, err := ParseIntent(doc)
+	req, err := intent.Parse(doc)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,10 +28,8 @@ const (
 	AttrTAC       = "tac"      // tracking area code (cellular)
 	AttrUSID      = "usid"     // a cell site: co-located eNodeB/gNodeB/NodeB
 	AttrEMS       = "ems"      // element management system the node homes to
-	AttrPool      = "pool_id"  // EMS pool
 	AttrTimezone  = "timezone" // UTC offset, stored as a string number
 	AttrRegion    = "region"
-	AttrState     = "state"
 	AttrHWVersion = "hw_version"
 	AttrSWVersion = "sw_version"
 	AttrVendor    = "vendor"
@@ -267,57 +265,6 @@ func (inv *Inventory) AttrValues(attr string) []string {
 	}
 	sort.Strings(vals)
 	return vals
-}
-
-// Attrs returns the distinct attribute names present in the inventory,
-// sorted.
-func (inv *Inventory) Attrs() []string {
-	inv.mu.RLock()
-	defer inv.mu.RUnlock()
-	names := make([]string, 0, len(inv.index))
-	for a := range inv.index {
-		names = append(names, a)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// Mapping returns the sparse base→aggregate attribute mapping Q of
-// Section 3.3.2: for every element, the pairs (base value, aggregate value).
-// When base is "common_id" this maps element ids to their aggregate
-// attribute, which is the common case for planner linking constraints.
-// Duplicate pairs are removed and the result is sorted for determinism.
-func (inv *Inventory) Mapping(baseAttr, aggAttr string) []Pair {
-	inv.mu.RLock()
-	defer inv.mu.RUnlock()
-	seen := make(map[Pair]bool)
-	var out []Pair
-	for _, id := range inv.order {
-		e := inv.elements[id]
-		for _, b := range e.Values(baseAttr) {
-			for _, a := range e.Values(aggAttr) {
-				p := Pair{Base: b, Agg: a}
-				if !seen[p] {
-					seen[p] = true
-					out = append(out, p)
-				}
-			}
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Base != out[j].Base {
-			return out[i].Base < out[j].Base
-		}
-		return out[i].Agg < out[j].Agg
-	})
-	return out
-}
-
-// Pair is one (base attribute value, aggregate attribute value) entry of a
-// sparse mapping.
-type Pair struct {
-	Base string
-	Agg  string
 }
 
 // GroupBy partitions element ids by the value of attr. Elements lacking the

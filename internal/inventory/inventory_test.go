@@ -85,24 +85,6 @@ func TestAttrValuesSorted(t *testing.T) {
 	}
 }
 
-func TestMappingSparseAndDeduplicated(t *testing.T) {
-	inv := New()
-	inv.MustAdd(el("a", AttrMarket, "NYC", AttrRegion, "NE"))
-	inv.MustAdd(el("b", AttrMarket, "NYC", AttrRegion, "NE"))
-	inv.MustAdd(el("c", AttrMarket, "LA", AttrRegion, "W"))
-	q := inv.Mapping(AttrCommonID, AttrMarket)
-	want := []Pair{{"a", "NYC"}, {"b", "NYC"}, {"c", "LA"}}
-	if !reflect.DeepEqual(q, want) {
-		t.Fatalf("Mapping common_id->market = %v", q)
-	}
-	// Non-ESA to non-ESA mapping with duplicates removed.
-	q2 := inv.Mapping(AttrMarket, AttrRegion)
-	want2 := []Pair{{"LA", "W"}, {"NYC", "NE"}}
-	if !reflect.DeepEqual(q2, want2) {
-		t.Fatalf("Mapping market->region = %v", q2)
-	}
-}
-
 func TestGroupBy(t *testing.T) {
 	inv := New()
 	inv.MustAdd(el("a", AttrEMS, "ems1"))
@@ -174,32 +156,6 @@ func TestGroupByPartitionProperty(t *testing.T) {
 			}
 		}
 		return total == inv.Len()
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: Mapping is sorted and duplicate-free.
-func TestMappingSortedProperty(t *testing.T) {
-	f := func(seed uint8) bool {
-		inv := New()
-		for i := 0; i < 30; i++ {
-			inv.MustAdd(el(fmt.Sprintf("e%03d", i),
-				AttrMarket, fmt.Sprintf("m%d", (int(seed)+i)%4),
-				AttrRegion, fmt.Sprintf("r%d", (int(seed)+i)%2)))
-		}
-		q := inv.Mapping(AttrMarket, AttrRegion)
-		for i := 1; i < len(q); i++ {
-			if q[i-1] == q[i] {
-				return false
-			}
-			if q[i-1].Base > q[i].Base ||
-				(q[i-1].Base == q[i].Base && q[i-1].Agg >= q[i].Agg) {
-				return false
-			}
-		}
-		return true
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 )
 
 // CounterSpec describes one performance counter's baseline behaviour.
@@ -57,10 +56,8 @@ type Config struct {
 
 // Dataset holds generated series: instance -> counter -> samples.
 type Dataset struct {
-	SamplesPerDay int
-	Length        int
-	data          map[string]map[string][]float64
-	impacts       []Impact
+	Length int
+	data   map[string]map[string][]float64
 }
 
 // Generate produces series for every instance and counter.
@@ -80,10 +77,8 @@ func Generate(instances []string, cfg Config, impacts []Impact) (*Dataset, error
 		byInstance[imp.Instance] = append(byInstance[imp.Instance], imp)
 	}
 	ds := &Dataset{
-		SamplesPerDay: cfg.SamplesPerDay,
-		Length:        length,
-		data:          make(map[string]map[string][]float64, len(instances)),
-		impacts:       append([]Impact(nil), impacts...),
+		Length: length,
+		data:   make(map[string]map[string][]float64, len(instances)),
 	}
 	for _, inst := range instances {
 		// Stable per-instance stream so adding instances does not perturb
@@ -138,32 +133,6 @@ func (d *Dataset) Series(instance, counter string) []float64 {
 		return m[counter]
 	}
 	return nil
-}
-
-// Instances lists instances present, sorted.
-func (d *Dataset) Instances() []string {
-	out := make([]string, 0, len(d.data))
-	for k := range d.data {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Counters lists counters present for an instance, sorted.
-func (d *Dataset) Counters(instance string) []string {
-	m := d.data[instance]
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Impacts returns the injected ground-truth labels.
-func (d *Dataset) Impacts() []Impact {
-	return append([]Impact(nil), d.impacts...)
 }
 
 // Window extracts samples [from, to) for one instance/counter, dropping

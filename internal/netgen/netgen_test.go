@@ -1,6 +1,7 @@
 package netgen
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -69,14 +70,16 @@ func TestCellularDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	b, _ := Cellular(cfg)
-	if a.Inv.Len() != b.Inv.Len() || a.Topo.NumEdges() != b.Topo.NumEdges() {
-		t.Fatalf("nondeterministic: %d/%d vs %d/%d",
-			a.Inv.Len(), a.Topo.NumEdges(), b.Inv.Len(), b.Topo.NumEdges())
+	if a.Inv.Len() != b.Inv.Len() {
+		t.Fatalf("nondeterministic: %d vs %d elements", a.Inv.Len(), b.Inv.Len())
 	}
 	ids := a.Inv.IDs()
 	for i, id := range b.Inv.IDs() {
 		if ids[i] != id {
 			t.Fatalf("id order differs at %d", i)
+		}
+		if na, nb := a.Topo.Neighbors(id), b.Topo.Neighbors(id); !reflect.DeepEqual(na, nb) {
+			t.Fatalf("neighbors of %s differ: %v vs %v", id, na, nb)
 		}
 	}
 }
@@ -171,9 +174,21 @@ func TestSDWANStructure(t *testing.T) {
 		}
 	}
 	// CPE chains: cpe -> pop -> agg -> tor -> vgw.
-	chain, ok := net.Topo.Chain("sdwan-chain-0000")
-	if !ok || len(chain) != 5 || !strings.HasPrefix(chain[0], "cpe-") || !strings.HasPrefix(chain[4], "vgw-") {
-		t.Fatalf("chain = %v", chain)
+	if got := net.Topo.Chains(); len(got) != 24 || got[0] != "sdwan-chain-0000" {
+		t.Fatalf("chains = %v", got)
+	}
+	hop := "cpe-0000"
+	for _, prefix := range []string{"pop-", "agg-", "tor-", "vgw-"} {
+		next := ""
+		for _, n := range net.Topo.Neighbors(hop, topology.ServiceChain) {
+			if strings.HasPrefix(n, prefix) {
+				next = n
+			}
+		}
+		if next == "" {
+			t.Fatalf("chain stops at %s: no %s* service-chain neighbor", hop, prefix)
+		}
+		hop = next
 	}
 	if _, err := SDWAN(SDWANConfig{}); err == nil {
 		t.Fatal("zero config accepted")

@@ -195,7 +195,6 @@ type Journal struct {
 	start  int // index of the oldest retained event
 	count  int
 	next   uint64 // next sequence number to assign (1-based)
-	clock  func() time.Time
 	subs   map[uint64]*Subscription
 	subSeq uint64
 }
@@ -214,16 +213,11 @@ func NewJournal(capacity int) *Journal {
 		capacity = 16
 	}
 	return &Journal{
-		buf:   make([]Event, capacity),
-		next:  1,
-		clock: time.Now,
-		subs:  map[uint64]*Subscription{},
+		buf:  make([]Event, capacity),
+		next: 1,
+		subs: map[uint64]*Subscription{},
 	}
 }
-
-// SetClock injects a fake clock for tests. Not safe to call concurrently
-// with Publish.
-func (j *Journal) SetClock(clock func() time.Time) { j.clock = clock }
 
 // Publish appends one event, assigning its sequence number and (when
 // unset) timestamp, and fans it out to matching subscribers without
@@ -233,7 +227,7 @@ func (j *Journal) Publish(e Event) Event {
 	e.Seq = j.next
 	j.next++
 	if e.Time.IsZero() {
-		e.Time = j.clock()
+		e.Time = time.Now()
 	}
 	idx := (j.start + j.count) % len(j.buf)
 	if j.count == len(j.buf) {
@@ -268,13 +262,6 @@ func (j *Journal) Query(f Filter) []Event {
 		}
 	}
 	return out
-}
-
-// Len reports the retained event count.
-func (j *Journal) Len() int {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.count
 }
 
 // LastSeq reports the sequence number of the most recently published

@@ -45,9 +45,6 @@ func TestRingOverwritesOldest(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		j.Publish(Event{Type: TypeCacheMiss, Source: "serve"})
 	}
-	if j.Len() != 16 {
-		t.Fatalf("Len = %d, want 16", j.Len())
-	}
 	got := j.Query(Filter{})
 	if len(got) != 16 || got[0].Seq != 25 || got[15].Seq != 40 {
 		t.Fatalf("retained window = seqs %d..%d (%d events), want 25..40",
@@ -87,7 +84,7 @@ func TestConcurrentPublishersAndSubscriber(t *testing.T) {
 		defer close(queryDone)
 		for i := 0; i < 50; i++ {
 			j.Query(Filter{ChangeID: "chg-0"})
-			j.Len()
+			j.LastSeq()
 		}
 	}()
 	wg.Wait()

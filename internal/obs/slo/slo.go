@@ -11,7 +11,6 @@ package slo
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -223,15 +222,6 @@ func (t *Tracker) Status() []Status {
 		}
 		out = append(out, s)
 	}
-	return out
-}
-
-// Names returns the registered objective names, sorted.
-func (t *Tracker) Names() []string {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := append([]string(nil), t.order...)
-	sort.Strings(out)
 	return out
 }
 

@@ -173,14 +173,3 @@ func (a *Accountant) Snapshot() []Usage {
 	sort.Slice(out, func(i, j int) bool { return out[i].Tenant < out[j].Tenant })
 	return out
 }
-
-// Get returns a copy of one tenant's usage and whether it exists.
-func (a *Accountant) Get(tenant string) (Usage, bool) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	u, ok := a.m[tenant]
-	if !ok {
-		return Usage{}, false
-	}
-	return *u, true
-}

@@ -55,7 +55,6 @@ type Status string
 const (
 	StatusSuccess    Status = "success"
 	StatusFailure    Status = "failure"
-	StatusSkipped    Status = "skipped"
 	StatusRunning    Status = "running"
 	StatusPaused     Status = "paused"
 	StatusRolledBack Status = "rolledback"
@@ -208,8 +207,7 @@ type Engine struct {
 
 	jitter    *jitterRand
 	slotsOnce sync.Once
-	slots     chan struct{}  // counting semaphore: one token per running execution
-	started   sync.WaitGroup // executions begun by Start
+	slots     chan struct{} // counting semaphore: one token per running execution
 }
 
 // NewEngine returns an engine dispatching through the given invoker. The
@@ -275,12 +273,6 @@ func (eng *Engine) runInSlot(ctx context.Context, dep *workflow.Deployment, exec
 	eng.run(ctx, dep, exec)
 }
 
-// Shutdown waits for every execution begun by Start to finish. It must not
-// be called concurrently with Start; Execute keeps working afterwards.
-func (eng *Engine) Shutdown() {
-	eng.started.Wait()
-}
-
 // Execute runs a deployed workflow against inputs, on the caller's
 // goroutine. The required workflow inputs must be present in inputs. The
 // execution shares the Concurrency bound with Start, so the call may wait
@@ -310,9 +302,7 @@ func (eng *Engine) Start(ctx context.Context, dep *workflow.Deployment, inputs m
 		close(done)
 		return exec, done
 	}
-	eng.started.Add(1)
 	go func() {
-		defer eng.started.Done()
 		defer close(done)
 		eng.runInSlot(ctx, dep, exec)
 	}()

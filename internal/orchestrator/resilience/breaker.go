@@ -86,9 +86,6 @@ func NewBreakerSet(cfg BreakerConfig) *BreakerSet {
 	return &BreakerSet{cfg: cfg.withDefaults(), Clock: time.Now, m: map[string]*breaker{}}
 }
 
-// Config returns the normalized configuration the set runs with.
-func (s *BreakerSet) Config() BreakerConfig { return s.cfg }
-
 // get returns (creating if needed) the breaker for api. Caller holds mu.
 func (s *BreakerSet) get(api string) *breaker {
 	b, ok := s.m[api]
@@ -186,31 +183,6 @@ func (s *BreakerSet) transition(api string, b *breaker, to State) func() {
 	}
 	cb := s.OnTransition
 	return func() { cb(api, from, to) }
-}
-
-// StateOf returns the current state of the breaker for api; an API never
-// seen is Closed. The open→half-open edge is evaluated lazily by Allow, so
-// StateOf can report Open for a breaker whose cooldown already elapsed.
-func (s *BreakerSet) StateOf(api string) State {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	b, ok := s.m[api]
-	if !ok {
-		return Closed
-	}
-	return b.state
-}
-
-// Snapshot lists every tracked API and its state — the operator's view of
-// which building-block endpoints are currently distrusted.
-func (s *BreakerSet) Snapshot() map[string]State {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make(map[string]State, len(s.m))
-	for api, b := range s.m {
-		out[api] = b.state
-	}
-	return out
 }
 
 // Reset force-closes the breaker for api (operator override after a

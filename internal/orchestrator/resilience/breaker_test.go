@@ -11,11 +11,25 @@ type fakeClock struct{ now time.Time }
 
 func (c *fakeClock) Now() time.Time          { return c.now }
 func (c *fakeClock) Advance(d time.Duration) { c.now = c.now.Add(d) }
-func newTestSet(cfg BreakerConfig) (*BreakerSet, *fakeClock) {
+
+// states is each API's breaker state as the set's OnTransition reported
+// it; an API with no transition yet is closed.
+type states map[string]State
+
+func (w states) of(api string) State {
+	if st, ok := w[api]; ok {
+		return st
+	}
+	return Closed
+}
+
+func newTestSet(cfg BreakerConfig) (*BreakerSet, *fakeClock, states) {
 	clk := &fakeClock{now: time.Unix(1000, 0)}
 	s := NewBreakerSet(cfg)
 	s.Clock = clk.Now
-	return s, clk
+	w := states{}
+	s.OnTransition = func(api string, _, to State) { w[api] = to }
+	return s, clk, w
 }
 
 func TestBreakerStateTransitions(t *testing.T) {
@@ -84,7 +98,7 @@ func TestBreakerStateTransitions(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			s, clk := newTestSet(tc.cfg)
+			s, clk, w := newTestSet(tc.cfg)
 			for i, st := range tc.steps {
 				clk.Advance(st.advance)
 				err := s.Allow(api)
@@ -101,7 +115,7 @@ func TestBreakerStateTransitions(t *testing.T) {
 				default:
 					t.Fatalf("bad step outcome %q", st.outcome)
 				}
-				if got := s.StateOf(api); got != st.want {
+				if got := w.of(api); got != st.want {
 					t.Fatalf("step %d (%s): state %s, want %s", i, st.outcome, got, st.want)
 				}
 			}
@@ -110,7 +124,7 @@ func TestBreakerStateTransitions(t *testing.T) {
 }
 
 func TestBreakerHalfOpenLimitsProbes(t *testing.T) {
-	s, clk := newTestSet(BreakerConfig{Threshold: 1, Cooldown: Duration(time.Second)})
+	s, clk, w := newTestSet(BreakerConfig{Threshold: 1, Cooldown: Duration(time.Second)})
 	const api = "x"
 	if err := s.Allow(api); err != nil {
 		t.Fatal(err)
@@ -124,13 +138,13 @@ func TestBreakerHalfOpenLimitsProbes(t *testing.T) {
 		t.Fatalf("second concurrent probe should be rejected, got %v", err)
 	}
 	s.Record(api, true)
-	if got := s.StateOf(api); got != Closed {
+	if got := w.of(api); got != Closed {
 		t.Fatalf("after probe success: %s, want closed", got)
 	}
 }
 
 func TestBreakerTransitionsObserved(t *testing.T) {
-	s, clk := newTestSet(BreakerConfig{Threshold: 1, Cooldown: Duration(time.Second)})
+	s, clk, _ := newTestSet(BreakerConfig{Threshold: 1, Cooldown: Duration(time.Second)})
 	var seen []string
 	s.OnTransition = func(api string, from, to State) {
 		seen = append(seen, string(from)+">"+string(to))
@@ -153,20 +167,19 @@ func TestBreakerTransitionsObserved(t *testing.T) {
 }
 
 func TestBreakerResetAndSnapshot(t *testing.T) {
-	s, _ := newTestSet(BreakerConfig{Threshold: 1})
+	s, _, w := newTestSet(BreakerConfig{Threshold: 1})
 	_ = s.Allow("a")
 	s.Record("a", false)
 	_ = s.Allow("b")
 	s.Record("b", true)
-	snap := s.Snapshot()
-	if snap["a"] != Open || snap["b"] != Closed {
-		t.Fatalf("snapshot %v", snap)
+	if w.of("a") != Open || w.of("b") != Closed {
+		t.Fatalf("states %v", w)
 	}
 	s.Reset("a")
-	if s.StateOf("a") != Closed {
+	if w.of("a") != Closed {
 		t.Fatal("reset should force-close")
 	}
-	if s.StateOf("never-seen") != Closed {
-		t.Fatal("unknown API should read closed")
+	if err := s.Allow("a"); err != nil {
+		t.Fatalf("reset breaker rejects: %v", err)
 	}
 }

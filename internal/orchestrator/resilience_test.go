@@ -206,8 +206,8 @@ func TestE2EBlackholeTripsBreakerAndRollsBack(t *testing.T) {
 		t.Fatalf("last action %q, want rollback", exec.LastAction())
 	}
 	upgradeAPI := dep2.BlockAPIs["software-upgrade"]
-	if st := set.StateOf(upgradeAPI); st != resilience.Open {
-		t.Fatalf("breaker state %s, want open", st)
+	if err := set.Allow(upgradeAPI); !errors.Is(err, resilience.ErrBreakerOpen) {
+		t.Fatalf("breaker admits the upgrade block (%v), want open", err)
 	}
 	if got := metricBreakerTrips.With(upgradeAPI).Value(); got < tripsBefore+1 && upgradeAPI == api {
 		t.Fatalf("breaker trip counter did not move: %v", got)
@@ -467,8 +467,8 @@ func TestBreakerFailsFastAcrossExecutions(t *testing.T) {
 		t.Fatalf("continue action should not fail the workflow: %v", err)
 	}
 	api := dep.BlockAPIs["health-check"]
-	if st := set.StateOf(api); st != resilience.Open {
-		t.Fatalf("health-check breaker %s, want open", st)
+	if err := set.Allow(api); !errors.Is(err, resilience.ErrBreakerOpen) {
+		t.Fatalf("health-check breaker admits (%v), want open", err)
 	}
 	// Second run: the block is rejected outright (0 attempts).
 	exec, err := eng.Execute(context.Background(), dep, inputs)

@@ -79,31 +79,14 @@ func TestEngineBoundCoversExecuteAndStart(t *testing.T) {
 	}
 	close(inv.release)
 	execs.Wait()
-	eng.Shutdown()
 	for _, done := range dones {
-		select {
-		case <-done:
-		default:
-			t.Fatal("Shutdown returned before a started execution finished")
-		}
+		<-done
 	}
 	if got := inv.peak.Load(); got != bound {
 		t.Fatalf("peak in flight = %d, want %d", got, bound)
 	}
 	if got := inv.calls.Load(); got != 6*3 {
 		t.Fatalf("blocks invoked = %d, want 18", got)
-	}
-}
-
-func TestExecuteAfterShutdownStillRuns(t *testing.T) {
-	eng := NewEngine(&fakeInvoker{})
-	dep := deploy(t, workflow.SoftwareUpgrade())
-	_, done := eng.Start(context.Background(), dep, upgradeInputs)
-	eng.Shutdown()
-	<-done
-	exec, err := eng.Execute(context.Background(), dep, upgradeInputs)
-	if err != nil || exec.Status != StatusSuccess {
-		t.Fatalf("Execute after Shutdown: status %s, err %v", exec.Status, err)
 	}
 }
 
@@ -229,7 +212,8 @@ func TestDispatcherAccountsForHaltedSlots(t *testing.T) {
 }
 
 // The execution paths own no goroutine that outlives them: not a dispatch,
-// not a plain Execute on an engine nobody shuts down, not a drained engine.
+// not a plain Execute, not started executions once their done channels
+// have closed.
 func TestExecutionLeavesNoGoroutines(t *testing.T) {
 	dep := deploy(t, workflow.SoftwareUpgrade())
 	resolve := func(ScheduledChange) (*workflow.Deployment, error) { return dep, nil }
@@ -249,10 +233,14 @@ func TestExecutionLeavesNoGoroutines(t *testing.T) {
 		},
 		"shutdown after starts": func() {
 			eng := NewEngine(&fakeInvoker{})
+			var dones []<-chan struct{}
 			for i := 0; i < 3; i++ {
-				eng.Start(context.Background(), dep, upgradeInputs)
+				_, done := eng.Start(context.Background(), dep, upgradeInputs)
+				dones = append(dones, done)
 			}
-			eng.Shutdown()
+			for _, done := range dones {
+				<-done
+			}
 		},
 	}
 	for name, run := range cases {

@@ -85,14 +85,12 @@ func fromSchedule(req *Request, sched model.Schedule, st *Stats) Result {
 	} else {
 		assignment, leftovers = itemAssignment(req.Model, sched)
 	}
-	s := sched
 	return Result{
 		Assignment: assignment,
 		Leftovers:  leftovers,
 		Conflicts:  sched.Conflicts,
 		Makespan:   sched.Makespan,
 		TimedOut:   !sched.Optimal,
-		Schedule:   &s,
 	}
 }
 

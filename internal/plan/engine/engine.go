@@ -93,8 +93,6 @@ type Result struct {
 	// TimedOut reports a best-so-far schedule returned at the search
 	// budget rather than a completed search.
 	TimedOut bool
-	// Schedule is the raw model schedule (model-driven backends only).
-	Schedule *model.Schedule
 }
 
 // Stats reports one backend's search effort in uniform terms.

@@ -330,18 +330,6 @@ func (c *capTracker) clone(inst Instance) *capTracker {
 	return cc
 }
 
-func (c *capTracker) fits(n node, slot int, inst Instance) bool {
-	if c.slotUse[slot] >= inst.SlotCapacity {
-		return false
-	}
-	if inst.EMSCapacity > 0 && n.ems != "" {
-		if use := c.emsUse[n.ems]; use != nil && use[slot] >= inst.EMSCapacity {
-			return false
-		}
-	}
-	return true
-}
-
 func (c *capTracker) place(n node, slot int, inst Instance) {
 	c.slotUse[slot]++
 	if inst.EMSCapacity > 0 && n.ems != "" {

@@ -5,11 +5,6 @@ import (
 	"testing"
 )
 
-// fuzzMaxSteps bounds the windows whose timeslots the fuzz target
-// enumerates: Timeslots allocates one slot per step, so a ten-year hourly
-// window costs memory the fuzzer does not need to prove the loop ends.
-const fuzzMaxSteps = 10_000
-
 // FuzzParse feeds arbitrary documents to the intent parser: it must never
 // panic, and for every document it accepts the window step must be
 // positive and Timeslots must return. The corpus under
@@ -40,12 +35,9 @@ func FuzzParse(f *testing.F) {
 		if err != nil || step <= 0 {
 			t.Fatalf("accepted a window step of %v (err %v): %+v", step, err, r.SchedulingWindow)
 		}
-		start, end, err := r.windowTimes()
-		if err != nil {
+		if _, _, err := r.windowTimes(); err != nil {
 			t.Fatalf("accepted a window Timeslots rejects: %v", err)
 		}
-		if end.Sub(start)/step <= fuzzMaxSteps {
-			r.Timeslots() // must return; an error is a fine answer
-		}
+		r.Timeslots() // must return; an error is a fine answer
 	})
 }

@@ -270,8 +270,15 @@ type Request struct {
 	ChangeDuration int `json:"change_duration,omitempty"`
 }
 
+// MaxWindowSteps caps the steps of a parsed scheduling window: Timeslots
+// allocates one slot per step, so an unbounded window is an unbounded
+// allocation (a ten-year hourly window is 87,600 slots per request).
+const MaxWindowSteps = 10_000
+
 // Parse decodes and validates a JSON intent document. The document must be
-// the only thing in data: anything but whitespace after it is an error.
+// the only thing in data: anything but whitespace after it is an error, and
+// so is a scheduling window of more than MaxWindowSteps steps. Validate
+// leaves the cap out: program-built windows are sized by their builder.
 func Parse(data []byte) (*Request, error) {
 	var r Request
 	dec := json.NewDecoder(bytes.NewReader(data))
@@ -284,6 +291,15 @@ func Parse(data []byte) (*Request, error) {
 	}
 	if err := r.Validate(); err != nil {
 		return nil, err
+	}
+	start, end, _ := r.windowTimes()
+	step, _ := r.SchedulingWindow.Granularity.Duration()
+	steps := end.Sub(start) / step
+	if end.Sub(start)%step != 0 {
+		steps++
+	}
+	if steps > MaxWindowSteps {
+		return nil, fmt.Errorf("intent: scheduling window has %d steps of %v, over the cap of %d", steps, step, MaxWindowSteps)
 	}
 	return &r, nil
 }

@@ -214,6 +214,11 @@ func TestValidationErrors(t *testing.T) {
 		{"overflowing granularity", func(m map[string]any) {
 			m["scheduling_window"].(map[string]any)["granularity"] = map[string]any{"metric": "hour", "value": 1 << 51}
 		}},
+		{"window over the step cap", func(m map[string]any) {
+			// 10,001 hourly steps: one past MaxWindowSteps.
+			m["scheduling_window"] = map[string]any{"start": "2020-01-01 00:00:00", "end": "2021-02-20 17:00:00",
+				"granularity": map[string]any{"metric": "hour", "value": 1}}
+		}},
 		{"unknown granularity metric", func(m map[string]any) {
 			m["scheduling_window"].(map[string]any)["granularity"] = map[string]any{"metric": "fortnight", "value": 1}
 		}},
@@ -225,6 +230,27 @@ func TestValidationErrors(t *testing.T) {
 	for _, tc := range cases {
 		if err := mutate(tc.edit); err == nil {
 			t.Errorf("%s: validation passed, want error", tc.name)
+		}
+	}
+}
+
+// TestParseWindowStepCap pins the cap's edge: MaxWindowSteps hourly steps
+// parse, one more is refused with the step count and the cap named, and a
+// partial last step counts as a step.
+func TestParseWindowStepCap(t *testing.T) {
+	doc := func(end string) []byte {
+		return []byte(`{"scheduling_window": {"start": "2020-01-01 00:00:00", "end": "` + end + `",
+		  "granularity": {"metric": "hour", "value": 1}},
+		  "schedulable_attribute": "common_id",
+		  "constraints": [{"name": "concurrency", "base_attribute": "common_id", "default_capacity": 10}]}`)
+	}
+	if _, err := Parse(doc("2021-02-20 16:00:00")); err != nil {
+		t.Fatalf("10,000 steps refused: %v", err)
+	}
+	for _, end := range []string{"2021-02-20 17:00:00", "2021-02-20 16:30:00"} {
+		_, err := Parse(doc(end))
+		if err == nil || !strings.Contains(err.Error(), "10001 steps") || !strings.Contains(err.Error(), "cap of 10000") {
+			t.Errorf("window ending %s: err = %v, want the step count and the cap", end, err)
 		}
 	}
 }

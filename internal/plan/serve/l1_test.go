@@ -318,7 +318,7 @@ func TestRequestKeyCoversPlanOptions(t *testing.T) {
 	// The topology is in the key by state, not by address.
 	opt := core.PlanOptions{Topology: topology.New()}
 	before := fx.srv.requestKey(req, fx.inv, opt)
-	opt.Topology.AddNode("n")
+	_ = opt.Topology.AddEdge("n", "m", topology.Link)
 	if fx.srv.requestKey(req, fx.inv, opt) == before {
 		t.Error("a mutated topology kept its request key")
 	}

@@ -20,7 +20,7 @@ func buildInv(n int) *inventory.Inventory {
 			ID: fmt.Sprintf("id%04d", i),
 			Attributes: map[string]string{
 				inventory.AttrMarket:   fmt.Sprintf("m%d", i%3),
-				inventory.AttrPool:     fmt.Sprintf("p%d", i%2),
+				"pool_id":              fmt.Sprintf("p%d", i%2),
 				inventory.AttrTimezone: fmt.Sprintf("%d", -5-(i%2)),
 				inventory.AttrUSID:     fmt.Sprintf("u%d", i/2),
 			},

@@ -10,13 +10,12 @@ import (
 // Outcome classifies how a journaled change attempt ended.
 type Outcome string
 
-// The revision outcomes: Applied changes mutated the live inventory,
+// The revision outcomes: Applied changes mutated the live inventory, and
 // Failed ones were attempted but did not take effect (the reconciler will
-// retry them), and Skipped ones were filtered out before execution.
+// retry them).
 const (
 	OutcomeApplied Outcome = "applied"
 	OutcomeFailed  Outcome = "failed"
-	OutcomeSkipped Outcome = "skipped"
 )
 
 // Revision is one audit-trail entry for a change the reconciler drove (or
@@ -108,11 +107,4 @@ func (j *Journal) ByFleet(fleet string) []Revision {
 		}
 	}
 	return out
-}
-
-// Len reports the number of revisions retained.
-func (j *Journal) Len() int {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return len(j.revs)
 }

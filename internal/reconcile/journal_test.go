@@ -12,10 +12,10 @@ func TestJournalKeepsNewest(t *testing.T) {
 	for i := 0; i < 4097; i++ {
 		j.Append(Revision{Fleet: "f"})
 	}
-	if n := j.Len(); n != 4096 {
-		t.Fatalf("Len = %d, want 4096", n)
-	}
 	revs := j.List()
+	if n := len(revs); n != 4096 {
+		t.Fatalf("List = %d revisions, want 4096", n)
+	}
 	if first, last := revs[0].Seq, revs[len(revs)-1].Seq; first != 2 || last != 4097 {
 		t.Fatalf("retained Seq %d..%d, want 2..4097", first, last)
 	}

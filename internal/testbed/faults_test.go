@@ -4,6 +4,7 @@ import (
 	"bytes"
 	stdctx "context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -181,26 +182,38 @@ func TestFaultLatencyDelaysCall(t *testing.T) {
 }
 
 func TestMetricNoiseSeededAndOptional(t *testing.T) {
-	upgrade := func(seed int64, noise float64) float64 {
+	// An image whose discard factor sits on the comparison's 1.5x
+	// degradation threshold: without noise every verdict is no-impact;
+	// with noise each NF's verdict depends on its draw.
+	verdicts := func(seed int64, noise float64) string {
 		tb := New(seed)
 		tb.MetricNoise = noise
-		tb.MustAdd(NewNF("vce-000", "vCE", "v1"))
-		if _, err := tb.Invoke(ctx(), "/api/bb/software-upgrade",
-			map[string]string{"instance": "vce-000", "sw_version": "v2"}); err != nil {
-			t.Fatal(err)
+		tb.MarkBadImage("v-edge", 1.5)
+		var b strings.Builder
+		for i := 0; i < 16; i++ {
+			id := fmt.Sprintf("vce-%03d", i)
+			tb.MustAdd(NewNF(id, "vCE", "v1"))
+			for _, step := range []struct{ api, version string }{
+				{"/api/bb/health-check", ""}, {"/api/bb/software-upgrade", "v-edge"},
+			} {
+				if _, err := tb.Invoke(ctx(), step.api, map[string]string{"instance": id, "sw_version": step.version}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			out, _ := tb.Invoke(ctx(), "/api/bb/pre-post-comparison", map[string]string{"instance": id})
+			b.WriteString(out["verdict"][:1])
 		}
-		nf, _ := tb.Get("vce-000")
-		return nf.Metric("mem_util")
+		return b.String()
 	}
 	// Zero noise is exactly reproducible across seeds.
-	if upgrade(1, 0) != upgrade(99, 0) {
-		t.Fatal("zero noise should be seed-independent")
+	if a, b := verdicts(1, 0), verdicts(99, 0); a != b || a != strings.Repeat("n", 16) {
+		t.Fatalf("zero noise: %s vs %s, want every verdict no-impact", a, b)
 	}
 	// Seeded noise is reproducible per seed and varies across seeds.
-	if upgrade(5, 0.2) != upgrade(5, 0.2) {
+	if verdicts(5, 0.2) != verdicts(5, 0.2) {
 		t.Fatal("same seed should reproduce noisy metrics")
 	}
-	if upgrade(5, 0.2) == upgrade(6, 0.2) {
+	if verdicts(5, 0.2) == verdicts(6, 0.2) {
 		t.Fatal("different seeds should perturb noisy metrics")
 	}
 }

@@ -1,13 +1,10 @@
 package testbed
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
-	"strings"
-	"time"
 )
 
 // Handler exposes the testbed's building blocks over REST: POST
@@ -103,51 +100,4 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	_ = json.NewEncoder(w).Encode(v)
-}
-
-// HTTPInvoker dispatches building-block invocations over real HTTP to a
-// base URL serving Handler — an orchestrator.Invoker for remote testbeds.
-type HTTPInvoker struct {
-	BaseURL string
-	Client  *http.Client
-}
-
-// Invoke POSTs the args to baseURL+api and decodes the outputs.
-func (h *HTTPInvoker) Invoke(ctx context.Context, api string, args map[string]string) (map[string]string, error) {
-	client := h.Client
-	if client == nil {
-		client = &http.Client{Timeout: 30 * time.Second}
-	}
-	payload, err := json.Marshal(args)
-	if err != nil {
-		return nil, err
-	}
-	url := strings.TrimSuffix(h.BaseURL, "/") + api
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, strings.NewReader(string(payload)))
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := client.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-	if err != nil {
-		return nil, err
-	}
-	out := map[string]string{}
-	if len(body) > 0 {
-		if err := json.Unmarshal(body, &out); err != nil {
-			return nil, fmt.Errorf("testbed: decode response from %s: %w", api, err)
-		}
-	}
-	if resp.StatusCode != http.StatusOK {
-		if msg := out["error"]; msg != "" {
-			return nil, fmt.Errorf("testbed: %s", msg)
-		}
-		return nil, fmt.Errorf("testbed: %s returned %s", api, resp.Status)
-	}
-	return out, nil
 }

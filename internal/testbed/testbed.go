@@ -33,28 +33,23 @@ type NF struct {
 	ID   string
 	Type string // vCE, vGW, portal, vCOM, vRAR, CPE, eNodeB, gNodeB, ...
 
-	mu                sync.Mutex
-	activeVersion     string
-	priorVersion      string
-	installedVersions map[string]bool
-	healthy           bool
-	reachable         bool
-	trafficRedirected bool
-	config            map[string]string
-	metrics           map[string]float64
-	snapshot          map[string]float64 // pre-change metric snapshot
-	rebootCount       int
+	mu            sync.Mutex
+	activeVersion string
+	priorVersion  string
+	reachable     bool
+	config        map[string]string
+	metrics       map[string]float64
+	snapshot      map[string]float64 // pre-change metric snapshot
+	rebootCount   int
 }
 
-// NewNF creates a healthy, reachable NF running the given version.
+// NewNF creates a reachable NF running the given version.
 func NewNF(id, nfType, version string) *NF {
 	return &NF{
 		ID: id, Type: nfType,
-		activeVersion:     version,
-		installedVersions: map[string]bool{version: true},
-		healthy:           true,
-		reachable:         true,
-		config:            map[string]string{},
+		activeVersion: version,
+		reachable:     true,
+		config:        map[string]string{},
 		metrics: map[string]float64{
 			"cpu_util":     40,
 			"mem_util":     55,
@@ -77,20 +72,6 @@ func (n *NF) PriorVersion() string {
 	return n.priorVersion
 }
 
-// Installed reports whether an image is present on disk.
-func (n *NF) Installed(version string) bool {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.installedVersions[version]
-}
-
-// Metric reads one synthetic metric.
-func (n *NF) Metric(name string) float64 {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.metrics[name]
-}
-
 // Config reads one configuration key.
 func (n *NF) Config(key string) string {
 	n.mu.Lock()
@@ -103,13 +84,6 @@ func (n *NF) RebootCount() int {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	return n.rebootCount
-}
-
-// SetHealthy toggles operational health (failure injection).
-func (n *NF) SetHealthy(v bool) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.healthy = v
 }
 
 // SetReachable toggles management-plane reachability — the SSH
@@ -251,10 +225,8 @@ func (tb *Testbed) Invoke(ctx context.Context, api string, args map[string]strin
 		return tb.healthCheck(nf)
 	case "conflict-check":
 		return map[string]string{"status": "success"}, nil
-	case "traffic-redirect":
-		return tb.setTraffic(nf, true)
-	case "traffic-restore":
-		return tb.setTraffic(nf, false)
+	case "traffic-redirect", "traffic-restore":
+		return tb.setTraffic(nf)
 	case "software-upgrade":
 		return tb.softwareUpgrade(nf, args["sw_version"])
 	case "config-change":
@@ -304,19 +276,17 @@ func (tb *Testbed) healthCheck(nf *NF) (map[string]string, error) {
 	for k, v := range nf.metrics {
 		nf.snapshot[k] = v
 	}
-	if !nf.healthy {
-		return map[string]string{"status": "failure", "detail": "not operational"}, nil
-	}
 	return map[string]string{"status": "success"}, nil
 }
 
-func (tb *Testbed) setTraffic(nf *NF, redirected bool) (map[string]string, error) {
+// setTraffic answers a traffic redirect or restore. The testbed models no
+// traffic, so only an unreachable NF fails it.
+func (tb *Testbed) setTraffic(nf *NF) (map[string]string, error) {
 	nf.mu.Lock()
 	defer nf.mu.Unlock()
 	if !nf.reachable {
 		return nil, fmt.Errorf("testbed: %s unreachable", nf.ID)
 	}
-	nf.trafficRedirected = redirected
 	return map[string]string{"status": "success"}, nil
 }
 
@@ -335,7 +305,6 @@ func (tb *Testbed) softwareUpgrade(nf *NF, version string) (map[string]string, e
 	if version == nf.activeVersion {
 		return map[string]string{"status": "success", "detail": "already active"}, nil
 	}
-	nf.installedVersions[version] = true
 	nf.priorVersion = nf.activeVersion
 	nf.activeVersion = version
 	nf.rebootCount++
@@ -413,19 +382,6 @@ func (tb *Testbed) prePostCompare(nf *NF) (map[string]string, error) {
 	default:
 		return map[string]string{"verdict": "no-impact"}, nil
 	}
-}
-
-// InjectDegradation worsens an NF's metrics so that the next pre/post
-// comparison fails — used to exercise rollback paths.
-func (tb *Testbed) InjectDegradation(id string, factor float64) error {
-	nf, ok := tb.Get(id)
-	if !ok {
-		return fmt.Errorf("testbed: unknown instance %q", id)
-	}
-	nf.mu.Lock()
-	defer nf.mu.Unlock()
-	nf.metrics["pkt_discards"] *= factor
-	return nil
 }
 
 // PopulateVNFs adds the six evaluation vNFs of Section 4.1 — vCE (VPN),

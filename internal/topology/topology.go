@@ -27,25 +27,6 @@ const (
 	CrossLayer
 )
 
-func (k EdgeKind) String() string {
-	switch k {
-	case Link:
-		return "link"
-	case CrossLayer:
-		return "cross-layer"
-	case ServiceChain:
-		return "service-chain"
-	default:
-		return fmt.Sprintf("EdgeKind(%d)", int(k))
-	}
-}
-
-// Edge is an undirected connection between two elements.
-type Edge struct {
-	A, B string
-	Kind EdgeKind
-}
-
 // Graph is a concurrency-safe undirected multigraph over element ids.
 type Graph struct {
 	mu sync.RWMutex
@@ -53,7 +34,6 @@ type Graph struct {
 	id      uint64
 	version uint64
 	adj     map[string]map[string]EdgeKind // node -> neighbor -> kind (strongest kept)
-	edges   int
 	// chains holds explicitly-registered service chains (ordered node lists).
 	chains map[string][]string
 }
@@ -81,13 +61,6 @@ func (g *Graph) Stamp() (id, version uint64) {
 	return g.id, g.version
 }
 
-// AddNode ensures a node exists even if isolated.
-func (g *Graph) AddNode(id string) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	g.ensure(id)
-}
-
 func (g *Graph) ensure(id string) map[string]EdgeKind {
 	nbrs := g.adj[id]
 	if nbrs == nil {
@@ -113,7 +86,6 @@ func (g *Graph) AddEdge(a, b string, kind EdgeKind) error {
 	na, nb := g.ensure(a), g.ensure(b)
 	prev, existed := na[b]
 	if !existed {
-		g.edges++
 		g.version++
 		na[b], nb[a] = kind, kind
 		return nil
@@ -143,14 +115,6 @@ func (g *Graph) RegisterChain(name string, nodes []string) error {
 	return nil
 }
 
-// Chain returns the ordered members of a registered service chain.
-func (g *Graph) Chain(name string) ([]string, bool) {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	c, ok := g.chains[name]
-	return append([]string(nil), c...), ok
-}
-
 // Chains returns the registered chain names, sorted.
 func (g *Graph) Chains() []string {
 	g.mu.RLock()
@@ -161,20 +125,6 @@ func (g *Graph) Chains() []string {
 	}
 	sort.Strings(names)
 	return names
-}
-
-// NumNodes reports the node count; NumEdges the undirected edge count.
-func (g *Graph) NumNodes() int {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	return len(g.adj)
-}
-
-// NumEdges reports the number of distinct undirected edges.
-func (g *Graph) NumEdges() int {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	return g.edges
 }
 
 // Neighbors returns the sorted direct neighbors of id, optionally filtered
@@ -233,107 +183,4 @@ func (g *Graph) KHop(id string, k int) []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// WithinK returns all nodes at distance 1..k from id, sorted.
-func (g *Graph) WithinK(id string, k int) []string {
-	seen := make(map[string]bool)
-	for d := 1; d <= k; d++ {
-		for _, v := range g.KHop(id, d) {
-			seen[v] = true
-		}
-	}
-	out := make([]string, 0, len(seen))
-	for v := range seen {
-		out = append(out, v)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Components returns the connected components of the graph, each sorted,
-// ordered by their smallest member. The planner uses components to split a
-// scheduling problem into independent sub-problems (§3.3.3 idea (b)).
-func (g *Graph) Components() [][]string {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	seen := make(map[string]bool, len(g.adj))
-	var comps [][]string
-	// Deterministic order: iterate sorted node ids.
-	nodes := make([]string, 0, len(g.adj))
-	for n := range g.adj {
-		nodes = append(nodes, n)
-	}
-	sort.Strings(nodes)
-	for _, start := range nodes {
-		if seen[start] {
-			continue
-		}
-		var comp []string
-		stack := []string{start}
-		seen[start] = true
-		for len(stack) > 0 {
-			u := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			comp = append(comp, u)
-			for v := range g.adj[u] {
-				if !seen[v] {
-					seen[v] = true
-					stack = append(stack, v)
-				}
-			}
-		}
-		sort.Strings(comp)
-		comps = append(comps, comp)
-	}
-	sort.Slice(comps, func(i, j int) bool { return comps[i][0] < comps[j][0] })
-	return comps
-}
-
-// Edges returns a deterministic snapshot of all undirected edges.
-func (g *Graph) Edges() []Edge {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	var out []Edge
-	for a, nbrs := range g.adj {
-		for b, k := range nbrs {
-			if a < b {
-				out = append(out, Edge{A: a, B: b, Kind: k})
-			}
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].A != out[j].A {
-			return out[i].A < out[j].A
-		}
-		return out[i].B < out[j].B
-	})
-	return out
-}
-
-// Union merges several daily topology snapshots into one graph. The paper
-// (§5.3) repairs missing or inconsistent eNodeB-switch relationships by
-// taking the union of the last five days of topology data: an edge present
-// on any day is kept, making downstream schedules more conservative.
-func Union(days ...*Graph) *Graph {
-	merged := New()
-	for _, day := range days {
-		if day == nil {
-			continue
-		}
-		for _, e := range day.Edges() {
-			_ = merged.AddEdge(e.A, e.B, e.Kind)
-		}
-		day.mu.RLock()
-		for id := range day.adj {
-			merged.AddNode(id)
-		}
-		for name, chain := range day.chains {
-			if _, dup := merged.chains[name]; !dup {
-				merged.chains[name] = append([]string(nil), chain...)
-			}
-		}
-		day.mu.RUnlock()
-	}
-	return merged
 }

@@ -19,9 +19,6 @@ func TestAddEdgeBasics(t *testing.T) {
 	if err := g.AddEdge("", "b", Link); err == nil {
 		t.Fatal("empty endpoint accepted")
 	}
-	if g.NumNodes() != 2 || g.NumEdges() != 1 {
-		t.Fatalf("nodes=%d edges=%d", g.NumNodes(), g.NumEdges())
-	}
 	if got := g.Neighbors("a"); !reflect.DeepEqual(got, []string{"b"}) {
 		t.Fatalf("Neighbors(a) = %v", got)
 	}
@@ -34,16 +31,15 @@ func TestEdgeKindUpgrade(t *testing.T) {
 	g := New()
 	_ = g.AddEdge("vnf1", "srv1", Link)
 	_ = g.AddEdge("vnf1", "srv1", CrossLayer)
-	if g.NumEdges() != 1 {
-		t.Fatalf("edges = %d, want 1", g.NumEdges())
+	if got := g.Neighbors("vnf1", CrossLayer); !reflect.DeepEqual(got, []string{"srv1"}) {
+		t.Fatalf("cross-layer neighbors = %v", got)
 	}
-	es := g.Edges()
-	if len(es) != 1 || es[0].Kind != CrossLayer {
-		t.Fatalf("Edges = %v", es)
+	if got := g.Neighbors("vnf1", Link); len(got) != 0 {
+		t.Fatalf("link neighbors = %v, want none", got)
 	}
 	// Downgrade attempt keeps CrossLayer.
 	_ = g.AddEdge("vnf1", "srv1", Link)
-	if g.Edges()[0].Kind != CrossLayer {
+	if got := g.Neighbors("srv1", CrossLayer); !reflect.DeepEqual(got, []string{"vnf1"}) {
 		t.Fatal("edge kind downgraded")
 	}
 }
@@ -67,10 +63,6 @@ func TestRegisterChain(t *testing.T) {
 	}
 	if err := g.RegisterChain("bad", []string{"one"}); err == nil {
 		t.Fatal("short chain accepted")
-	}
-	c, ok := g.Chain("svc1")
-	if !ok || !reflect.DeepEqual(c, []string{"cpe", "vgw", "vvig"}) {
-		t.Fatalf("Chain = %v, %v", c, ok)
 	}
 	if got := g.Neighbors("vgw", ServiceChain); len(got) != 2 {
 		t.Fatalf("chain neighbors of vgw = %v", got)
@@ -99,9 +91,6 @@ func TestKHopExactDistance(t *testing.T) {
 	if got := g.KHop("a", 0); got != nil {
 		t.Fatalf("KHop(a,0) = %v", got)
 	}
-	if got := g.WithinK("a", 2); !reflect.DeepEqual(got, []string{"b", "c"}) {
-		t.Fatalf("WithinK(a,2) = %v", got)
-	}
 }
 
 func TestKHopShortestDistanceNotPathCount(t *testing.T) {
@@ -117,52 +106,8 @@ func TestKHopShortestDistanceNotPathCount(t *testing.T) {
 	}
 }
 
-func TestComponents(t *testing.T) {
-	g := New()
-	_ = g.AddEdge("a", "b", Link)
-	_ = g.AddEdge("c", "d", Link)
-	_ = g.AddEdge("d", "e", Link)
-	g.AddNode("lonely")
-	comps := g.Components()
-	want := [][]string{{"a", "b"}, {"c", "d", "e"}, {"lonely"}}
-	if !reflect.DeepEqual(comps, want) {
-		t.Fatalf("Components = %v", comps)
-	}
-}
-
-func TestUnionRepairsMissingEdges(t *testing.T) {
-	// Five daily snapshots; the eNodeB-switch edge flickers in and out.
-	var days []*Graph
-	for d := 0; d < 5; d++ {
-		g := New()
-		if d%2 == 0 { // edge only present on some days
-			_ = g.AddEdge("enb1", "switch1", Link)
-		}
-		_ = g.AddEdge("enb2", "switch1", Link)
-		days = append(days, g)
-	}
-	merged := Union(days...)
-	if got := merged.Neighbors("switch1"); !reflect.DeepEqual(got, []string{"enb1", "enb2"}) {
-		t.Fatalf("union neighbors = %v", got)
-	}
-}
-
-func TestUnionKeepsStrongestKindAndChains(t *testing.T) {
-	d1, d2 := New(), New()
-	_ = d1.AddEdge("v", "s", Link)
-	_ = d2.AddEdge("v", "s", CrossLayer)
-	_ = d2.RegisterChain("c1", []string{"v", "s"})
-	m := Union(d1, d2, nil)
-	if m.Edges()[0].Kind != CrossLayer {
-		t.Fatalf("union kind = %v", m.Edges()[0].Kind)
-	}
-	if _, ok := m.Chain("c1"); !ok {
-		t.Fatal("union lost chain")
-	}
-}
-
 // Property: for random graphs, KHop sets at different distances are
-// disjoint, and their union over 1..k equals WithinK.
+// disjoint.
 func TestKHopDisjointProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -193,42 +138,7 @@ func TestKHopDisjointProperty(t *testing.T) {
 				return false
 			}
 		}
-		within := g.WithinK("n0", 3)
-		return len(within) == len(h1)+len(h2)+len(h3)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: components partition the node set.
-func TestComponentsPartitionProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		g := New()
-		n := 30
-		for i := 0; i < n; i++ {
-			g.AddNode(fmt.Sprintf("n%d", i))
-		}
-		for i := 0; i < n; i++ {
-			a := fmt.Sprintf("n%d", rng.Intn(n))
-			b := fmt.Sprintf("n%d", rng.Intn(n))
-			if a != b {
-				_ = g.AddEdge(a, b, Link)
-			}
-		}
-		total := 0
-		seen := map[string]bool{}
-		for _, comp := range g.Components() {
-			total += len(comp)
-			for _, v := range comp {
-				if seen[v] {
-					return false
-				}
-				seen[v] = true
-			}
-		}
-		return total == g.NumNodes()
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
@@ -252,10 +162,6 @@ func TestStampMovesWithEffectiveMutationsOnly(t *testing.T) {
 		}
 		v = next
 	}
-	g.AddNode("a")
-	moved("new node", true)
-	g.AddNode("a")
-	moved("existing node", false)
 	if err := g.AddEdge("a", "b", Link); err != nil {
 		t.Fatal(err)
 	}

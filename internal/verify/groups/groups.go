@@ -30,11 +30,6 @@ const (
 	SameAttribute Criterion = "same-attribute"
 )
 
-// Criteria lists all supported criteria.
-func Criteria() []Criterion {
-	return []Criterion{FirstTier, SecondTier, SecondMinusFirst, SameAttribute}
-}
-
 // Selector derives control groups.
 type Selector struct {
 	Topo *topology.Graph

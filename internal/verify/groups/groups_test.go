@@ -124,9 +124,3 @@ func TestMaxSizeAndErrors(t *testing.T) {
 		t.Fatal("empty control accepted")
 	}
 }
-
-func TestCriteriaList(t *testing.T) {
-	if len(Criteria()) != 4 {
-		t.Fatalf("criteria = %v", Criteria())
-	}
-}

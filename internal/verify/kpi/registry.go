@@ -21,9 +21,6 @@ const (
 	Level3    Group = "level-3"
 )
 
-// Groups lists all groups in drill-down order.
-func Groups() []Group { return []Group{Scorecard, Level1, Level2, Level3} }
-
 // Definition is one registered KPI.
 type Definition struct {
 	Name  string
