@@ -17,7 +17,6 @@ import (
 	"cornet/internal/kpigen"
 	"cornet/internal/netgen"
 	"cornet/internal/orchestrator"
-	"cornet/internal/plan/engine"
 	"cornet/internal/plan/heuristic"
 	"cornet/internal/plan/intent"
 	"cornet/internal/plan/model"
@@ -250,50 +249,6 @@ func BenchmarkPlannerScaleSolver10K(b *testing.B) {
 			FirstSolutionOnly: true,
 		}); err != nil {
 			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkPlannerScalePortfolio10K races the CP solver and the
-// heuristic on the same 10K-node request through the planning engine; the
-// first feasible schedule wins and the loser is cancelled, so portfolio
-// latency tracks the faster backend rather than paying for both.
-func BenchmarkPlannerScalePortfolio10K(b *testing.B) {
-	net, err := netgen.Cellular(netgen.CellularConfig{
-		Seed: 11, Markets: 10, TACsPerMarket: 20, USIDsPerTAC: 25,
-		GNodeBFraction: 1, EMSCount: 8,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	bases := net.Inv.Filter(func(e *inventory.Element) bool {
-		t, _ := e.Attr(inventory.AttrNFType)
-		return t == "eNodeB" || t == "gNodeB"
-	})
-	sub := net.Inv.Subset(bases)
-	slotCap := len(bases) / 37
-	doc := fmt.Sprintf(`{
-	  "scheduling_window": {"start": "2021-01-01 00:00:00", "end": "2021-03-31 00:00:00",
-	    "granularity": {"metric":"day","value":1}},
-	  "schedulable_attribute": "common_id",
-	  "constraints": [
-	    {"name": "concurrency", "base_attribute": "common_id", "default_capacity": %d},
-	    {"name": "concurrency", "base_attribute": "common_id",
-	     "aggregate_attribute": "ems", "default_capacity": %d},
-	    {"name": "consistency", "attribute": "tac"}
-	  ]
-	}`, slotCap, slotCap/2)
-	f := core.New(map[string]catalog.ImplKind{},
-		core.WithSolverOptions(solver.Options{FirstSolutionOnly: true}))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := f.PlanScheduleContext(context.Background(), []byte(doc), sub,
-			core.PlanOptions{Policy: engine.Portfolio, Seed: 12})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(res.Assignment) == 0 {
-			b.Fatal("empty schedule")
 		}
 	}
 }

@@ -4,7 +4,7 @@
 // Usage:
 //
 //	cornet-plan -intent intent.json [-inventory ran|vpn|sdwan] [-size N]
-//	            [-render] [-backend auto|solver|heuristic|portfolio]
+//	            [-render] [-backend auto|solver|heuristic]
 //	            [-timeout D] [-stats] [-seed N] [-parallelism N]
 //	            [-trace trace.json]
 //
@@ -13,8 +13,8 @@
 // count. The discovered schedule is printed per timeslot, with leftovers
 // and the rendered constraint model on request. -timeout bounds schedule
 // discovery: at the deadline the best schedule found so far is returned
-// and marked timed-out. -backend portfolio races the solver and the
-// heuristic, keeping the first (or strictly better late) result.
+// and marked timed-out. -backend auto uses the solver up to 1,000
+// elements and the heuristic beyond; solver and heuristic pin one.
 // -parallelism sets the search worker count per backend (branch-and-bound
 // root workers / heuristic restart pool); 0 uses every CPU, 1 forces
 // sequential search.
@@ -54,7 +54,7 @@ func run(w io.Writer, args []string) error {
 		invKind    = fs.String("inventory", "ran", "synthetic inventory: ran | vpn | sdwan")
 		size       = fs.Int("size", 400, "approximate inventory size")
 		render     = fs.Bool("render", false, "print the generated constraint model")
-		backend    = fs.String("backend", "auto", "planning backend: auto | solver | heuristic | portfolio")
+		backend    = fs.String("backend", "auto", "planning backend: auto | solver | heuristic")
 		timeout    = fs.Duration("timeout", 0, "schedule discovery deadline (0 = backend defaults)")
 		showStats  = fs.Bool("stats", false, "print per-backend search statistics")
 		seed       = fs.Int64("seed", 1, "generator seed")
@@ -157,9 +157,6 @@ func run(w io.Writer, args []string) error {
 			}
 			if st.TimedOut {
 				line += " timed_out=true"
-			}
-			if st.Err != "" {
-				line += " err=" + st.Err
 			}
 			fmt.Fprintln(w, line)
 		}

@@ -8,7 +8,7 @@ import (
 )
 
 // TestRun plans a small RAN under every -backend value and checks the
-// stable lines of the report; an unknown backend is an error.
+// stable lines of the report; portfolio and an unknown backend are errors.
 func TestRun(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "intent.json")
 	doc := `{
@@ -25,17 +25,24 @@ func TestRun(t *testing.T) {
 	}
 	for _, tc := range []struct {
 		backend string
-		want    []string
+		want    []string // nil: run must fail
 	}{
 		{"auto", []string{"method=solver"}},
 		{"solver", []string{"method=solver", "* backend=solver"}},
 		{"heuristic", []string{"method=heuristic", "* backend=heuristic"}},
-		{"portfolio", []string{"backend=solver", "backend=heuristic"}},
+		{"portfolio", nil},
+		{"greedy", nil},
 	} {
 		t.Run(tc.backend, func(t *testing.T) {
 			var out strings.Builder
 			err := run(&out, []string{"-intent", path, "-size", "60", "-backend", tc.backend,
 				"-timeout", "30s", "-stats", "-show", "2"})
+			if tc.want == nil {
+				if err == nil || !strings.Contains(err.Error(), "unknown policy") {
+					t.Fatalf("run: err = %v, want the unknown-policy error\n%s", err, out.String())
+				}
+				return
+			}
 			if err != nil {
 				t.Fatalf("run: %v\n%s", err, out.String())
 			}
@@ -49,9 +56,5 @@ func TestRun(t *testing.T) {
 				}
 			}
 		})
-	}
-	var out strings.Builder
-	if err := run(&out, []string{"-intent", path, "-size", "60", "-backend", "greedy"}); err == nil {
-		t.Fatalf("unknown backend accepted:\n%s", out.String())
 	}
 }

@@ -452,8 +452,8 @@ func (s *server) planTargets() *inventory.Inventory {
 // server's synthetic RAN inventory through the serving layer: canonical
 // plan cache, singleflight, warm-start re-planning, and tenant-fair
 // admission (503 + Retry-After under overload). The optional ?backend=
-// query parameter selects the planning policy (auto | solver | heuristic
-// | portfolio); ?timeout= tightens the server's -plan-timeout for this
+// query parameter selects the planning policy (auto | solver |
+// heuristic); ?timeout= tightens the server's -plan-timeout for this
 // request; ?parallelism= sets the search worker count per backend (0 =
 // all CPUs, 1 = sequential); the tenant comes from the X-Tenant header
 // or ?tenant=. Discovery runs under a context derived from the request,
@@ -565,7 +565,6 @@ func (s *server) handlePlan(w http.ResponseWriter, r *http.Request) {
 		Conflicts      int    `json:"conflicts"`
 		TimedOut       bool   `json:"timed_out,omitempty"`
 		Winner         bool   `json:"winner,omitempty"`
-		Err            string `json:"error,omitempty"`
 	}
 	stats := make([]backendStats, 0, len(res.Stats))
 	for _, st := range res.Stats {
@@ -574,7 +573,7 @@ func (s *server) handlePlan(w http.ResponseWriter, r *http.Request) {
 			Restarts: st.Restarts, Workers: st.Workers, NodesPerWorker: st.NodesPerWorker,
 			Steals: st.Steals, Splits: st.Splits, ReplayNodes: st.ReplayNodes,
 			Objective: st.Objective, Conflicts: st.Conflicts,
-			TimedOut: st.TimedOut, Winner: st.Winner, Err: st.Err,
+			TimedOut: st.TimedOut, Winner: st.Winner,
 		})
 	}
 	type cacheInfo struct {

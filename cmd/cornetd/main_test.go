@@ -273,6 +273,7 @@ func TestPlanEndpointValidation(t *testing.T) {
 	}{
 		{"unknown param", "?parallellism=8", doc, http.StatusBadRequest},
 		{"duplicated param", "?backend=auto&backend=solver", doc, http.StatusBadRequest},
+		{"portfolio backend", "?backend=portfolio", doc, http.StatusBadRequest},
 		{"zero timeout", "?timeout=0s", doc, http.StatusBadRequest},
 		{"negative timeout", "?timeout=-1s", doc, http.StatusBadRequest},
 		{"parallelism over cap", "?parallelism=300", doc, http.StatusBadRequest},

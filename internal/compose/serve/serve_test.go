@@ -368,7 +368,15 @@ func TestSubmitComposesAndRefusesAPayloadClash(t *testing.T) {
 			first <- err
 		}()
 	}
-	for deadline := time.Now().Add(5 * time.Second); h.payloads.get("chg-twice") == nil || h.payloads.get("chg-twice").refs < 2; {
+	refs := func() int { // under the lock: acquire bumps refs concurrently
+		h.payloads.mu.Lock()
+		defer h.payloads.mu.Unlock()
+		if p := h.payloads.pending["chg-twice"]; p != nil {
+			return p.refs
+		}
+		return 0
+	}
+	for deadline := time.Now().Add(5 * time.Second); refs() < 2; {
 		if time.Now().After(deadline) {
 			t.Fatal("the twin submissions never both became pending")
 		}

@@ -1,7 +1,7 @@
 // Package core wires CORNET's components into one framework facade: the
 // building-block catalog, workflow designer and deployments, the Camunda-
 // style orchestrator and dispatcher, the change schedule planner (intent ->
-// model -> solver, with heuristic fallback at scale), and the change impact
+// model -> solver, with the heuristic at scale), and the change impact
 // verifier. It is the API a network operations team programs against; the
 // cmd/ binaries and examples/ are thin layers over it.
 package core
@@ -35,8 +35,8 @@ type Framework struct {
 	Catalog  *catalog.Catalog
 	Engine   *orchestrator.Engine
 	Registry *kpi.Registry
-	// Planner dispatches schedule planning onto pluggable backends; nil
-	// means the default engine (CP solver + Algorithm 1 heuristic).
+	// Planner runs schedule planning on pluggable backends; nil means the
+	// default engine (CP solver + Algorithm 1 heuristic).
 	Planner *engine.Engine
 	// ScaleThreshold is the instance count above which the default
 	// Threshold policy switches from the generic model-driven solver to
@@ -45,8 +45,6 @@ type Framework struct {
 	ScaleThreshold int
 	// SolverOptions bound the generic solver's search.
 	SolverOptions solver.Options
-	// HeuristicRestarts configures the Algorithm 1 local search.
-	HeuristicRestarts int
 }
 
 // Option customizes framework construction.
@@ -88,11 +86,9 @@ func WithSolverOptions(o solver.Options) Option {
 // NF types and a fresh KPI registry.
 func New(nfTypes map[string]catalog.ImplKind, opts ...Option) *Framework {
 	f := &Framework{
-		Catalog:           catalog.New(),
-		Registry:          kpi.NewRegistry(),
-		Planner:           engine.New(),
-		ScaleThreshold:    1000,
-		HeuristicRestarts: 8,
+		Catalog:        catalog.New(),
+		Registry:       kpi.NewRegistry(),
+		ScaleThreshold: 1000,
 	}
 	catalog.Seed(f.Catalog, nfTypes)
 	for _, o := range opts {
@@ -173,8 +169,7 @@ type PlanResult struct {
 	// TimedOut reports a best-so-far schedule returned at the search
 	// budget rather than a completed search.
 	TimedOut bool
-	// Stats holds one entry per backend consulted (the winner flagged);
-	// portfolio planning lists the cancelled losers too.
+	// Stats holds the one backend's search statistics (flagged Winner).
 	Stats []engine.Stats
 	// ModelText is the rendered constraint model (solver path only).
 	ModelText string
@@ -186,16 +181,12 @@ type PlanOptions struct {
 	// RequireAll forbids leftovers (solver path).
 	RequireAll bool
 	// Policy selects the planning backend per request: engine.Threshold
-	// (default), engine.ForceSolver, engine.ForceHeuristic, or
-	// engine.Portfolio (race both, cancel the loser).
+	// (default), engine.ForceSolver or engine.ForceHeuristic.
 	Policy engine.Policy
 	// RenderModel includes the MiniZinc-style model text in the result.
 	RenderModel bool
-	// HeuristicSlotCapacity / EMSCapacity configure the heuristic path
-	// when the intent's concurrency constraints cannot be mapped 1:1.
-	HeuristicSlotCapacity int
-	HeuristicEMSCapacity  int
-	Seed                  int64
+	// Seed makes the heuristic's permutations reproducible.
+	Seed int64
 	// Parallelism is the per-backend search worker count (branch-and-bound
 	// root workers for the solver, restart pool size for the heuristic).
 	// 0 means GOMAXPROCS; 1 forces sequential search.
@@ -208,8 +199,8 @@ type PlanOptions struct {
 }
 
 // PlanScheduleContext runs the full planning pipeline: parse intent, build
-// the backend representations the policy needs, and solve on the planning
-// engine. A ctx deadline becomes the backends' soft search budget (best
+// the representation the resolved policy's backend needs, and solve on the
+// planning engine. A ctx deadline becomes the backend's soft search budget (best
 // incumbent returned, PlanResult.TimedOut set); cancelling ctx aborts the
 // search with an error.
 func (f *Framework) PlanScheduleContext(ctx context.Context, intentJSON []byte, inv *inventory.Inventory, opt PlanOptions) (*PlanResult, error) {
@@ -220,22 +211,15 @@ func (f *Framework) PlanScheduleContext(ctx context.Context, intentJSON []byte, 
 	return f.PlanScheduleRequestContext(ctx, req, inv, opt)
 }
 
-// planner returns the configured planning engine, defaulting lazily so a
-// zero-value Framework still plans.
-func (f *Framework) planner() *engine.Engine {
-	if f.Planner != nil {
-		return f.Planner
-	}
-	return engine.New()
-}
-
-// ResolvePolicy settles the Threshold choice (the default policy) up
-// front, so representation construction below can skip the side the policy
-// will not run: translating a 100K-node inventory into a constraint model
-// just to discard it would dominate discovery time. It is everything
-// BuildPlanRequest reads of the policy field, the inventory size and
-// ScaleThreshold, which is why the serving layer's request key carries its
-// result in their place.
+// ResolvePolicy is the planner's one backend choice: it settles the
+// Threshold policy (the default) to the solver up to ScaleThreshold
+// elements and the heuristic beyond, and passes a forced policy through.
+// BuildPlanRequest builds only the representation of the backend it
+// names, and the engine runs that backend: translating a 100K-node
+// inventory into a constraint model just to discard it would dominate
+// discovery time. It is everything BuildPlanRequest reads of the policy
+// field, the inventory size and ScaleThreshold, which is why the serving
+// layer's request key carries its result in their place.
 func (f *Framework) ResolvePolicy(opt PlanOptions, size int) engine.Policy {
 	if opt.Policy != "" && opt.Policy != engine.Threshold {
 		return opt.Policy
@@ -246,34 +230,41 @@ func (f *Framework) ResolvePolicy(opt PlanOptions, size int) engine.Policy {
 	return engine.ForceSolver
 }
 
-// PlanBuild bundles the backend representations of one planning request:
-// the engine request (constraint model and/or heuristic instance), the
+// PlanBuild bundles the backend representation of one planning request:
+// the engine request (a constraint model or a heuristic instance), the
 // resolved policy, and the translation artifacts needed to interpret a
 // solution. Splitting construction (BuildPlanRequest) from solving
 // (RunPlan) lets the serving layer (internal/plan/serve) fingerprint the
 // translated model for its plan cache before committing to a solve.
 type PlanBuild struct {
-	// Req is the engine request carrying the built representations.
+	// Req is the engine request carrying the built representation.
 	Req *engine.Request
 	// Policy is the resolved per-request policy (Threshold already
 	// settled to a concrete backend).
 	Policy engine.Policy
-	// Translation is the intent-to-model translation result (nil when the
-	// policy needs no constraint model).
+	// Translation is the intent-to-model translation result (nil on the
+	// heuristic path).
 	Translation *translate.Result
 	// Slots are the resolved timeslots backing slot indexes.
 	Slots []intent.Timeslot
 }
 
-// BuildPlanRequest resolves the policy and constructs the backend
-// representations it needs: the translated constraint model for the
-// solver/portfolio paths, the Algorithm-1 instance for the heuristic/
-// portfolio paths. The result feeds RunPlan, possibly after the serving
-// layer consulted its plan cache using the model's fingerprint.
+// BuildPlanRequest resolves the policy and constructs the one
+// representation its backend needs: the translated constraint model for
+// the solver, the Algorithm-1 instance for the heuristic. The result feeds
+// RunPlan, possibly after the serving layer consulted its plan cache using
+// the model's fingerprint.
 func (f *Framework) BuildPlanRequest(ctx context.Context, req *intent.Request, inv *inventory.Inventory, opt PlanOptions) (*PlanBuild, error) {
 	policy := f.ResolvePolicy(opt, inv.Len())
 	b := &PlanBuild{Req: &engine.Request{Size: inv.Len()}, Policy: policy}
-	if policy == engine.ForceSolver || policy == engine.Portfolio {
+	switch policy {
+	case engine.ForceHeuristic:
+		inst, slots, err := heuristicInstance(req, inv, opt)
+		if err != nil {
+			return nil, err
+		}
+		b.Req.Instance, b.Slots = inst, slots
+	case engine.ForceSolver:
 		_, tsp := obs.StartSpan(ctx, "plan.translate")
 		tr, err := translate.Translate(req, inv, translate.Options{
 			RequireAll: opt.RequireAll,
@@ -300,16 +291,8 @@ func (f *Framework) BuildPlanRequest(ctx context.Context, req *intent.Request, i
 			return assignment, a.Leftovers
 		}
 		b.Slots = tr.Slots
-	}
-	if policy == engine.ForceHeuristic || policy == engine.Portfolio {
-		inst, instSlots, err := f.heuristicInstance(req, inv, opt)
-		if err != nil {
-			return nil, err
-		}
-		b.Req.Instance = inst
-		if b.Slots == nil {
-			b.Slots = instSlots
-		}
+	default:
+		return nil, fmt.Errorf("core: unknown planning policy %q", policy)
 	}
 	return b, nil
 }
@@ -323,11 +306,9 @@ func (f *Framework) RunPlan(ctx context.Context, b *PlanBuild, opt PlanOptions) 
 	if len(opt.Warm) > 0 {
 		sopt.WarmSlots = opt.Warm
 	}
-	res, stats, err := f.planner().Plan(ctx, b.Req, engine.Options{
-		Policy:         b.Policy,
-		ScaleThreshold: f.ScaleThreshold,
-		Solver:         sopt,
-		Parallelism:    opt.Parallelism,
+	res, stats, err := f.Planner.Plan(ctx, b.Req, engine.Options{
+		Solver:      sopt,
+		Parallelism: opt.Parallelism,
 	})
 	if err != nil {
 		return nil, err
@@ -374,13 +355,12 @@ func (f *Framework) PlanScheduleRequestContext(ctx context.Context, req *intent.
 // ESA-level concurrency constraint, EMS capacity from a concurrency
 // constraint aggregated on the EMS attribute, conflicts from the conflict
 // table.
-func (f *Framework) heuristicInstance(req *intent.Request, inv *inventory.Inventory, opt PlanOptions) (*heuristic.Instance, []intent.Timeslot, error) {
+func heuristicInstance(req *intent.Request, inv *inventory.Inventory, opt PlanOptions) (*heuristic.Instance, []intent.Timeslot, error) {
 	slots, err := req.Timeslots()
 	if err != nil {
 		return nil, nil, err
 	}
-	slotCap := opt.HeuristicSlotCapacity
-	emsCap := opt.HeuristicEMSCapacity
+	slotCap, emsCap := 0, 0
 	for _, c := range req.ByName(intent.Concurrency) {
 		switch {
 		case c.BaseAttribute == req.SchedulableAttribute && c.AggregateAttribute == "":
@@ -407,7 +387,6 @@ func (f *Framework) heuristicInstance(req *intent.Request, inv *inventory.Invent
 		SlotCapacity: slotCap,
 		EMSCapacity:  emsCap,
 		Conflicts:    slotConflicts,
-		Restarts:     f.HeuristicRestarts,
 		Seed:         opt.Seed,
 		Parallelism:  opt.Parallelism,
 	}, slots, nil

@@ -10,6 +10,7 @@ import (
 	"cornet/internal/netgen"
 	"cornet/internal/orchestrator"
 	"cornet/internal/plan/engine"
+	"cornet/internal/plan/heuristic"
 	"cornet/internal/plan/intent"
 	"cornet/internal/plan/solver"
 	"cornet/internal/testbed"
@@ -259,7 +260,10 @@ func mustParseIntent(t *testing.T, doc []byte) *intent.Request {
 	return req
 }
 
-func TestPlanSchedulePortfolioPolicy(t *testing.T) {
+// TestBuildPlanRequestCarriesOneRepresentation checks the planner decides
+// once: ResolvePolicy's choice is the one representation BuildPlanRequest
+// builds and the one backend RunPlan runs.
+func TestBuildPlanRequestCarriesOneRepresentation(t *testing.T) {
 	net, err := netgen.Cellular(netgen.CellularConfig{
 		Seed: 4, Markets: 1, TACsPerMarket: 2, USIDsPerTAC: 5,
 		GNodeBFraction: 1, EMSCount: 2,
@@ -270,34 +274,49 @@ func TestPlanSchedulePortfolioPolicy(t *testing.T) {
 	enbs := net.Inv.ByAttr("nf_type", "eNodeB")
 	gnbs := net.Inv.ByAttr("nf_type", "gNodeB")
 	sub := net.Inv.Subset(append(enbs, gnbs...))
-	f := framework(testbed.New(1))
-	f.SolverOptions = solver.Options{FirstSolutionOnly: true}
-	res, err := f.PlanScheduleContext(context.Background(), planIntent(6), sub,
-		PlanOptions{Policy: engine.Portfolio, Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Method != "solver" && res.Method != "heuristic" {
-		t.Fatalf("method = %q", res.Method)
-	}
-	if len(res.Stats) != 2 {
-		t.Fatalf("stats = %+v, want both racers reported", res.Stats)
-	}
-	winners := 0
-	for _, st := range res.Stats {
-		if st.Winner {
-			winners++
-			if st.Backend != res.Method {
-				t.Fatalf("winner %q != method %q", st.Backend, res.Method)
+	req := mustParseIntent(t, planIntent(6))
+	for _, tc := range []struct {
+		name      string
+		policy    engine.Policy
+		threshold int
+		want      string
+	}{
+		{"auto below threshold", engine.Threshold, sub.Len(), "solver"},
+		{"auto above threshold", engine.Threshold, sub.Len() - 1, "heuristic"},
+		{"solver", engine.ForceSolver, sub.Len() - 1, "solver"},
+		{"heuristic", engine.ForceHeuristic, sub.Len(), "heuristic"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f := framework(testbed.New(1))
+			f.ScaleThreshold = tc.threshold
+			opt := PlanOptions{Policy: tc.policy, Seed: 7}
+			b, err := f.BuildPlanRequest(context.Background(), req, sub, opt)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-	}
-	if winners != 1 {
-		t.Fatalf("stats = %+v, want exactly one winner", res.Stats)
-	}
-	if len(res.Assignment)+len(res.Leftovers) != sub.Len() {
-		t.Fatalf("partition broken: %d + %d != %d",
-			len(res.Assignment), len(res.Leftovers), sub.Len())
+			if got := string(b.Policy); got != tc.want {
+				t.Fatalf("resolved policy = %q, want %q", got, tc.want)
+			}
+			if (b.Req.Model != nil) == (b.Req.Instance != nil) {
+				t.Fatalf("model set %t, instance set %t: want exactly one", b.Req.Model != nil, b.Req.Instance != nil)
+			}
+			if (b.Req.Model != nil) != (tc.want == "solver") {
+				t.Fatalf("%s request built the wrong representation", tc.want)
+			}
+			res, err := f.RunPlan(context.Background(), b, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Stats) != 1 || !res.Stats[0].Winner || res.Stats[0].Backend != tc.want || res.Method != tc.want {
+				t.Fatalf("method %q, stats = %+v: want one winning %s entry", res.Method, res.Stats, tc.want)
+			}
+			if tc.want == "heuristic" && res.Stats[0].Restarts != heuristic.DefaultRestarts {
+				t.Fatalf("restarts = %d, want %d", res.Stats[0].Restarts, heuristic.DefaultRestarts)
+			}
+			if len(res.Assignment)+len(res.Leftovers) != sub.Len() {
+				t.Fatalf("partition broken: %d + %d != %d", len(res.Assignment), len(res.Leftovers), sub.Len())
+			}
+		})
 	}
 }
 

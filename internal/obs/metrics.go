@@ -156,7 +156,7 @@ func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()
 
 // DefBuckets returns the default latency buckets in seconds (1ms–10s),
 // sized for this system's request spectrum: sub-millisecond catalog reads
-// through multi-second portfolio planning runs.
+// through multi-second planning runs.
 func DefBuckets() []float64 {
 	return []float64{0.001, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10}
 }

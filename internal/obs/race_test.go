@@ -47,7 +47,7 @@ func TestRegistryConcurrency(t *testing.T) {
 }
 
 // TestSpanTreeConcurrency exercises concurrent child creation, attribute
-// writes, and export — the portfolio race produces exactly this shape.
+// writes, and export — parallel solver workers produce this shape.
 func TestSpanTreeConcurrency(t *testing.T) {
 	ctx, root := StartTrace(context.Background(), "race")
 	var wg sync.WaitGroup

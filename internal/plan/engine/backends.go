@@ -42,24 +42,6 @@ func chainSteal(prev, notify func(steals, splits, replayNodes int64)) func(steal
 	}
 }
 
-// softBudget caps a backend's soft time budget at ~90% of the context
-// deadline, leaving headroom to assemble and return the best incumbent
-// before the hard deadline cancels the search outright.
-func softBudget(ctx context.Context, cur time.Duration) time.Duration {
-	d, ok := ctx.Deadline()
-	if !ok {
-		return cur
-	}
-	rem := time.Until(d) * 9 / 10
-	if rem <= 0 {
-		rem = time.Millisecond
-	}
-	if cur == 0 || rem < cur {
-		return rem
-	}
-	return cur
-}
-
 // fromSchedule converts a model schedule to the engine's uniform result
 // and fills the model-side stats. A schedule that stopped short of an
 // optimality proof (node or time budget, or first-solution mode) is
@@ -78,13 +60,7 @@ func fromSchedule(req *Request, sched model.Schedule, st *Stats) Result {
 	st.Splits = sched.Splits
 	st.ReplayNodes = sched.ReplayNodes
 	st.WarmStart = sched.Warm
-	var assignment map[string]int
-	var leftovers []string
-	if req.Expand != nil {
-		assignment, leftovers = req.Expand(sched)
-	} else {
-		assignment, leftovers = itemAssignment(req.Model, sched)
-	}
+	assignment, leftovers := req.Expand(sched)
 	return Result{
 		Assignment: assignment,
 		Leftovers:  leftovers,
@@ -102,14 +78,10 @@ type SolverBackend struct{}
 // Name reports the backend as "solver".
 func (SolverBackend) Name() string { return "solver" }
 
-// Supports reports whether the request carries a constraint model.
-func (SolverBackend) Supports(req *Request) bool { return req.Model != nil }
-
 // Solve solves the request's model.
 func (b SolverBackend) Solve(ctx context.Context, req *Request, opt Options) (Result, Stats, error) {
 	st := Stats{Backend: b.Name()}
 	sopt := opt.Solver
-	sopt.TimeLimit = softBudget(ctx, sopt.TimeLimit)
 	if sopt.Parallelism == 0 {
 		sopt.Parallelism = opt.Parallelism
 	}
@@ -131,22 +103,19 @@ type HeuristicBackend struct{}
 // Name reports the backend as "heuristic".
 func (HeuristicBackend) Name() string { return "heuristic" }
 
-// Supports reports whether the request carries a heuristic instance.
-func (HeuristicBackend) Supports(req *Request) bool { return req.Instance != nil }
-
 // Solve runs the local search on the request's instance.
 func (HeuristicBackend) Solve(ctx context.Context, req *Request, opt Options) (Result, Stats, error) {
 	inst := *req.Instance
-	inst.TimeLimit = softBudget(ctx, inst.TimeLimit)
 	if inst.Parallelism == 0 {
 		inst.Parallelism = opt.Parallelism
 	}
+	if inst.Restarts <= 0 {
+		inst.Restarts = heuristic.DefaultRestarts
+	}
 	if inst.LNSRestarts == 0 && req.Size >= 5000 {
 		// Large instances benefit from re-searching the best permutation's
-		// neighborhoods; match the restart count (or its documented default).
-		if inst.LNSRestarts = inst.Restarts; inst.LNSRestarts == 0 {
-			inst.LNSRestarts = 8
-		}
+		// neighborhoods; match the restart count.
+		inst.LNSRestarts = inst.Restarts
 	}
 	if notify := opt.incumbent; notify != nil {
 		prev := inst.OnImprovement
@@ -158,9 +127,6 @@ func (HeuristicBackend) Solve(ctx context.Context, req *Request, opt Options) (R
 		}
 	}
 	st := Stats{Backend: "heuristic", Restarts: inst.Restarts}
-	if st.Restarts == 0 {
-		st.Restarts = 8 // the instance's documented default
-	}
 	start := time.Now()
 	hres, err := heuristic.SolveContext(ctx, inst)
 	st.Wall = time.Since(start)

@@ -1,20 +1,12 @@
-// Package engine unifies CORNET's schedule-planning backends behind one
-// pluggable interface with per-request policy, deadlines, and uniform
-// search statistics.
+// Package engine runs CORNET's schedule-planning backends behind one
+// pluggable interface with deadlines and uniform search statistics.
 //
-// The paper's planner (Section 3.3) alternates between a generic
-// constraint solver and the Appendix-C heuristic; the seed reproduction
-// hard-wired that choice behind a static scale threshold inside the core
-// facade. The engine turns the choice into a policy selectable per
-// request:
-//
-//   - Threshold: solver below Options.ScaleThreshold items, heuristic
-//     above — the paper's operating point, now tunable per request.
-//   - ForceSolver / ForceHeuristic: pin one backend.
-//   - Portfolio: race every backend the request supports concurrently on
-//     the same request, return the first feasible result (upgraded to a
-//     strictly better one if a second finisher beat it to the wire), and
-//     cancel the losers via context.
+// The paper's planner (Section 3.3) uses a generic constraint solver below
+// a scale limit and the Appendix-C heuristic above it. That choice is made
+// once, in core.ResolvePolicy, which builds the one representation the
+// chosen backend needs; the engine runs the backend whose representation
+// the request carries: the CP solver for a Model, Algorithm 1 for an
+// Instance.
 //
 // Every backend reports uniform Stats (nodes explored, restarts, wall
 // time, objective, winner flag), which the cmd/ binaries surface.
@@ -24,7 +16,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"time"
 
 	"cornet/internal/obs"
@@ -32,24 +23,23 @@ import (
 	"cornet/internal/plan/model"
 )
 
-// Policy selects how the engine picks a backend for a request.
+// Policy names a planning backend choice. core.ResolvePolicy settles
+// Threshold to one of the Force values before a request is built; the
+// engine labels its request metric with the backend it ran.
 type Policy string
 
 const (
-	// Threshold picks the model-driven solver up to Options.ScaleThreshold
-	// request elements and the Algorithm-1 heuristic beyond.
+	// Threshold picks the model-driven solver up to the framework's
+	// ScaleThreshold request elements and the Algorithm-1 heuristic beyond.
 	Threshold Policy = "threshold"
-	// Portfolio races every backend the request supports and cancels the
-	// losers once a feasible schedule is in hand.
-	Portfolio Policy = "portfolio"
 	// ForceSolver pins the model-driven solver backend.
 	ForceSolver Policy = "solver"
 	// ForceHeuristic pins the Algorithm-1 heuristic backend.
 	ForceHeuristic Policy = "heuristic"
 )
 
-// ParsePolicy maps the CLI spellings (auto, solver, heuristic, portfolio)
-// onto a Policy.
+// ParsePolicy maps the CLI spellings (auto, solver, heuristic) onto a
+// Policy.
 func ParsePolicy(s string) (Policy, error) {
 	switch s {
 	case "", "auto", "threshold":
@@ -58,29 +48,27 @@ func ParsePolicy(s string) (Policy, error) {
 		return ForceSolver, nil
 	case "heuristic":
 		return ForceHeuristic, nil
-	case "portfolio":
-		return Portfolio, nil
 	}
-	return "", fmt.Errorf("engine: unknown policy %q (want auto|solver|heuristic|portfolio)", s)
+	return "", fmt.Errorf("engine: unknown policy %q (want auto|solver|heuristic)", s)
 }
 
-// ErrUnsupported is returned when a request lacks the representation a
-// backend (or any backend, for the engine) needs.
-var ErrUnsupported = errors.New("engine: request lacks a representation the backend can solve")
+// ErrUnsupported is returned for a request that does not carry exactly
+// one backend representation.
+var ErrUnsupported = errors.New("engine: request must carry exactly one of a model and an instance")
 
-// Request carries the representations one planning request can be solved
-// from. Model-driven backends need Model (plus Expand to map schedules
-// back to element ids); the heuristic backend needs Instance. A request
-// carrying both can be raced in portfolio mode.
+// Request carries the one representation a planning request is solved
+// from: Model (plus Expand to map schedules back to element ids) for the
+// solver backend, or Instance for the heuristic backend.
 type Request struct {
-	// Model is the translated constraint model (model-driven backends).
+	// Model is the translated constraint model (solver backend).
 	Model *model.Model
 	// Expand maps a solved model schedule to element-id assignments and
-	// leftovers. When nil, model item IDs are used as element ids directly.
+	// leftovers.
 	Expand func(model.Schedule) (assignment map[string]int, leftovers []string)
 	// Instance is the Algorithm-1 representation (heuristic backend).
 	Instance *heuristic.Instance
-	// Size is the request's element count, driving the Threshold policy.
+	// Size is the request's element count; the heuristic backend adds a
+	// large-neighbourhood phase at 5,000 and above.
 	Size int
 }
 
@@ -136,18 +124,10 @@ type Stats struct {
 	TimedOut  bool
 	// Winner marks the backend whose result the engine returned.
 	Winner bool
-	// Err records why a backend produced no result; a cancelled portfolio
-	// loser records the context error here.
-	Err string
 }
 
 // Options tune one engine request.
 type Options struct {
-	// Policy selects the backend (default Threshold).
-	Policy Policy
-	// ScaleThreshold is the Threshold policy switch point (default 1000,
-	// the paper's solver practicality limit).
-	ScaleThreshold int
 	// Solver bounds the CP search of the model-driven backends.
 	Solver SolverLimits
 	// Parallelism is the per-backend search worker count: work-stealing
@@ -169,205 +149,54 @@ type Options struct {
 }
 
 // Backend is one interchangeable planning implementation. Implementations
-// must honour ctx cancellation promptly (the portfolio mode relies on it
-// to kill losers) and should treat a ctx deadline as a soft budget,
-// returning their best incumbent instead of failing where possible.
+// must honour ctx cancellation promptly and should treat a ctx deadline as
+// a soft budget, returning their best incumbent instead of failing where
+// possible.
 type Backend interface {
 	Name() string
-	// Supports reports whether the request carries this backend's
-	// representation.
-	Supports(req *Request) bool
 	Solve(ctx context.Context, req *Request, opt Options) (Result, Stats, error)
 }
 
-// Engine dispatches planning requests onto pluggable backends.
+// Engine dispatches planning requests onto pluggable backends. A nil
+// Engine, Solver or Heuristic plans with the default backend
+// (SolverBackend, HeuristicBackend).
 type Engine struct {
-	// Solver is the model-driven backend (default: SolverBackend).
+	// Solver is the model-driven backend.
 	Solver Backend
-	// Heuristic is the attribute-grouped backend (default:
-	// HeuristicBackend).
+	// Heuristic is the attribute-grouped backend.
 	Heuristic Backend
 }
 
-// New assembles the default engine: the CP solver and the
-// Algorithm-1 heuristic.
-func New() *Engine {
-	return &Engine{Solver: SolverBackend{}, Heuristic: HeuristicBackend{}}
-}
-
-func (e *Engine) backends() (solverB, heurB Backend) {
-	solverB, heurB = e.Solver, e.Heuristic
-	if solverB == nil {
-		solverB = SolverBackend{}
-	}
-	if heurB == nil {
-		heurB = HeuristicBackend{}
-	}
-	return solverB, heurB
-}
-
-// Plan solves one request under the options' policy. It returns the
-// winning backend's result plus one Stats entry per backend consulted
-// (the winner flagged); the portfolio path waits for cancelled losers to
-// exit so their stats — including the observed context error — are
-// complete when Plan returns.
+// Plan solves one request on the backend whose representation it carries
+// and returns that backend's result with its Stats, flagged Winner.
 //
 // When the context carries a trace (obs.StartTrace), Plan records a
-// "plan.engine" span with one "plan.backend.<name>" child per backend
-// consulted, including incumbent-improvement events and portfolio
-// winner/loser-cancellation outcomes. Request and per-backend metrics are
+// "plan.engine" span with one "plan.backend.<name>" child, including
+// incumbent-improvement events. Request and per-backend metrics are
 // always recorded in obs.Default.
 func (e *Engine) Plan(ctx context.Context, req *Request, opt Options) (Result, []Stats, error) {
-	if opt.ScaleThreshold <= 0 {
-		opt.ScaleThreshold = 1000
+	if e == nil {
+		e = &Engine{}
 	}
-	policy := opt.Policy
-	if policy == "" {
-		policy = Threshold
+	var policy Policy
+	var b Backend
+	switch {
+	case req.Model != nil && req.Instance == nil:
+		if policy, b = ForceSolver, e.Solver; b == nil {
+			b = SolverBackend{}
+		}
+	case req.Instance != nil && req.Model == nil:
+		if policy, b = ForceHeuristic, e.Heuristic; b == nil {
+			b = HeuristicBackend{}
+		}
+	default:
+		return Result{}, nil, ErrUnsupported
 	}
 	ctx, sp := obs.StartSpan(ctx, "plan.engine")
 	sp.SetAttr("policy", string(policy))
 	sp.SetAttr("size", req.Size)
-	res, stats, err := e.dispatch(ctx, req, opt, policy)
-	observePlan(sp, policy, stats, err)
-	return res, stats, err
-}
-
-func (e *Engine) dispatch(ctx context.Context, req *Request, opt Options, policy Policy) (Result, []Stats, error) {
-	solverB, heurB := e.backends()
-	switch policy {
-	case ForceSolver:
-		return runOne(ctx, solverB, req, opt)
-	case ForceHeuristic:
-		return runOne(ctx, heurB, req, opt)
-	case Threshold:
-		pick, other := solverB, heurB
-		if req.Size > opt.ScaleThreshold {
-			pick, other = heurB, solverB
-		}
-		if !pick.Supports(req) && other.Supports(req) {
-			pick = other
-		}
-		return runOne(ctx, pick, req, opt)
-	case Portfolio:
-		return e.race(ctx, []Backend{solverB, heurB}, req, opt)
-	default:
-		return Result{}, nil, fmt.Errorf("engine: unknown policy %q", policy)
-	}
-}
-
-func runOne(ctx context.Context, b Backend, req *Request, opt Options) (Result, []Stats, error) {
-	if !b.Supports(req) {
-		return Result{}, nil, fmt.Errorf("engine: backend %s: %w", b.Name(), ErrUnsupported)
-	}
 	res, st, err := runBackend(ctx, b, req, opt)
-	if err != nil {
-		metricBackendRuns.With(b.Name(), "error").Inc()
-		return Result{}, []Stats{st}, err
-	}
-	st.Winner = true
-	metricBackendRuns.With(b.Name(), "win").Inc()
-	return res, []Stats{st}, nil
-}
-
-// race runs every supported backend concurrently on the same request. The
-// first feasible result cancels the rest; late finishers that nonetheless
-// produced a strictly better schedule before observing the cancellation
-// replace the provisional winner.
-func (e *Engine) race(ctx context.Context, backends []Backend, req *Request, opt Options) (Result, []Stats, error) {
-	var avail []Backend
-	for _, b := range backends {
-		if b.Supports(req) {
-			avail = append(avail, b)
-		}
-	}
-	if len(avail) == 0 {
-		return Result{}, nil, fmt.Errorf("engine: portfolio: %w", ErrUnsupported)
-	}
-	if len(avail) == 1 {
-		return runOne(ctx, avail[0], req, opt)
-	}
-	rctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	esp := obs.FromContext(ctx) // the "plan.engine" span (nil off-trace)
-	type outcome struct {
-		i   int
-		res Result
-		err error
-	}
-	ch := make(chan outcome, len(avail))
-	stats := make([]Stats, len(avail))
-	errs := make([]error, len(avail))
-	for i, b := range avail {
-		go func(i int, b Backend) {
-			res, st, err := runBackend(rctx, b, req, opt)
-			stats[i] = st // each goroutine owns its slot; read after the join below
-			ch <- outcome{i: i, res: res, err: err}
-		}(i, b)
-	}
-	winner := -1
-	var winRes Result
-	var firstErr error
-	// Join ALL backends: the first success cancels the rest, and waiting
-	// for the cancelled losers to exit both bounds goroutine lifetime and
-	// makes their observed ctx error visible in the returned stats.
-	for n := 0; n < len(avail); n++ {
-		o := <-ch
-		errs[o.i] = o.err
-		switch {
-		case o.err == nil && winner < 0:
-			winner, winRes = o.i, o.res
-			esp.Event("portfolio-first-result", "backend", avail[o.i].Name())
-			cancel()
-		case o.err == nil && betterResult(o.res, winRes):
-			winner, winRes = o.i, o.res
-			esp.Event("portfolio-late-upgrade", "backend", avail[o.i].Name())
-		case o.err != nil && firstErr == nil && !errors.Is(o.err, context.Canceled):
-			firstErr = o.err
-		}
-	}
-	for i := range stats {
-		out := raceOutcome(i, winner, errs[i])
-		metricBackendRuns.With(avail[i].Name(), out).Inc()
-		if out == "cancelled" {
-			esp.Event("portfolio-loser-cancelled", "backend", avail[i].Name())
-		}
-	}
-	if winner < 0 {
-		if firstErr == nil {
-			firstErr = ctx.Err()
-		}
-		return Result{}, stats, fmt.Errorf("engine: portfolio: all backends failed: %w", firstErr)
-	}
-	stats[winner].Winner = true
-	return winRes, stats, nil
-}
-
-// betterResult orders schedules by the lexicographic objective shared by
-// both backend families: fewer leftovers, then fewer conflicts, then a
-// shorter makespan. Strict comparison, so the first finisher keeps ties.
-func betterResult(a, b Result) bool {
-	if len(a.Leftovers) != len(b.Leftovers) {
-		return len(a.Leftovers) < len(b.Leftovers)
-	}
-	if a.Conflicts != b.Conflicts {
-		return a.Conflicts < b.Conflicts
-	}
-	return a.Makespan < b.Makespan
-}
-
-// itemAssignment maps a model schedule onto element ids when the request
-// has no Expand hook: item IDs double as element ids.
-func itemAssignment(m *model.Model, sched model.Schedule) (map[string]int, []string) {
-	assignment := make(map[string]int, len(sched.Slots))
-	var leftovers []string
-	for i, t := range sched.Slots {
-		if t < 0 {
-			leftovers = append(leftovers, m.Items[i].ID)
-			continue
-		}
-		assignment[m.Items[i].ID] = t
-	}
-	sort.Strings(leftovers)
-	return assignment, leftovers
+	st.Winner = err == nil
+	observePlan(sp, policy, st, err)
+	return res, []Stats{st}, err
 }

@@ -4,10 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"strings"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"cornet/internal/inventory"
 	"cornet/internal/plan/heuristic"
@@ -54,55 +51,51 @@ func testInstance(markets, tacs, usids int) *heuristic.Instance {
 	return &heuristic.Instance{Inv: inv, MaxTimeslots: 30, SlotCapacity: 10, Seed: 1}
 }
 
-// fakeBackend scripts a backend for deterministic race tests.
-type fakeBackend struct {
-	name string
-	res  Result
-	// block waits for ctx cancellation and returns its error.
-	block bool
-	// sleep delays the result while IGNORING cancellation, modelling a
-	// backend that finishes just after losing the race.
-	sleep     time.Duration
-	sawCancel atomic.Bool
-	exited    atomic.Bool
+// itemExpand maps a model schedule onto element ids when item IDs double
+// as element ids.
+func itemExpand(m *model.Model) func(model.Schedule) (map[string]int, []string) {
+	return func(sched model.Schedule) (map[string]int, []string) {
+		assignment := make(map[string]int, len(sched.Slots))
+		var leftovers []string
+		for i, t := range sched.Slots {
+			if t < 0 {
+				leftovers = append(leftovers, m.Items[i].ID)
+				continue
+			}
+			assignment[m.Items[i].ID] = t
+		}
+		return assignment, leftovers
+	}
 }
 
-func (f *fakeBackend) Name() string           { return f.name }
-func (f *fakeBackend) Supports(*Request) bool { return true }
-
-func (f *fakeBackend) Solve(ctx context.Context, req *Request, opt Options) (Result, Stats, error) {
-	defer f.exited.Store(true)
-	st := Stats{Backend: f.name}
-	if f.block {
-		<-ctx.Done()
-		f.sawCancel.Store(true)
-		return Result{}, st, fmt.Errorf("%s: %w", f.name, ctx.Err())
-	}
-	if f.sleep > 0 {
-		time.Sleep(f.sleep)
-	}
-	return f.res, st, nil
+// modelRequest is a solver request over testModel(n, slots).
+func modelRequest(n, slots int) *Request {
+	m := testModel(n, slots)
+	return &Request{Model: m, Expand: itemExpand(m), Size: n}
 }
 
 func TestParsePolicy(t *testing.T) {
 	for in, want := range map[string]Policy{
 		"": Threshold, "auto": Threshold, "threshold": Threshold,
-		"solver": ForceSolver, "heuristic": ForceHeuristic, "portfolio": Portfolio,
+		"solver": ForceSolver, "heuristic": ForceHeuristic,
 	} {
 		got, err := ParsePolicy(in)
 		if err != nil || got != want {
 			t.Fatalf("ParsePolicy(%q) = %v, %v; want %v", in, got, err, want)
 		}
 	}
-	if _, err := ParsePolicy("bogus"); err == nil {
-		t.Fatal("ParsePolicy(bogus) accepted")
+	for _, bad := range []string{"bogus", "portfolio"} {
+		if _, err := ParsePolicy(bad); err == nil {
+			t.Fatalf("ParsePolicy(%s) accepted", bad)
+		}
 	}
 }
 
-func TestThresholdPicksSolverBelowAndHeuristicAbove(t *testing.T) {
-	e := New()
-	req := &Request{Model: testModel(6, 3), Instance: testInstance(2, 2, 2), Size: 6}
-	res, stats, err := e.Plan(context.Background(), req, Options{ScaleThreshold: 100})
+// TestPlanRunsTheCarriedRepresentation checks the engine runs the backend
+// whose representation the request carries, as the one flagged winner.
+func TestPlanRunsTheCarriedRepresentation(t *testing.T) {
+	var e *Engine // nil: the default backends
+	res, stats, err := e.Plan(context.Background(), modelRequest(6, 3), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,142 +106,30 @@ func TestThresholdPicksSolverBelowAndHeuristicAbove(t *testing.T) {
 		t.Fatalf("result = %+v", res)
 	}
 
-	req.Size = 500
-	_, stats, err = e.Plan(context.Background(), req, Options{ScaleThreshold: 100})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(stats) != 1 || stats[0].Backend != "heuristic" {
-		t.Fatalf("stats = %+v, want heuristic above threshold", stats)
-	}
-}
-
-func TestThresholdFallsBackToSupportedBackend(t *testing.T) {
-	e := New()
-	// Small request (threshold prefers the solver) carrying only the
-	// heuristic representation: the engine must fall back, not fail.
-	req := &Request{Instance: testInstance(1, 2, 2), Size: 4}
-	_, stats, err := e.Plan(context.Background(), req, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats[0].Backend != "heuristic" {
-		t.Fatalf("backend = %s, want heuristic fallback", stats[0].Backend)
-	}
-}
-
-func TestForcePolicyWithoutRepresentationFails(t *testing.T) {
-	e := New()
-	req := &Request{Instance: testInstance(1, 1, 2), Size: 2}
-	if _, _, err := e.Plan(context.Background(), req, Options{Policy: ForceSolver}); !errors.Is(err, ErrUnsupported) {
-		t.Fatalf("err = %v, want ErrUnsupported", err)
-	}
-}
-
-func TestPortfolioCancelsLoser(t *testing.T) {
-	fast := &fakeBackend{name: "fast", res: Result{Assignment: map[string]int{"a": 0}}}
-	slow := &fakeBackend{name: "slow", block: true}
-	e := &Engine{Solver: fast, Heuristic: slow}
-	res, stats, err := e.Plan(context.Background(), &Request{}, Options{Policy: Portfolio})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Assignment["a"] != 0 || len(res.Assignment) != 1 {
-		t.Fatalf("result = %+v, want fast backend's schedule", res)
-	}
-	// Plan drains every backend before returning, so the loser has exited
-	// and observed the cancellation by now — no sleeps needed.
-	if !slow.exited.Load() {
-		t.Fatal("losing backend goroutine still running after Plan returned")
-	}
-	if !slow.sawCancel.Load() {
-		t.Fatal("losing backend never observed ctx cancellation")
-	}
-	var fastSt, slowSt *Stats
-	for i := range stats {
-		switch stats[i].Backend {
-		case "fast":
-			fastSt = &stats[i]
-		case "slow":
-			slowSt = &stats[i]
-		}
-	}
-	if fastSt == nil || !fastSt.Winner {
-		t.Fatalf("stats = %+v, want fast flagged winner", stats)
-	}
-	if slowSt == nil || !strings.Contains(slowSt.Err, context.Canceled.Error()) {
-		t.Fatalf("stats = %+v, want loser stats recording context cancellation", stats)
-	}
-}
-
-func TestPortfolioLateBetterResultWins(t *testing.T) {
-	// The sprinter leaves 2 items unplaced; the slow backend ignores the
-	// cancellation and delivers a complete schedule. Fewer leftovers wins.
-	fast := &fakeBackend{name: "fast", res: Result{Assignment: map[string]int{"a": 0}, Leftovers: []string{"b", "c"}}}
-	slow := &fakeBackend{name: "slow", sleep: 10 * time.Millisecond,
-		res: Result{Assignment: map[string]int{"a": 0, "b": 1, "c": 1}}}
-	e := &Engine{Solver: fast, Heuristic: slow}
-	res, stats, err := e.Plan(context.Background(), &Request{}, Options{Policy: Portfolio})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Leftovers) != 0 || len(res.Assignment) != 3 {
-		t.Fatalf("result = %+v, want the complete late schedule", res)
-	}
-	for _, st := range stats {
-		if st.Winner != (st.Backend == "slow") {
-			t.Fatalf("stats = %+v, want slow flagged as winner", stats)
-		}
-	}
-}
-
-func TestPortfolioAllBackendsFailing(t *testing.T) {
-	bad := &fakeBackend{name: "bad", block: true}
-	worse := &fakeBackend{name: "worse", block: true}
-	e := &Engine{Solver: bad, Heuristic: worse}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	_, _, err := e.Plan(ctx, &Request{}, Options{Policy: Portfolio})
-	if err == nil || !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want wrapped context.Canceled", err)
-	}
-}
-
-func TestPortfolioRealBackends(t *testing.T) {
-	e := New()
-	req := &Request{Model: testModel(8, 4), Instance: testInstance(2, 2, 2), Size: 8}
-	res, stats, err := e.Plan(context.Background(), req, Options{Policy: Portfolio})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Assignment) == 0 {
-		t.Fatalf("result = %+v, want a schedule", res)
-	}
-	winners := 0
-	for _, st := range stats {
-		if st.Winner {
-			winners++
-		}
-	}
-	if winners != 1 {
-		t.Fatalf("stats = %+v, want exactly one winner", stats)
-	}
-}
-
-func TestPortfolioSingleRepresentationDegenerates(t *testing.T) {
-	e := New()
-	req := &Request{Instance: testInstance(1, 2, 3), Size: 6}
-	_, stats, err := e.Plan(context.Background(), req, Options{Policy: Portfolio})
+	_, stats, err = e.Plan(context.Background(), &Request{Instance: testInstance(2, 2, 2), Size: 8}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(stats) != 1 || stats[0].Backend != "heuristic" || !stats[0].Winner {
-		t.Fatalf("stats = %+v, want lone heuristic winner", stats)
+		t.Fatalf("stats = %+v, want single winning heuristic entry", stats)
+	}
+	if stats[0].Restarts != heuristic.DefaultRestarts {
+		t.Fatalf("restarts = %d, want the default %d", stats[0].Restarts, heuristic.DefaultRestarts)
+	}
+}
+
+func TestPlanNeedsExactlyOneRepresentation(t *testing.T) {
+	both := modelRequest(2, 2)
+	both.Instance = testInstance(1, 1, 2)
+	for name, req := range map[string]*Request{"neither": {Size: 2}, "both": both} {
+		if _, _, err := (&Engine{}).Plan(context.Background(), req, Options{}); !errors.Is(err, ErrUnsupported) {
+			t.Fatalf("%s: err = %v, want ErrUnsupported", name, err)
+		}
 	}
 }
 
 func TestFromScheduleCopiesStealCounters(t *testing.T) {
-	req := &Request{Model: testModel(4, 2)}
+	req := modelRequest(4, 2)
 	sched := model.Schedule{
 		Slots: []int{0, 0, 1, 1}, Cost: 7, Optimal: true, Workers: 4,
 		Nodes: 100, Steals: 3, Splits: 9, ReplayNodes: 21,

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"context"
-	"errors"
 
 	"cornet/internal/obs"
 	"cornet/internal/obs/events"
@@ -14,7 +13,7 @@ var (
 	metricPlanRequests = obs.Default.CounterVec("cornet_plan_requests_total",
 		"Planning engine requests by policy and outcome.", "policy", "outcome")
 	metricBackendRuns = obs.Default.CounterVec("cornet_plan_backend_total",
-		"Backend solve attempts by backend and outcome (win, lost, cancelled, error).",
+		"Backend solve attempts by backend and outcome (win, error).",
 		"backend", "outcome")
 	metricBackendWall = obs.Default.HistogramVec("cornet_plan_backend_duration_seconds",
 		"Backend wall-clock solve time.", obs.DefBuckets(), "backend")
@@ -65,9 +64,6 @@ func runBackend(ctx context.Context, b Backend, req *Request, opt Options) (Resu
 		}
 	}
 	res, st, err := b.Solve(bctx, req, opt)
-	if err != nil && st.Err == "" {
-		st.Err = err.Error()
-	}
 	sp.SetAttr("backend", name)
 	if st.Nodes > 0 {
 		sp.SetAttr("nodes", st.Nodes)
@@ -95,6 +91,11 @@ func runBackend(ctx context.Context, b Backend, req *Request, opt Options) (Resu
 	}
 	sp.Fail(err)
 	sp.End()
+	outcome := "win"
+	if err != nil {
+		outcome = "error"
+	}
+	metricBackendRuns.With(name, outcome).Inc()
 	metricBackendWall.With(name).Observe(st.Wall.Seconds())
 	if st.Nodes > 0 {
 		metricBackendNodes.With(name).Add(float64(st.Nodes))
@@ -114,34 +115,16 @@ func runBackend(ctx context.Context, b Backend, req *Request, opt Options) (Resu
 	return res, st, err
 }
 
-// raceOutcome maps a joined portfolio backend's error onto its outcome
-// metric label.
-func raceOutcome(i, winner int, err error) string {
-	switch {
-	case i == winner:
-		return "win"
-	case errors.Is(err, context.Canceled):
-		return "cancelled"
-	case err != nil:
-		return "error"
-	default:
-		return "lost"
-	}
-}
-
 // observePlan finalizes the engine-level span and request counter.
-func observePlan(sp *obs.Span, policy Policy, stats []Stats, err error) {
+func observePlan(sp *obs.Span, policy Policy, st Stats, err error) {
 	outcome := "ok"
 	if err != nil {
 		outcome = "error"
 		sp.Fail(err)
+	} else {
+		sp.SetAttr("winner", st.Backend)
 	}
 	metricPlanRequests.With(string(policy), outcome).Inc()
-	for i := range stats {
-		if stats[i].Winner {
-			sp.SetAttr("winner", stats[i].Backend)
-		}
-	}
-	sp.SetAttr("backends", len(stats))
+	sp.SetAttr("backends", 1)
 	sp.End()
 }

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"context"
-	"strings"
 	"testing"
 
 	"cornet/internal/obs"
@@ -11,11 +10,11 @@ import (
 // TestPlanEmitsBackendSpans checks a traced Plan call yields the engine
 // span with a per-backend child carrying the uniform stats attributes.
 func TestPlanEmitsBackendSpans(t *testing.T) {
-	e := New()
-	req := &Request{Model: testModel(6, 3), Size: 6}
+	e := &Engine{}
+	req := modelRequest(6, 3)
 
 	ctx, root := obs.StartTrace(context.Background(), "test")
-	_, _, err := e.Plan(ctx, req, Options{Policy: ForceSolver})
+	_, _, err := e.Plan(ctx, req, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,52 +43,14 @@ func TestPlanEmitsBackendSpans(t *testing.T) {
 	}
 }
 
-// TestPortfolioSpanEvents checks the race emits win/cancel events and one
-// span per competing backend.
-func TestPortfolioSpanEvents(t *testing.T) {
-	winner := &fakeBackend{name: "fast", res: Result{Makespan: 1}}
-	loser := &fakeBackend{name: "slow", block: true}
-	e := &Engine{Solver: winner, Heuristic: loser}
-
-	ctx, root := obs.StartTrace(context.Background(), "test")
-	_, stats, err := e.Plan(ctx, &Request{}, Options{Policy: Portfolio})
-	if err != nil {
-		t.Fatal(err)
-	}
-	root.End()
-	if len(stats) != 2 {
-		t.Fatalf("stats = %v", stats)
-	}
-
-	tree := root.Export()
-	if tree.Find("plan.backend.fast") == nil || tree.Find("plan.backend.slow") == nil {
-		t.Fatalf("missing per-backend spans in tree")
-	}
-	eng := tree.Find("plan.engine")
-	if eng == nil {
-		t.Fatal("no plan.engine span")
-	}
-	var msgs []string
-	for _, ev := range eng.Events {
-		msgs = append(msgs, ev.Msg)
-	}
-	joined := strings.Join(msgs, ",")
-	if !strings.Contains(joined, "portfolio-first-result") {
-		t.Fatalf("events = %v, want portfolio-first-result", msgs)
-	}
-	if !strings.Contains(joined, "portfolio-loser-cancelled") {
-		t.Fatalf("events = %v, want portfolio-loser-cancelled", msgs)
-	}
-}
-
 // TestIncumbentEventsOnBackendSpan checks the solver's incumbent
 // improvements surface as events on its backend span.
 func TestIncumbentEventsOnBackendSpan(t *testing.T) {
-	e := New()
-	req := &Request{Model: testModel(8, 4), Size: 8}
+	e := &Engine{}
+	req := modelRequest(8, 4)
 
 	ctx, root := obs.StartTrace(context.Background(), "test")
-	if _, _, err := e.Plan(ctx, req, Options{Policy: ForceSolver}); err != nil {
+	if _, _, err := e.Plan(ctx, req, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	root.End()
@@ -114,9 +75,9 @@ func TestIncumbentEventsOnBackendSpan(t *testing.T) {
 
 // TestUntracedPlanNoSpans checks plans stay span-free off-trace.
 func TestUntracedPlanNoSpans(t *testing.T) {
-	e := New()
-	req := &Request{Model: testModel(4, 2), Size: 4}
-	if _, _, err := e.Plan(context.Background(), req, Options{Policy: ForceSolver}); err != nil {
+	e := &Engine{}
+	req := modelRequest(4, 2)
+	if _, _, err := e.Plan(context.Background(), req, Options{}); err != nil {
 		t.Fatal(err)
 	}
 }

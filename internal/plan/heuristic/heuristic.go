@@ -32,6 +32,10 @@ import (
 	"cornet/internal/inventory"
 )
 
+// DefaultRestarts is the market permutations tried per timezone when an
+// Instance leaves Restarts unset.
+const DefaultRestarts = 8
+
 // Instance is one scheduling sub-problem over an inventory whose elements
 // carry market, tac, usid, timezone, and ems attributes.
 type Instance struct {
@@ -46,7 +50,7 @@ type Instance struct {
 	// changes; each collision counts toward the schedule's conflict total.
 	Conflicts map[string][]int
 	// Restarts is the number of market permutations tried per timezone
-	// (the local-search loop of Algorithm 1). Defaults to 8.
+	// (the local-search loop of Algorithm 1). Defaults to DefaultRestarts.
 	Restarts int
 	// LNSRestarts adds a large-neighborhood-search phase after the base
 	// restarts: the best permutation of the base phase is perturbed by
@@ -70,6 +74,8 @@ type Instance struct {
 	// budget is honoured mid-permutation: when it expires the current pass
 	// is abandoned and the best schedule found so far is returned with
 	// Result.TimedOut set, so a 100K-node instance can never run unbounded.
+	// A ctx deadline caps it at 9/10 of the time that remains, leaving
+	// room to return the best schedule before the hard deadline.
 	TimeLimit time.Duration
 	// OnImprovement, when set, is called whenever a timezone's restart pool
 	// adopts a strictly better candidate schedule (the Algorithm 1
@@ -114,8 +120,14 @@ type budget struct {
 
 func newBudget(ctx context.Context, limit time.Duration) *budget {
 	b := &budget{ctx: ctx}
+	now := time.Now()
 	if limit > 0 {
-		b.deadline = time.Now().Add(limit)
+		b.deadline = now.Add(limit)
+	}
+	if hard, ok := ctx.Deadline(); ok {
+		if soft := now.Add(hard.Sub(now) * 9 / 10); b.deadline.IsZero() || soft.Before(b.deadline) {
+			b.deadline = soft
+		}
 	}
 	return b
 }
@@ -176,7 +188,7 @@ func (b *budget) check() bool {
 // returned together with an error wrapping ctx.Err().
 func SolveContext(ctx context.Context, inst Instance) (Result, error) {
 	if inst.Restarts <= 0 {
-		inst.Restarts = 8
+		inst.Restarts = DefaultRestarts
 	}
 	bud := newBudget(ctx, inst.TimeLimit)
 

@@ -282,15 +282,13 @@ func TestRequestKeyCoversPlanOptions(t *testing.T) {
 		edit  func(o *core.PlanOptions)
 	}
 	fields := map[string]field{
-		"Topology":              {true, func(o *core.PlanOptions) { o.Topology = topology.New() }},
-		"RequireAll":            {true, func(o *core.PlanOptions) { o.RequireAll = true }},
-		"Policy":                {true, func(o *core.PlanOptions) { o.Policy = engine.Portfolio }},
-		"HeuristicSlotCapacity": {true, func(o *core.PlanOptions) { o.HeuristicSlotCapacity = 7 }},
-		"HeuristicEMSCapacity":  {true, func(o *core.PlanOptions) { o.HeuristicEMSCapacity = 7 }},
-		"Seed":                  {true, func(o *core.PlanOptions) { o.Seed = 7 }},
-		"Parallelism":           {true, func(o *core.PlanOptions) { o.Parallelism = 7 }},
-		"RenderModel":           {false, func(o *core.PlanOptions) { o.RenderModel = true }}, // RunPlan only
-		"Warm":                  {false, func(o *core.PlanOptions) { o.Warm = map[string]int{"x": 1} }},
+		"Topology":    {true, func(o *core.PlanOptions) { o.Topology = topology.New() }},
+		"RequireAll":  {true, func(o *core.PlanOptions) { o.RequireAll = true }},
+		"Policy":      {true, func(o *core.PlanOptions) { o.Policy = engine.ForceHeuristic }},
+		"Seed":        {true, func(o *core.PlanOptions) { o.Seed = 7 }},
+		"Parallelism": {true, func(o *core.PlanOptions) { o.Parallelism = 7 }},
+		"RenderModel": {false, func(o *core.PlanOptions) { o.RenderModel = true }}, // RunPlan only
+		"Warm":        {false, func(o *core.PlanOptions) { o.Warm = map[string]int{"x": 1} }},
 	}
 	fx := newFixture(t, 0, Config{})
 	req := fx.req(6)
@@ -328,8 +326,7 @@ func TestRequestKeyCoversPlanOptions(t *testing.T) {
 // that use it exercise the serving path, not the search.
 type instantBackend struct{}
 
-func (instantBackend) Name() string                      { return "solver" }
-func (instantBackend) Supports(req *engine.Request) bool { return req.Model != nil }
+func (instantBackend) Name() string { return "solver" }
 
 func (instantBackend) Solve(_ context.Context, req *engine.Request, _ engine.Options) (engine.Result, engine.Stats, error) {
 	a, leftovers := req.Expand(model.Schedule{Slots: make([]int, len(req.Model.Items))})

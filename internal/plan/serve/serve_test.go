@@ -26,8 +26,7 @@ type countingBackend struct {
 	delay time.Duration
 }
 
-func (b countingBackend) Name() string                      { return b.inner.Name() }
-func (b countingBackend) Supports(req *engine.Request) bool { return b.inner.Supports(req) }
+func (b countingBackend) Name() string { return b.inner.Name() }
 
 func (b countingBackend) Solve(ctx context.Context, req *engine.Request, opt engine.Options) (engine.Result, engine.Stats, error) {
 	b.calls.Add(1)

@@ -131,11 +131,11 @@ type outcome struct {
 // requestKey hashes everything the plan-cache key is a pure function of:
 // the intent's content (its canonical JSON, so editing a parsed Request
 // changes the key), the inventory's stamp, and every PlanOptions field
-// BuildPlanRequest reads — the policy fields folded with the inventory
-// size into the resolved policy, RequireAll, the topology's stamp, and
-// the heuristic's capacities, seed and parallelism. RenderModel and Warm
-// are read by RunPlan only. It returns "" for a request with no canonical
-// JSON, which then takes the build path every time.
+// BuildPlanRequest reads — the policy folded with the inventory size into
+// the resolved policy, RequireAll, the topology's stamp, and the
+// heuristic's seed and parallelism. RenderModel and Warm are read by
+// RunPlan only. It returns "" for a request with no canonical JSON, which
+// then takes the build path every time.
 func (s *Server) requestKey(req *intent.Request, inv *inventory.Inventory, opt core.PlanOptions) string {
 	buf, err := json.Marshal(req)
 	if err != nil {
@@ -154,7 +154,6 @@ func (s *Server) requestKey(req *intent.Request, inv *inventory.Inventory, opt c
 	// variable-length policy can close the record without a separator.
 	for _, v := range [...]uint64{
 		invID, invVersion, topoID, topoVersion, requireAll,
-		uint64(opt.HeuristicSlotCapacity), uint64(opt.HeuristicEMSCapacity),
 		uint64(opt.Seed), uint64(opt.Parallelism),
 	} {
 		buf = binary.LittleEndian.AppendUint64(buf, v)

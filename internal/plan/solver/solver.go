@@ -121,10 +121,10 @@ var ErrInfeasible = errors.New("solver: model is infeasible")
 // The search honours two distinct time bounds: Options.TimeLimit expiry
 // returns the best incumbent found so far (soft budget), while ctx
 // cancellation aborts the search with an error wrapping ctx.Err() (hard
-// stop — the portfolio engine uses this to kill losing backends). A ctx
-// deadline that undercuts TimeLimit tightens the soft budget instead, so
-// -timeout flags and HTTP request deadlines yield the incumbent rather
-// than an error.
+// stop). A ctx deadline caps the soft budget at 9/10 of the time that
+// remains, so -timeout flags and HTTP request deadlines yield the
+// incumbent rather than an error. The soft deadline is set once per call:
+// the components of a split model all stop at it.
 //
 // With Options.Parallelism != 1 the search runs on work-stealing
 // workers sharing one rank-ordered incumbent bound (see DESIGN.md §15).
@@ -138,31 +138,40 @@ func SolveContext(ctx context.Context, m *model.Model, opt Options) (model.Sched
 		return model.Schedule{}, fmt.Errorf("solver: %w", err)
 	}
 	opt = opt.withDefaults()
+	deadline := softDeadline(ctx, opt.TimeLimit)
 	m.Normalize()
 	if err := m.Validate(); err != nil {
 		return model.Schedule{}, err
 	}
 	if comps := components(m); comps != nil {
-		return solveSplit(ctx, m, comps, opt)
+		return solveSplit(ctx, m, comps, opt, deadline)
 	}
-	return solveWhole(ctx, m, opt)
+	return solveWhole(ctx, m, opt, deadline)
 }
 
-// solveWhole searches a normalized, valid m as one problem (opt defaulted).
-func solveWhole(ctx context.Context, m *model.Model, opt Options) (model.Schedule, error) {
+// softDeadline is the instant a search started now returns its incumbent:
+// limit from now, or 9/10 of ctx's remaining time if that comes first, so
+// the search stops ahead of the hard deadline instead of racing ctx.Err()
+// in checkBudget.
+func softDeadline(ctx context.Context, limit time.Duration) time.Time {
+	now := time.Now()
+	d := now.Add(limit)
+	if hard, ok := ctx.Deadline(); ok {
+		if soft := now.Add(hard.Sub(now) * 9 / 10); soft.Before(d) {
+			d = soft
+		}
+	}
+	return d
+}
+
+// solveWhole searches a normalized, valid m as one problem (opt
+// defaulted) until the soft deadline.
+func solveWhole(ctx context.Context, m *model.Model, opt Options, deadline time.Time) (model.Schedule, error) {
 	s := newState(m, opt)
-	s.ctx = ctx
+	s.ctx, s.deadline = ctx, deadline
 	if len(opt.WarmSlots) > 0 {
 		if slots, cost, ok := warmIncumbent(m, s.blocks, opt.WarmSlots); ok {
 			s.bestSlots, s.bestCost, s.warm = slots, cost, true
-		}
-	}
-	if d, ok := ctx.Deadline(); ok {
-		// Stop slightly ahead of the context's hard deadline so the search
-		// returns its incumbent instead of racing ctx.Err() in checkBudget.
-		soft := time.Now().Add(time.Until(d) * 9 / 10)
-		if soft.Before(s.deadline) {
-			s.deadline = soft
 		}
 	}
 	// A root the bound already closes is a one-node search: run it here
@@ -492,8 +501,7 @@ type state struct {
 }
 
 func newState(m *model.Model, opt Options) *state {
-	s := &state{m: m, opt: opt, bestCost: math.MaxInt64,
-		deadline: time.Now().Add(opt.TimeLimit), complete: true}
+	s := &state{m: m, opt: opt, bestCost: math.MaxInt64, complete: true}
 	n := len(m.Items)
 	T := m.NumSlots
 

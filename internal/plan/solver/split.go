@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"time"
 
 	"cornet/internal/plan/model"
 )
@@ -179,11 +180,12 @@ func (e componentError) Unwrap() error { return e.err }
 
 // solveSplit solves m's components and merges their schedules.
 // Options.Parallelism is the whole call's worker budget: min(k, workers)
-// components run at a time, each searching with an equal share. A failure
+// components run at a time, each searching with an equal share. Every
+// component searches until the call's one soft deadline. A failure
 // cancels the components after it and the lowest failing one is reported
 // as "solver: component i: ...", so the error, like the answer, is the
 // same at every worker count.
-func solveSplit(ctx context.Context, m *model.Model, comps [][]int, opt Options) (model.Schedule, error) {
+func solveSplit(ctx context.Context, m *model.Model, comps [][]int, opt Options, deadline time.Time) (model.Schedule, error) {
 	subs := subModels(m, comps)
 	inFlight := min(len(subs), opt.Parallelism)
 	opt.Parallelism = max(1, opt.Parallelism/inFlight)
@@ -206,7 +208,7 @@ func solveSplit(ctx context.Context, m *model.Model, comps [][]int, opt Options)
 				cctx, cancel := context.WithCancel(ctx)
 				cancels[i] = cancel
 				mu.Unlock()
-				results[i], errs[i] = solveWhole(cctx, subs[i], opt)
+				results[i], errs[i] = solveWhole(cctx, subs[i], opt, deadline)
 				cancel()
 				mu.Lock()
 				if errs[i] != nil && i < failed {

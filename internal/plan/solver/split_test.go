@@ -97,7 +97,7 @@ func TestSolveContextMatchesMonolithic(t *testing.T) {
 	feasible, split, straddle := 0, 0, 0
 	for seed := int64(1); seed <= differentialModels; seed++ {
 		m := differentialModel(rand.New(rand.NewSource(seed)))
-		want, werr := solveWhole(context.Background(), m, limits)
+		want, werr := solveWhole(context.Background(), m, limits, time.Now().Add(limits.TimeLimit))
 		got, gerr := SolveContext(context.Background(), m, limits)
 		if (gerr == nil) != (werr == nil) || errors.Is(gerr, ErrInfeasible) != errors.Is(werr, ErrInfeasible) {
 			t.Fatalf("seed %d: split err %v, whole err %v\n%+v", seed, gerr, werr, m)
@@ -292,7 +292,7 @@ func TestSolvePipelineMatchesDirect(t *testing.T) {
 		SameSlot: [][]int{{0, 1}, {4, 5}},
 	}
 	m.Normalize()
-	direct, err := solveWhole(context.Background(), m, Options{}.withDefaults())
+	direct, err := solveWhole(context.Background(), m, Options{}.withDefaults(), time.Now().Add(time.Minute))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -422,7 +422,7 @@ func BenchmarkSplit(b *testing.B) {
 				if split {
 					_, err = SolveContext(context.Background(), m, opt)
 				} else {
-					_, err = solveWhole(context.Background(), m, opt)
+					_, err = solveWhole(context.Background(), m, opt, time.Now().Add(opt.TimeLimit))
 				}
 				if err != nil {
 					b.Fatal(err)

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	stdctx "context"
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -178,43 +177,6 @@ func TestFaultLatencyDelaysCall(t *testing.T) {
 	}
 	if d := time.Since(start); d < 30*time.Millisecond {
 		t.Fatalf("call returned in %v, want >= 30ms injected latency", d)
-	}
-}
-
-func TestMetricNoiseSeededAndOptional(t *testing.T) {
-	// An image whose discard factor sits on the comparison's 1.5x
-	// degradation threshold: without noise every verdict is no-impact;
-	// with noise each NF's verdict depends on its draw.
-	verdicts := func(seed int64, noise float64) string {
-		tb := New(seed)
-		tb.MetricNoise = noise
-		tb.MarkBadImage("v-edge", 1.5)
-		var b strings.Builder
-		for i := 0; i < 16; i++ {
-			id := fmt.Sprintf("vce-%03d", i)
-			tb.MustAdd(NewNF(id, "vCE", "v1"))
-			for _, step := range []struct{ api, version string }{
-				{"/api/bb/health-check", ""}, {"/api/bb/software-upgrade", "v-edge"},
-			} {
-				if _, err := tb.Invoke(ctx(), step.api, map[string]string{"instance": id, "sw_version": step.version}); err != nil {
-					t.Fatal(err)
-				}
-			}
-			out, _ := tb.Invoke(ctx(), "/api/bb/pre-post-comparison", map[string]string{"instance": id})
-			b.WriteString(out["verdict"][:1])
-		}
-		return b.String()
-	}
-	// Zero noise is exactly reproducible across seeds.
-	if a, b := verdicts(1, 0), verdicts(99, 0); a != b || a != strings.Repeat("n", 16) {
-		t.Fatalf("zero noise: %s vs %s, want every verdict no-impact", a, b)
-	}
-	// Seeded noise is reproducible per seed and varies across seeds.
-	if verdicts(5, 0.2) != verdicts(5, 0.2) {
-		t.Fatal("same seed should reproduce noisy metrics")
-	}
-	if verdicts(5, 0.2) == verdicts(6, 0.2) {
-		t.Fatal("different seeds should perturb noisy metrics")
 	}
 }
 

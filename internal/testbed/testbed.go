@@ -25,7 +25,6 @@ import (
 	"math/rand"
 	"strings"
 	"sync"
-	"time"
 )
 
 // NF is one simulated network function instance.
@@ -98,20 +97,10 @@ func (n *NF) SetReachable(v bool) {
 type Testbed struct {
 	mu  sync.RWMutex
 	nfs map[string]*NF
-	// Latency simulates per-block execution time (0 for fast tests).
-	Latency time.Duration
-	// FailureRate injects random block failures (0..1) on every call;
-	// per-NF fault specs (SetFault) are the finer-grained successor.
-	FailureRate float64
-	// MetricNoise is the relative amplitude (e.g. 0.02 for ±2%) of
-	// random noise applied to NF metric shifts on upgrades and config
-	// changes. It draws from the seeded RNG, so runs are reproducible;
-	// 0 (the default) disables noise entirely.
-	MetricNoise float64
 	// rng is the single seeded randomness source for the whole testbed —
-	// failure draws, fault-injection jitter, and metric noise all go
-	// through it (guarded by rngMu), never through the global math/rand,
-	// so a testbed seed fully determines a run.
+	// fault-injection error draws and latency jitter go through it
+	// (guarded by rngMu), never through the global math/rand, so a testbed
+	// seed fully determines a run.
 	rng   *rand.Rand
 	rngMu sync.Mutex
 	// badImages maps software versions to a packet-discard degradation
@@ -182,15 +171,6 @@ func (tb *Testbed) Len() int {
 	return len(tb.nfs)
 }
 
-func (tb *Testbed) randomFailure() bool {
-	if tb.FailureRate <= 0 {
-		return false
-	}
-	tb.rngMu.Lock()
-	defer tb.rngMu.Unlock()
-	return tb.rng.Float64() < tb.FailureRate
-}
-
 // Invoke implements orchestrator.Invoker: it parses the building-block
 // REST path ("/api/bb/<block>" or "/api/bb/<block>/<nftype>") and executes
 // the block against args["instance"].
@@ -199,13 +179,6 @@ func (tb *Testbed) Invoke(ctx context.Context, api string, args map[string]strin
 	if block == "" {
 		return nil, fmt.Errorf("testbed: unparseable block API %q", api)
 	}
-	if tb.Latency > 0 {
-		select {
-		case <-time.After(tb.Latency):
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -213,9 +186,6 @@ func (tb *Testbed) Invoke(ctx context.Context, api string, args map[string]strin
 	nf, ok := tb.Get(instance)
 	if !ok && needsInstance(block) {
 		return nil, fmt.Errorf("testbed: unknown instance %q", instance)
-	}
-	if tb.randomFailure() {
-		return nil, fmt.Errorf("testbed: injected transient failure on %s/%s", block, instance)
 	}
 	if err := tb.applyFault(ctx, block, instance); err != nil {
 		return nil, err
@@ -309,26 +279,14 @@ func (tb *Testbed) softwareUpgrade(nf *NF, version string) (map[string]string, e
 	nf.activeVersion = version
 	nf.rebootCount++
 	if factor, bad := tb.badImageFactor(version); bad {
-		nf.metrics["pkt_discards"] *= factor * tb.noiseFactor()
+		nf.metrics["pkt_discards"] *= factor
 	} else {
-		nf.metrics["pkt_discards"] *= 0.6 * tb.noiseFactor()
+		nf.metrics["pkt_discards"] *= 0.6
 	}
 	// A utilisation in percent saturates: unbounded, the compounding growth
 	// reaches +Inf after ~14,000 upgrades of one long-lived instance.
-	nf.metrics["mem_util"] = math.Min(100, nf.metrics["mem_util"]*1.05*tb.noiseFactor())
+	nf.metrics["mem_util"] = math.Min(100, nf.metrics["mem_util"]*1.05)
 	return map[string]string{"status": "success", "activated": version}, nil
-}
-
-// noiseFactor draws a multiplicative metric-noise factor 1 ± MetricNoise·u
-// from the seeded RNG (exactly 1 when noise is disabled), keeping noisy
-// runs reproducible for a given testbed seed.
-func (tb *Testbed) noiseFactor() float64 {
-	if tb.MetricNoise <= 0 {
-		return 1
-	}
-	tb.rngMu.Lock()
-	defer tb.rngMu.Unlock()
-	return 1 + tb.MetricNoise*(tb.rng.Float64()*2-1)
 }
 
 func (tb *Testbed) configChange(nf *NF, payload string) (map[string]string, error) {

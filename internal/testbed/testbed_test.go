@@ -232,7 +232,9 @@ func TestHTTPHandler(t *testing.T) {
 func TestFailureInjectionRate(t *testing.T) {
 	tb := New(7)
 	tb.MustAdd(NewNF("a", "vCE", "v1"))
-	tb.FailureRate = 1.0
+	if err := tb.SetFault("a", FaultSpec{ErrorRate: 1}); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := tb.Invoke(ctx(), "/api/bb/health-check", map[string]string{"instance": "a"}); err == nil {
 		t.Fatal("forced failure did not occur")
 	}
