@@ -45,7 +45,8 @@ doccheck: vet fmt-check
 
 # Metrics-naming hygiene: a go/ast walk asserting that every cornet_*
 # metric registered in code is documented in the README's observability
-# tables (tools/metriccheck).
+# tables, and that every exact cornet_* name the README gives is registered
+# (tools/metriccheck).
 metriccheck:
 	$(GO) run ./tools/metriccheck ./internal ./cmd
 

@@ -58,3 +58,27 @@ func TestRun(t *testing.T) {
 		})
 	}
 }
+
+// TestRunRefusesWhatTheHeuristicCannotExpress checks -backend heuristic
+// on an intent Algorithm 1 would partly drop (consistency on tac) is an
+// error naming the constraint (main exits 1 on it).
+func TestRunRefusesWhatTheHeuristicCannotExpress(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "intent.json")
+	doc := `{
+	  "scheduling_window": {"start": "2021-09-01 00:00:00", "end": "2021-09-11 00:00:00",
+	    "granularity": {"metric": "day", "value": 1}},
+	  "schedulable_attribute": "common_id",
+	  "constraints": [
+	    {"name": "concurrency", "base_attribute": "common_id", "default_capacity": 30},
+	    {"name": "consistency", "attribute": "tac"}
+	  ]
+	}`
+	if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var out strings.Builder
+	err := run(&out, []string{"-intent", path, "-size", "60", "-backend", "heuristic"})
+	if err == nil || !strings.Contains(err.Error(), "cannot express constraint 1 (consistency on tac)") {
+		t.Fatalf("run: err = %v, want the refusal naming constraint 1\n%s", err, out.String())
+	}
+}

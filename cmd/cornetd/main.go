@@ -551,31 +551,6 @@ func (s *server) handlePlan(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	res := served.Result
-	type backendStats struct {
-		Backend        string `json:"backend"`
-		WallNS         int64  `json:"wall_ns"`
-		Nodes          int64  `json:"nodes,omitempty"`
-		Restarts       int    `json:"restarts,omitempty"`
-		Workers        int    `json:"workers,omitempty"`
-		NodesPerWorker int64  `json:"nodes_per_worker,omitempty"`
-		Steals         int64  `json:"steals,omitempty"`
-		Splits         int64  `json:"splits,omitempty"`
-		ReplayNodes    int64  `json:"replay_nodes,omitempty"`
-		Objective      int64  `json:"objective"`
-		Conflicts      int    `json:"conflicts"`
-		TimedOut       bool   `json:"timed_out,omitempty"`
-		Winner         bool   `json:"winner,omitempty"`
-	}
-	stats := make([]backendStats, 0, len(res.Stats))
-	for _, st := range res.Stats {
-		stats = append(stats, backendStats{
-			Backend: st.Backend, WallNS: int64(st.Wall), Nodes: st.Nodes,
-			Restarts: st.Restarts, Workers: st.Workers, NodesPerWorker: st.NodesPerWorker,
-			Steals: st.Steals, Splits: st.Splits, ReplayNodes: st.ReplayNodes,
-			Objective: st.Objective, Conflicts: st.Conflicts,
-			TimedOut: st.TimedOut, Winner: st.Winner,
-		})
-	}
 	type cacheInfo struct {
 		Hit    bool   `json:"hit"`
 		Warm   bool   `json:"warm,omitempty"`
@@ -592,13 +567,13 @@ func (s *server) handlePlan(w http.ResponseWriter, r *http.Request) {
 		ChangeID   string          `json:"change_id"`
 		Cache      cacheInfo       `json:"cache"`
 		WaitNS     int64           `json:"admission_wait_ns"`
-		Stats      []backendStats  `json:"stats"`
+		Stats      []engine.Stats  `json:"stats"`
 		Assignment map[string]int  `json:"assignment"`
 		Leftovers  []string        `json:"leftovers,omitempty"`
 		Trace      *obs.SpanExport `json:"trace,omitempty"`
 	}{res.Method, res.Makespan, res.Conflicts, res.TimedOut,
 		tenant, changeID, cacheInfo{Hit: served.CacheHit, Warm: served.Warm, Shared: served.Shared, Key: served.Key},
-		int64(served.Wait), stats, res.Assignment, res.Leftovers, root.Export()})
+		int64(served.Wait), res.Stats, res.Assignment, res.Leftovers, root.Export()})
 }
 
 func decode(r *http.Request, v any) error {

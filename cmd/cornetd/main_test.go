@@ -133,6 +133,27 @@ func TestDeployCustomWorkflowJSON(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("custom deploy status = %s", resp.Status)
 	}
+	// A design that declares workflow outputs is accepted, and no part of
+	// the deployment reads them: it deploys to the API path of the same
+	// design without them.
+	plain, err := json.Marshal(custom)
+	if err != nil {
+		t.Fatal(err)
+	}
+	withOutputs := bytes.Replace(plain, []byte(`"nodes":`), []byte(`"outputs":[{"name":"status","required":true}],"nodes":`), 1)
+	apis := map[string]bool{}
+	for _, design := range []json.RawMessage{withOutputs, plain} {
+		r := postJSON(t, srv.URL+"/api/wf/deploy", map[string]any{"workflow": design, "nf_type": "vGW"})
+		var dep struct{ API string }
+		if err := json.NewDecoder(r.Body).Decode(&dep); err != nil || r.StatusCode != http.StatusOK {
+			t.Fatalf("deploy status = %s, err = %v", r.Status, err)
+		}
+		r.Body.Close()
+		apis[dep.API] = true
+	}
+	if len(apis) != 1 {
+		t.Fatalf("declaring outputs moved the deployment: %v", apis)
+	}
 	// A broken design is rejected with 422.
 	broken := workflow.New("broken")
 	broken.AddNode(workflow.Node{ID: "start", Kind: workflow.Start})

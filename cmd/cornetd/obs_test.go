@@ -66,13 +66,18 @@ func TestMetricsEndpointExposesHTTPAndPlanFamilies(t *testing.T) {
 		`cornet_http_requests_total{route="/api/catalog"`,
 		"# TYPE cornet_http_request_duration_seconds histogram",
 		"# TYPE cornet_http_in_flight_requests gauge",
-		// Registered by the engine/orchestrator packages at init.
+		// Registered by the core/orchestrator packages at init.
 		"# TYPE cornet_plan_backend_total counter",
 		"# TYPE cornet_bb_invocations_total counter",
 	} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("metrics output missing %q:\n%s", want, text)
 		}
+	}
+	// cornet_plan_backend_total counts every plan solve; the family that
+	// counted the same events by policy is gone.
+	if strings.Contains(text, "cornet_plan_requests_total") {
+		t.Fatal("metrics output still carries cornet_plan_requests_total")
 	}
 }
 
@@ -204,11 +209,15 @@ func TestPlanTraceIncludesBackendSpans(t *testing.T) {
 	if out.Trace == nil {
 		t.Fatal("no trace in plan response")
 	}
-	if out.Trace.Find("plan.engine") == nil {
-		t.Fatal("trace missing plan.engine span")
+	sp := out.Trace.Find("plan.solve")
+	if sp == nil {
+		t.Fatal("trace missing plan.solve span")
 	}
-	if out.Trace.Find("plan.backend."+out.Method) == nil {
-		t.Fatalf("trace missing plan.backend.%s span", out.Method)
+	if sp.Attrs["backend"] != out.Method {
+		t.Fatalf("plan.solve backend = %v, want %s", sp.Attrs["backend"], out.Method)
+	}
+	if out.Trace.Find("plan.engine") != nil || out.Trace.Find("plan.backend."+out.Method) != nil {
+		t.Fatal("trace still carries the plan.engine / plan.backend.* spans")
 	}
 }
 

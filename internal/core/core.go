@@ -8,8 +8,10 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
+	"strconv"
 	"time"
 
 	"cornet/internal/catalog"
@@ -35,9 +37,6 @@ type Framework struct {
 	Catalog  *catalog.Catalog
 	Engine   *orchestrator.Engine
 	Registry *kpi.Registry
-	// Planner runs schedule planning on pluggable backends; nil means the
-	// default engine (CP solver + Algorithm 1 heuristic).
-	Planner *engine.Engine
 	// ScaleThreshold is the instance count above which the default
 	// Threshold policy switches from the generic model-driven solver to
 	// the custom heuristic (Section 3.3.3; the paper's solvers handle
@@ -45,6 +44,9 @@ type Framework struct {
 	ScaleThreshold int
 	// SolverOptions bound the generic solver's search.
 	SolverOptions solver.Options
+	// SolveModel is a test seam: when set, RunPlan calls it in place of
+	// solver.SolveContext to solve a built model.
+	SolveModel func(context.Context, *model.Model, solver.Options) (model.Schedule, error)
 }
 
 // Option customizes framework construction.
@@ -169,7 +171,8 @@ type PlanResult struct {
 	// TimedOut reports a best-so-far schedule returned at the search
 	// budget rather than a completed search.
 	TimedOut bool
-	// Stats holds the one backend's search statistics (flagged Winner).
+	// Stats holds the one backend run's search statistics (flagged
+	// Winner).
 	Stats []engine.Stats
 	// ModelText is the rendered constraint model (solver path only).
 	ModelText string
@@ -199,8 +202,8 @@ type PlanOptions struct {
 }
 
 // PlanScheduleContext runs the full planning pipeline: parse intent, build
-// the representation the resolved policy's backend needs, and solve on the
-// planning engine. A ctx deadline becomes the backend's soft search budget (best
+// the representation the resolved policy's backend needs, and solve on
+// that backend. A ctx deadline becomes the backend's soft search budget (best
 // incumbent returned, PlanResult.TimedOut set); cancelling ctx aborts the
 // search with an error.
 func (f *Framework) PlanScheduleContext(ctx context.Context, intentJSON []byte, inv *inventory.Inventory, opt PlanOptions) (*PlanResult, error) {
@@ -215,7 +218,7 @@ func (f *Framework) PlanScheduleContext(ctx context.Context, intentJSON []byte, 
 // Threshold policy (the default) to the solver up to ScaleThreshold
 // elements and the heuristic beyond, and passes a forced policy through.
 // BuildPlanRequest builds only the representation of the backend it
-// names, and the engine runs that backend: translating a 100K-node
+// names, and RunPlan runs that backend: translating a 100K-node
 // inventory into a constraint model just to discard it would dominate
 // discovery time. It is everything BuildPlanRequest reads of the policy
 // field, the inventory size and ScaleThreshold, which is why the serving
@@ -230,104 +233,109 @@ func (f *Framework) ResolvePolicy(opt PlanOptions, size int) engine.Policy {
 	return engine.ForceSolver
 }
 
-// PlanBuild bundles the backend representation of one planning request:
-// the engine request (a constraint model or a heuristic instance), the
-// resolved policy, and the translation artifacts needed to interpret a
+// ErrUnsupported is wrapped by the error BuildPlanRequest returns when the
+// heuristic is asked to plan an intent it cannot express. Algorithm 1
+// reads a global cap, an EMS cap and the conflict table, and hard-wires
+// USID consistency, per-timezone grouping and the market walk; it refuses
+// anything else rather than answer while dropping it.
+var ErrUnsupported = errors.New("the heuristic cannot express")
+
+// PlanRequest carries the one representation a built request is solved
+// from: the constraint model for the solver, or the Algorithm-1 instance
+// for the heuristic.
+type PlanRequest struct {
+	Model    *model.Model
+	Instance *heuristic.Instance
+}
+
+// PlanBuild bundles the backend representation of one planning request,
+// the resolved policy, and the translation artifacts needed to interpret a
 // solution. Splitting construction (BuildPlanRequest) from solving
 // (RunPlan) lets the serving layer (internal/plan/serve) fingerprint the
 // translated model for its plan cache before committing to a solve.
 type PlanBuild struct {
-	// Req is the engine request carrying the built representation.
-	Req *engine.Request
-	// Policy is the resolved per-request policy (Threshold already
-	// settled to a concrete backend).
+	// Req carries the built representation.
+	Req PlanRequest
+	// Policy is the resolved per-request policy, naming the backend whose
+	// representation Req carries.
 	Policy engine.Policy
 	// Translation is the intent-to-model translation result (nil on the
 	// heuristic path).
 	Translation *translate.Result
 	// Slots are the resolved timeslots backing slot indexes.
 	Slots []intent.Timeslot
+	// size is the request's element count.
+	size int
 }
 
 // BuildPlanRequest resolves the policy and constructs the one
 // representation its backend needs: the translated constraint model for
-// the solver, the Algorithm-1 instance for the heuristic. The result feeds
-// RunPlan, possibly after the serving layer consulted its plan cache using
-// the model's fingerprint.
+// the solver, the Algorithm-1 instance for the heuristic. An intent the
+// heuristic cannot express is an ErrUnsupported error when the heuristic
+// was forced, and takes the solver under Threshold, whatever its size.
+// The result feeds RunPlan, possibly after the serving layer consulted its
+// plan cache using the model's fingerprint.
 func (f *Framework) BuildPlanRequest(ctx context.Context, req *intent.Request, inv *inventory.Inventory, opt PlanOptions) (*PlanBuild, error) {
-	policy := f.ResolvePolicy(opt, inv.Len())
-	b := &PlanBuild{Req: &engine.Request{Size: inv.Len()}, Policy: policy}
-	switch policy {
+	b := &PlanBuild{Policy: f.ResolvePolicy(opt, inv.Len()), size: inv.Len()}
+	switch b.Policy {
 	case engine.ForceHeuristic:
 		inst, slots, err := heuristicInstance(req, inv, opt)
-		if err != nil {
+		if err == nil {
+			b.Req.Instance, b.Slots = inst, slots
+			return b, nil
+		}
+		if !errors.Is(err, ErrUnsupported) || opt.Policy == engine.ForceHeuristic {
 			return nil, err
 		}
-		b.Req.Instance, b.Slots = inst, slots
+		b.Policy = engine.ForceSolver
 	case engine.ForceSolver:
-		_, tsp := obs.StartSpan(ctx, "plan.translate")
-		tr, err := translate.Translate(req, inv, translate.Options{
-			RequireAll: opt.RequireAll,
-			Topology:   opt.Topology,
-		})
-		if err != nil {
-			tsp.Fail(err)
-			tsp.End()
-			return nil, err
-		}
-		tsp.SetAttr("items", len(tr.Model.Items))
-		tsp.SetAttr("slots", tr.Model.NumSlots)
-		tsp.End()
-		b.Translation = tr
-		b.Req.Model = tr.Model
-		b.Req.Expand = func(s model.Schedule) (map[string]int, []string) {
-			a := tr.Expand(s)
-			assignment := make(map[string]int)
-			for slot, ids := range a.BySlot {
-				for _, id := range ids {
-					assignment[id] = slot
-				}
-			}
-			return assignment, a.Leftovers
-		}
-		b.Slots = tr.Slots
 	default:
-		return nil, fmt.Errorf("core: unknown planning policy %q", policy)
+		return nil, fmt.Errorf("core: unknown planning policy %q", b.Policy)
 	}
+	_, tsp := obs.StartSpan(ctx, "plan.translate")
+	tr, err := translate.Translate(req, inv, translate.Options{
+		RequireAll: opt.RequireAll,
+		Topology:   opt.Topology,
+	})
+	if err != nil {
+		tsp.Fail(err)
+		tsp.End()
+		return nil, err
+	}
+	tsp.SetAttr("items", len(tr.Model.Items))
+	tsp.SetAttr("slots", tr.Model.NumSlots)
+	tsp.End()
+	b.Translation, b.Req.Model, b.Slots = tr, tr.Model, tr.Slots
 	return b, nil
 }
 
-// RunPlan solves a built request on the planning engine and assembles the
-// PlanResult. opt.Warm (when set) seeds the solver backends with the
-// cached incumbent; opt.RenderModel includes the model listing.
+// RunPlan solves a built request on the backend whose representation it
+// carries — the CP solver for a model, Algorithm 1 for an instance — under
+// one "plan.solve" span, and assembles the PlanResult. opt.Warm (when set)
+// seeds the solver with the cached incumbent; opt.RenderModel includes the
+// model listing.
 func (f *Framework) RunPlan(ctx context.Context, b *PlanBuild, opt PlanOptions) (*PlanResult, error) {
 	start := time.Now()
-	sopt := f.SolverOptions
-	if len(opt.Warm) > 0 {
-		sopt.WarmSlots = opt.Warm
+	var out *PlanResult
+	var st engine.Stats
+	var err error
+	if b.Req.Model != nil {
+		ctx, r := startPlanRun(ctx, "solver", b.size)
+		out, st, err = f.solveModel(ctx, b, opt, r)
+		r.end(st, err)
+	} else {
+		ctx, r := startPlanRun(ctx, "heuristic", b.size)
+		out, st, err = solveInstance(ctx, b, r)
+		r.end(st, err)
 	}
-	res, stats, err := f.Planner.Plan(ctx, b.Req, engine.Options{
-		Solver:      sopt,
-		Parallelism: opt.Parallelism,
-	})
 	if err != nil {
 		return nil, err
 	}
-	out := &PlanResult{
-		Assignment: res.Assignment,
-		Leftovers:  res.Leftovers,
-		Slots:      b.Slots,
-		Conflicts:  res.Conflicts,
-		Makespan:   res.Makespan,
-		Discovery:  time.Since(start),
-		TimedOut:   res.TimedOut,
-		Stats:      stats,
-	}
-	for _, st := range stats {
-		if st.Winner {
-			out.Method = st.Backend
-		}
-	}
+	st.Winner = true
+	out.Slots = b.Slots
+	out.Method = st.Backend
+	out.Stats = []engine.Stats{st}
+	out.Discovery = time.Since(start)
 	if opt.RenderModel && b.Translation != nil {
 		out.ModelText = b.Translation.Model.Render()
 	}
@@ -351,26 +359,28 @@ func (f *Framework) PlanScheduleRequestContext(ctx context.Context, req *intent.
 }
 
 // heuristicInstance maps the intent onto the Appendix C heuristic: slot
-// count from the scheduling window, global capacity from the first
-// ESA-level concurrency constraint, EMS capacity from a concurrency
-// constraint aggregated on the EMS attribute, conflicts from the conflict
-// table.
+// count from the scheduling window, global capacity from the tightest
+// per-element concurrency cap, EMS capacity from the tightest cap
+// aggregated on the EMS attribute, conflicts from the conflict table, and
+// the default restart budget, with a large-neighbourhood phase of as many
+// restarts from 5,000 elements on. An intent stating anything else is an
+// ErrUnsupported error (see heuristicRefusal).
 func heuristicInstance(req *intent.Request, inv *inventory.Inventory, opt PlanOptions) (*heuristic.Instance, []intent.Timeslot, error) {
+	if err := heuristicRefusal(req, inv); err != nil {
+		return nil, nil, err
+	}
 	slots, err := req.Timeslots()
 	if err != nil {
 		return nil, nil, err
 	}
 	slotCap, emsCap := 0, 0
 	for _, c := range req.ByName(intent.Concurrency) {
-		switch {
-		case c.BaseAttribute == req.SchedulableAttribute && c.AggregateAttribute == "":
-			if slotCap == 0 {
-				slotCap = c.DefaultCapacity
-			}
-		case c.AggregateAttribute == inventory.AttrEMS || c.BaseAttribute == inventory.AttrEMS:
-			if emsCap == 0 {
-				emsCap = c.DefaultCapacity
-			}
+		capacity := &slotCap
+		if c.AggregateAttribute == inventory.AttrEMS {
+			capacity = &emsCap
+		}
+		if *capacity == 0 || c.DefaultCapacity < *capacity {
+			*capacity = c.DefaultCapacity
 		}
 	}
 	if slotCap <= 0 {
@@ -381,15 +391,89 @@ func heuristicInstance(req *intent.Request, inv *inventory.Inventory, opt PlanOp
 	if err != nil {
 		return nil, nil, err
 	}
-	return &heuristic.Instance{
+	inst := &heuristic.Instance{
 		Inv:          inv,
 		MaxTimeslots: len(slots),
 		SlotCapacity: slotCap,
 		EMSCapacity:  emsCap,
 		Conflicts:    slotConflicts,
+		Restarts:     heuristic.DefaultRestarts,
 		Seed:         opt.Seed,
 		Parallelism:  opt.Parallelism,
-	}, slots, nil
+	}
+	if inv.Len() >= 5000 {
+		// Large instances benefit from re-searching the best permutation's
+		// neighborhoods; match the restart count.
+		inst.LNSRestarts = inst.Restarts
+	}
+	return inst, slots, nil
+}
+
+// heuristicRefusal names the first part of the intent that Algorithm 1
+// would drop, wrapped in ErrUnsupported, or returns nil when it honours
+// all of it: per-element (common_id) scheduling of single-window changes,
+// no frozen elements, a conflict table keyed by element whose conflicts
+// are to be minimized, concurrency caps per slot on elements overall or
+// per EMS, consistency on usid, uniformity on timezone and localize on
+// market.
+func heuristicRefusal(req *intent.Request, inv *inventory.Inventory) error {
+	refuse := func(format string, args ...any) error {
+		return fmt.Errorf("core: %w %s", ErrUnsupported, fmt.Sprintf(format, args...))
+	}
+	slotDur, err := req.SchedulingWindow.Granularity.Duration()
+	if err != nil {
+		return err
+	}
+	for i, c := range req.Constraints {
+		var ok bool
+		what := string(c.Name)
+		switch c.Name {
+		case intent.ConflictHandling:
+			ok = true
+		case intent.Concurrency:
+			what += " on " + c.BaseAttribute
+			if c.AggregateAttribute != "" {
+				what += " per " + c.AggregateAttribute
+			}
+			if d, err := c.Granularity.Duration(); c.Granularity.Metric != "" && (err != nil || d != slotDur) {
+				what += fmt.Sprintf(" every %d %s", max(c.Granularity.Value, 1), c.Granularity.Metric)
+				break
+			}
+			ok = c.BaseAttribute == inventory.AttrCommonID &&
+				(c.AggregateAttribute == "" || c.AggregateAttribute == inventory.AttrEMS)
+		case intent.Consistency:
+			what += " on " + c.Attribute
+			ok = c.Attribute == inventory.AttrUSID || c.Attribute == inventory.AttrCommonID
+		case intent.Uniformity:
+			what += " on " + c.Attribute
+			ok = c.Attribute == inventory.AttrTimezone
+		case intent.Localize:
+			what += " on " + c.Attribute
+			ok = c.Attribute == inventory.AttrMarket
+		}
+		if !ok {
+			return refuse("constraint %d (%s)", i, what)
+		}
+	}
+	switch {
+	case req.SchedulableAttribute != inventory.AttrCommonID:
+		return refuse("schedulable_attribute %q", req.SchedulableAttribute)
+	case len(req.ConflictTable) > 0 && req.ConflictAttribute != inventory.AttrCommonID:
+		return refuse("conflict_attribute %q", req.ConflictAttribute)
+	case len(req.ConflictTable) > 0 && !req.MinimizeConflicts():
+		// Algorithm 1 minimizes conflicts; it cannot forbid them.
+		return refuse("zero-conflicts handling of the conflict_table")
+	case len(req.FrozenElements) > 0:
+		return refuse("frozen_elements")
+	case req.ChangeDuration > 1:
+		return refuse("change_duration %d", req.ChangeDuration)
+	}
+	for _, d := range inv.AttrValues(inventory.AttrDuration) {
+		if n, err := strconv.Atoi(d); err == nil && n > 1 {
+			return refuse("elements with %s %s", inventory.AttrDuration, d)
+		}
+	}
+	return nil
 }
 
 // ControlGroup derives a control group for impact verification.

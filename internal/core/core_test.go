@@ -340,4 +340,14 @@ func TestPlanScheduleStatsOnDefaultPath(t *testing.T) {
 	if res.Stats[0].Wall <= 0 {
 		t.Fatalf("stats wall time missing: %+v", res.Stats[0])
 	}
+	// Above the threshold the same intent plans heuristically, with the
+	// default restart budget.
+	f.ScaleThreshold = net.Inv.Len() - 1
+	res, err = f.PlanScheduleContext(context.Background(), planIntent(6), net.Inv, PlanOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Method != "heuristic" || len(res.Stats) != 1 || !res.Stats[0].Winner || res.Stats[0].Restarts != heuristic.DefaultRestarts {
+		t.Fatalf("method %s, stats = %+v: want one winning heuristic entry with %d restarts", res.Method, res.Stats, heuristic.DefaultRestarts)
+	}
 }

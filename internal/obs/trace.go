@@ -5,7 +5,7 @@
 // The paper's CORNET deployment leans on per-building-block logging and
 // execution visibility so operations teams can pause, resume, and decide
 // rollbacks mid-change (Section 4, Fig. 6). This package supplies the
-// plumbing that the planning engine, the orchestrator, the verifier, and
+// plumbing that the planner, the orchestrator, the verifier, and
 // cmd/cornetd instrument themselves with:
 //
 //   - Tracing is explicit and request-scoped: StartTrace roots a span tree

@@ -58,8 +58,8 @@ type Instance struct {
 	// restart, and the passes feed the same reducer — so the result is
 	// never worse than the base phase and stays parallelism-invariant
 	// (each perturbation derives from (Seed, timezone, Restarts+j)). 0
-	// disables the phase; the planning engine enables it automatically
-	// for large instances, where re-searching a neighborhood of a good
+	// disables the phase; core enables it for instances of 5,000
+	// elements and more, where re-searching a neighborhood of a good
 	// permutation beats more blind restarts.
 	LNSRestarts int
 	// Parallelism is the restart worker-pool size: within each timezone
@@ -81,8 +81,7 @@ type Instance struct {
 	// adopts a strictly better candidate schedule (the Algorithm 1
 	// local-search incumbent). It runs under the reducer lock, possibly
 	// from concurrent restart workers, and must be fast and non-blocking;
-	// the planning engine uses it to emit incumbent-improvement trace
-	// events.
+	// core.RunPlan uses it to emit incumbent-improvement trace events.
 	OnImprovement func(timezone string, restart int)
 }
 

@@ -18,6 +18,7 @@ import (
 	"cornet/internal/plan/engine"
 	"cornet/internal/plan/intent"
 	"cornet/internal/plan/model"
+	"cornet/internal/plan/solver"
 	"cornet/internal/topology"
 )
 
@@ -322,15 +323,10 @@ func TestRequestKeyCoversPlanOptions(t *testing.T) {
 	}
 }
 
-// instantBackend answers every model with everything in slot 0: the tests
+// instantSolve answers every model with everything in slot 0: the tests
 // that use it exercise the serving path, not the search.
-type instantBackend struct{}
-
-func (instantBackend) Name() string { return "solver" }
-
-func (instantBackend) Solve(_ context.Context, req *engine.Request, _ engine.Options) (engine.Result, engine.Stats, error) {
-	a, leftovers := req.Expand(model.Schedule{Slots: make([]int, len(req.Model.Items))})
-	return engine.Result{Assignment: a, Leftovers: leftovers}, engine.Stats{Backend: "solver"}, nil
+func instantSolve(_ context.Context, m *model.Model, _ solver.Options) (model.Schedule, error) {
+	return model.Schedule{Slots: make([]int, len(m.Items)), Optimal: true}, nil
 }
 
 // fleet builds an n-element inventory with the attributes benchDoc reads.
@@ -366,7 +362,7 @@ const benchDoc = `{
 // linear in the fleet.
 func TestL1HitAllocsFlatInFleetSize(t *testing.T) {
 	f := core.New(map[string]catalog.ImplKind{"vCE": catalog.ImplScript})
-	f.Planner = &engine.Engine{Solver: instantBackend{}}
+	f.SolveModel = instantSolve
 	srv := New(f, Config{})
 	t.Cleanup(srv.Stop)
 	req, err := intent.Parse([]byte(benchDoc))
@@ -407,7 +403,7 @@ func TestL1HitAllocsFlatInFleetSize(t *testing.T) {
 func TestL1IsInvisible(t *testing.T) {
 	newServer := func() *Server {
 		f := core.New(map[string]catalog.ImplKind{"vCE": catalog.ImplScript})
-		f.Planner = &engine.Engine{Solver: instantBackend{}, Heuristic: engine.HeuristicBackend{}}
+		f.SolveModel = instantSolve
 		f.ScaleThreshold = 30 // the larger fleets plan heuristically under Threshold
 		srv := New(f, Config{})
 		t.Cleanup(srv.Stop)
@@ -482,7 +478,7 @@ func TestL1IsInvisible(t *testing.T) {
 // use this way, and afterwards the L1 serves the settled state.
 func TestL1ConcurrentPlansAndMutations(t *testing.T) {
 	f := core.New(map[string]catalog.ImplKind{"vCE": catalog.ImplScript})
-	f.Planner = &engine.Engine{Solver: instantBackend{}}
+	f.SolveModel = instantSolve
 	srv := New(f, Config{})
 	t.Cleanup(srv.Stop)
 	req, err := intent.Parse([]byte(benchDoc))

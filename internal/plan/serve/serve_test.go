@@ -15,26 +15,9 @@ import (
 	"cornet/internal/netgen"
 	"cornet/internal/plan/engine"
 	"cornet/internal/plan/intent"
+	"cornet/internal/plan/model"
 	"cornet/internal/plan/solver"
 )
-
-// countingBackend wraps a backend to count solves (and optionally slow
-// them down so singleflight followers reliably join the leader).
-type countingBackend struct {
-	inner engine.Backend
-	calls *atomic.Int64
-	delay time.Duration
-}
-
-func (b countingBackend) Name() string { return b.inner.Name() }
-
-func (b countingBackend) Solve(ctx context.Context, req *engine.Request, opt engine.Options) (engine.Result, engine.Stats, error) {
-	b.calls.Add(1)
-	if b.delay > 0 {
-		time.Sleep(b.delay)
-	}
-	return b.inner.Solve(ctx, req, opt)
-}
 
 type fixture struct {
 	srv   *Server
@@ -55,10 +38,15 @@ func newFixture(t *testing.T, delay time.Duration, cfg Config) *fixture {
 	f := core.New(map[string]catalog.ImplKind{"vCE": catalog.ImplScript})
 	f.SolverOptions = solver.Options{FirstSolutionOnly: true}
 	var calls atomic.Int64
-	f.Planner = &engine.Engine{Solver: countingBackend{
-		inner: engine.SolverBackend{},
-		calls: &calls, delay: delay,
-	}}
+	// Count solves, and optionally slow them down so singleflight
+	// followers reliably join the leader.
+	f.SolveModel = func(ctx context.Context, m *model.Model, o solver.Options) (model.Schedule, error) {
+		calls.Add(1)
+		if delay > 0 {
+			time.Sleep(delay)
+		}
+		return solver.SolveContext(ctx, m, o)
+	}
 	enbs := net.Inv.ByAttr("nf_type", "eNodeB")
 	gnbs := net.Inv.ByAttr("nf_type", "gNodeB")
 	sub := net.Inv.Subset(append(enbs, gnbs...))

@@ -1,5 +1,5 @@
 // Package serve is the multi-tenant planning service in front of the
-// planning engine: a canonical plan cache keyed by the translated model's
+// planner's backends: a canonical plan cache keyed by the translated model's
 // order-independent fingerprint, a request-key memo in front of it so a
 // repeated request finds that fingerprint without translating again,
 // singleflight collapse of concurrent identical requests, warm-start
@@ -322,7 +322,7 @@ func (s *Server) served(ctx context.Context, tenant string, resp *Response, elap
 	tenants.Default.RecordPlan(tenant, resp.CacheHit, resp.Warm, resp.Wait, solveWall, nodes)
 }
 
-// solve runs the built request through admission onto the engine.
+// solve runs the built request through admission onto its backend.
 func (s *Server) solve(ctx context.Context, tenant string, b *core.PlanBuild, opt core.PlanOptions) (*core.PlanResult, time.Duration, error) {
 	var res *core.PlanResult
 	var rerr error

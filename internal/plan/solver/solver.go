@@ -77,14 +77,15 @@ type Options struct {
 	// OnIncumbent, when set, is called each time the search publishes a
 	// strictly better incumbent, with its cost and the observed global node
 	// count at publication. It may run concurrently from parallel workers
-	// (under the incumbent lock) and must be fast and non-blocking; the
-	// planning engine uses it to emit incumbent-improvement trace events.
+	// (under the incumbent lock) and must be fast and non-blocking;
+	// core.RunPlan uses it to emit incumbent-improvement trace events.
 	OnIncumbent func(cost, nodes int64)
 	// OnSteal, when set, is called once when a parallel search finishes,
 	// with the run's work-stealing totals: tasks stolen by idle workers,
 	// subtree descriptors published for stealing, and prefix decisions
-	// replayed by thieves. Sequential searches never call it; the
-	// planning engine uses it to emit a steal-rate trace event.
+	// replayed by thieves. Sequential searches never call it;
+	// core.RunPlan chains it with its own hook, which emits a steal-rate
+	// trace event.
 	OnSteal func(steals, splits, replayNodes int64)
 	// WarmSlots seeds the search with a known schedule from a previous
 	// solve of a similar model, keyed by item ID (slot index, or -1 for a

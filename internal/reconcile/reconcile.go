@@ -5,7 +5,7 @@
 // network toward the declaration.
 //
 // Each pass diffs the declared spec against the live inventory, plans the
-// drifted elements through the schedule planner (internal/plan/engine),
+// drifted elements through the schedule planner (internal/core),
 // executes the generated change workflows through the orchestrator's
 // resilience layer, records an audit revision per change in the bounded
 // revision journal, and updates the fleet's status conditions and

@@ -75,7 +75,7 @@ type Edge struct {
 	Label string `json:"label,omitempty"`
 }
 
-// Param declares a workflow-level input or output.
+// Param declares a workflow-level input.
 type Param struct {
 	Name     string `json:"name"`
 	Required bool   `json:"required,omitempty"`
@@ -85,12 +85,11 @@ type Param struct {
 // Workflow is a change workflow design: the unit the designer composes,
 // verifies, and deploys.
 type Workflow struct {
-	Name    string  `json:"name"`
-	Doc     string  `json:"doc,omitempty"`
-	Inputs  []Param `json:"inputs,omitempty"`
-	Outputs []Param `json:"outputs,omitempty"`
-	Nodes   []Node  `json:"nodes"`
-	Edges   []Edge  `json:"edges"`
+	Name   string  `json:"name"`
+	Doc    string  `json:"doc,omitempty"`
+	Inputs []Param `json:"inputs,omitempty"`
+	Nodes  []Node  `json:"nodes"`
+	Edges  []Edge  `json:"edges"`
 }
 
 // New returns an empty workflow with the given name.

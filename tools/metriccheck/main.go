@@ -1,11 +1,14 @@
-// Command metriccheck fails when a cornet_* metric registered in code is
-// not documented in the README. It walks every non-test .go file under the
-// given roots, collects the string-literal metric names passed to the obs
-// registry constructors (Counter, CounterVec, Gauge, GaugeVec, GaugeFunc,
-// Histogram, HistogramVec), and checks each against the metric tokens that
-// appear in the README. A README token may end in `*` to document a whole
-// prefix (e.g. `cornet_slo_*`). It is wired into `make metriccheck` and CI
-// so the metrics surface stays documented as it grows.
+// Command metriccheck fails when the README and the metrics registered in
+// code disagree. It walks every non-test .go file under the given roots,
+// collects the string-literal metric names passed to the obs registry
+// constructors (Counter, CounterVec, Gauge, GaugeVec, GaugeFunc,
+// Histogram, HistogramVec), and checks them against the metric tokens that
+// appear in the README: a registered metric that no token documents fails,
+// and so does an exact README token that no constructor registers (a
+// stale name). A README token may end in `*` to document a whole prefix
+// (e.g. `cornet_slo_*`); such globs are never stale. It is wired into
+// `make metriccheck` and CI so the metrics surface stays documented as it
+// grows and shrinks.
 //
 // Usage: metriccheck [-readme README.md] <root dir>...
 package main
@@ -58,23 +61,32 @@ func main() {
 		}
 	}
 
-	var missing []string
+	var missing, stale []string
 	for name := range metrics {
 		if !documented(name, exact, prefixes) {
 			missing = append(missing, name)
 		}
 	}
-	if len(missing) > 0 {
-		sort.Strings(missing)
-		for _, name := range missing {
-			p := metrics[name]
-			fmt.Fprintf(os.Stderr, "%s:%d: metric %s is not documented in %s\n",
-				filepath.ToSlash(p.Filename), p.Line, name, *readme)
+	for tok := range exact {
+		if _, ok := metrics[tok]; !ok {
+			stale = append(stale, tok)
 		}
-		fmt.Fprintf(os.Stderr, "metriccheck: %d undocumented metric(s)\n", len(missing))
+	}
+	sort.Strings(missing)
+	for _, name := range missing {
+		p := metrics[name]
+		fmt.Fprintf(os.Stderr, "%s:%d: metric %s is not documented in %s\n",
+			filepath.ToSlash(p.Filename), p.Line, name, *readme)
+	}
+	sort.Strings(stale)
+	for _, tok := range stale {
+		fmt.Fprintf(os.Stderr, "%s: %s names no registered metric\n", *readme, tok)
+	}
+	if len(missing) > 0 || len(stale) > 0 {
+		fmt.Fprintf(os.Stderr, "metriccheck: %d undocumented metric(s), %d stale README name(s)\n", len(missing), len(stale))
 		os.Exit(1)
 	}
-	fmt.Printf("metriccheck: %d metrics, all documented in %s\n", len(metrics), *readme)
+	fmt.Printf("metriccheck: %d metrics, all documented in %s, no stale names\n", len(metrics), *readme)
 }
 
 // readmeTokens splits the README's metric mentions into exact names and
